@@ -71,6 +71,7 @@ from .tensor import (
     contract_full,
     contract_m1,
     contract_m1_batch,
+    jacobian_m1_batch,
     positive_part,
     signed_root,
     tensor_inf_norm,
@@ -85,6 +86,7 @@ __all__ = [
     "DenseTensor",
     "contract_m1",
     "contract_m1_batch",
+    "jacobian_m1_batch",
     "contract_full",
     "tensor_inf_norm",
     "vec_norms",

@@ -3,9 +3,11 @@
 TCP(q, A) asks for ``z >= 0`` with ``w = A z^{m-1} + q >= 0`` and ``z . w = 0``.
 At desk scale the active set can be enumerated outright: for every support
 ``S`` of coordinates allowed to be positive, the square system
-``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved by damped Newton
-from several seeded starts, and every root that satisfies the sign and
-complementarity conditions is kept.  Certificates always recompute ``w`` and
+``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved from several
+seeded starts by batched damped Newton with an analytic Jacobian: all
+(support, start) pairs of one support size iterate together, each stopping on
+its own test.  Every root that satisfies the sign and complementarity
+conditions is kept.  Certificates always recompute ``w`` and
 the violation measure from ``z``; nothing is trusted from the caller.
 """
 
@@ -24,6 +26,8 @@ from .tensor import (
     DenseTensor,
     _as_vector,
     contract_m1,
+    contract_m1_batch,
+    jacobian_m1_batch,
     positive_part,
     signed_root,
     vec_norms,
@@ -68,7 +72,6 @@ class SolveOptions:
     max_iterations: int = 100
     step_tol: float = 1e-12
     damping: float = 0.5
-    fd_step: float = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,21 +160,37 @@ def solve_enumerate(
     rng = np.random.default_rng(opts.seed)
     scale = 1.0 + vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
 
+    batch_rows = _batch_rows(tensor)
     kept: list[SolutionCertificate] = []
     for size in range(n + 1):
-        for support in itertools.combinations(range(n), size):
-            if size == 0:
-                candidates = [np.zeros(n)]
-            else:
-                starts = scale * rng.uniform(0.05, 1.0, size=(opts.starts, size))
-                candidates = []
-                for start in starts:
-                    root = _newton_on_support(inst, support, start, opts)
-                    if root is not None:
-                        candidates.append(root)
-            for z in candidates:
+        if size == 0:
+            batches = [np.zeros((1, n))]
+        else:
+            supports = list(itertools.combinations(range(n), size))
+            # Per support, in combinations order, as many starts as asked for.
+            starts = scale * np.concatenate(
+                [rng.uniform(0.05, 1.0, size=(opts.starts, size)) for _ in supports]
+            )
+            idx = np.repeat(np.array(supports, dtype=np.intp), opts.starts, axis=0)
+            batches = (
+                _newton_on_supports(
+                    inst, idx[lo : lo + batch_rows], starts[lo : lo + batch_rows], opts
+                )
+                for lo in range(0, idx.shape[0], batch_rows)
+            )
+        for candidates in batches:
+            # One batched check screens the rows.  It is the certificate's own
+            # check (the batch kernel equals contract_m1 bit for bit), and the
+            # certificate still recomputes it from z.
+            w = contract_m1_batch(tensor, candidates) + q
+            violation = np.max(
+                np.concatenate([-candidates, -w, np.abs(candidates * w)], axis=1),
+                axis=1,
+                initial=0.0,
+            )
+            for z in candidates[violation <= opts.tol]:
                 cert = SolutionCertificate.from_candidate(inst, z, opts.tol)
-                if cert.max_violation > opts.tol:
+                if not cert.passed:
                     continue
                 if any(
                     float(np.max(np.abs(cert.z - other.z))) <= 10.0 * opts.tol
@@ -183,52 +202,115 @@ def solve_enumerate(
     return kept
 
 
-def _newton_on_support(
-    inst: TcpInstance, support: tuple[int, ...], start: np.ndarray, opts: SolveOptions
-) -> np.ndarray | None:
-    """Damped Newton for ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S``."""
+# Rows times stored entries times (order - 1) that one batched contraction or
+# Jacobian may touch, which bounds their temporaries (512 KiB per array).
+_BATCH_ENTRIES = 1 << 16
+
+
+def _batch_rows(tensor: DenseTensor) -> int:
+    return max(1, _BATCH_ENTRIES // max(1, tensor.nnz * (tensor.order - 1)))
+
+
+def _newton_on_supports(
+    inst: TcpInstance, idx: np.ndarray, starts: np.ndarray, opts: SolveOptions
+) -> np.ndarray:
+    """Damped Newton for ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S``, per row.
+
+    Row ``r`` solves on support ``idx[r]`` from ``starts[r]``; all rows run
+    together and each stops on its own test.  An iteration solves the
+    Jacobian system, then tries the damping factors ``1, damping, ...`` down
+    to ``1e-8`` and takes the first whose residual max-norm is finite and
+    below the current one.  A row stops when its taken step is at most
+    ``step_tol`` or when no factor helps (keeping its iterate), and is dropped
+    when its residual at the start is not finite or its Jacobian is singular
+    or gives a non-finite step.  Returns the kept rows' final iterates,
+    embedded in ``dim`` coordinates.
+    """
     tensor, q = inst.tensor, inst.q
     n = tensor.dim
-    idx = np.asarray(support, dtype=np.intp)
+    rows, size = starts.shape
 
-    def embed(z_s: np.ndarray) -> np.ndarray:
-        z = np.zeros(n)
-        z[idx] = z_s
+    def embed(sel: np.ndarray, z_s: np.ndarray) -> np.ndarray:
+        z = np.zeros((sel.size, n))
+        z[np.arange(sel.size)[:, None], idx[sel]] = z_s
         return z
 
-    def f(z_s: np.ndarray) -> np.ndarray:
-        return (contract_m1(tensor, embed(z_s)) + q)[idx]
+    def residual(sel: np.ndarray, z_s: np.ndarray) -> np.ndarray:
+        full = contract_m1_batch(tensor, embed(sel, z_s))
+        return full[np.arange(sel.size)[:, None], idx[sel]] + q[idx[sel]]
 
-    z_s = np.asarray(start, dtype=float).copy()
-    f_s = f(z_s)
-    if not np.all(np.isfinite(f_s)):
-        return None
-    size = idx.size
+    damps = []
+    damp = 1.0
+    while damp >= 1e-8:
+        damps.append(damp)
+        damp *= opts.damping
+    damps = np.array(damps)
+    batch_rows = _batch_rows(tensor)
+
+    every = np.arange(rows)
+    z_s = starts.astype(float)
+    f_s = residual(every, z_s)
+    keep = np.isfinite(f_s).all(axis=1)
+    active = keep.copy()
     for _ in range(opts.max_iterations):
-        h = opts.fd_step * max(1.0, float(np.max(np.abs(z_s))))
-        jac = np.empty((size, size))
-        for j in range(size):
-            bumped = z_s.copy()
-            bumped[j] += h
-            jac[:, j] = (f(bumped) - f_s) / h
-        try:
-            step = np.linalg.solve(jac, -f_s)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        # Backtrack until the residual shrinks; bail out if no fraction helps.
-        base = float(np.max(np.abs(f_s)))
-        damp = 1.0
-        while damp >= 1e-8:
-            trial = z_s + damp * step
-            f_trial = f(trial)
-            if np.all(np.isfinite(f_trial)) and float(np.max(np.abs(f_trial))) < base:
-                break
-            damp *= opts.damping
-        else:
+        act = np.flatnonzero(active)
+        if act.size == 0:
             break
-        z_s, f_s = trial, f_trial
-        if float(np.max(np.abs(damp * step))) <= opts.step_tol:
-            break
-    return embed(z_s)
+        sub = idx[act]
+        jac = jacobian_m1_batch(tensor, embed(act, z_s[act]))
+        jac = jac[np.arange(act.size)[:, None, None], sub[:, :, None], sub[:, None, :]]
+        step = _solve_stacked(jac, -f_s[act])
+        bad = ~np.isfinite(step).all(axis=1)
+        keep[act[bad]] = active[act[bad]] = False
+        act, step = act[~bad], step[~bad]
+
+        # Backtrack: the full step for every row, then the remaining factors
+        # in blocks for the rows still waiting, first acceptable factor wins.
+        # A block holds at most batch_rows trial points.
+        base = np.max(np.abs(f_s[act]), axis=1)
+        taken = np.full(act.size, -1)
+        f_new = np.empty((act.size, size))
+        waiting = np.arange(act.size)
+        level = 0
+        while waiting.size and level < damps.size:
+            width = 1 if level == 0 else max(1, batch_rows // waiting.size)
+            block = damps[level : level + width]
+            trial = (
+                z_s[act[waiting], None, :] + block[None, :, None] * step[waiting, None, :]
+            )
+            f_trial = residual(
+                np.repeat(act[waiting], block.size), trial.reshape(-1, size)
+            ).reshape(waiting.size, block.size, size)
+            good = np.isfinite(f_trial).all(axis=2) & (
+                np.max(np.abs(f_trial), axis=2) < base[waiting, None]
+            )
+            hit = good.any(axis=1)
+            first = np.argmax(good, axis=1)[hit]
+            taken[waiting[hit]] = level + first
+            f_new[waiting[hit]] = f_trial[hit, first]
+            waiting = waiting[~hit]
+            level += block.size
+
+        # No factor helped: the row stops at its current iterate.
+        active[act[waiting]] = False
+        moved = taken >= 0
+        act, step, taken = act[moved], step[moved], taken[moved]
+        damped = damps[taken][:, None] * step
+        z_s[act] = z_s[act] + damped
+        f_s[act] = f_new[moved]
+        active[act[np.max(np.abs(damped), axis=1) <= opts.step_tol]] = False
+    return embed(every[keep], z_s[keep])
+
+
+def _solve_stacked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``jac[r] x = rhs[r]`` for every row; singular rows come back NaN."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        for r in range(rhs.shape[0]):
+            try:
+                out[r] = np.linalg.solve(jac[r], rhs[r])
+            except np.linalg.LinAlgError:
+                pass
+        return out

@@ -22,6 +22,7 @@ __all__ = [
     "DenseTensor",
     "contract_m1",
     "contract_m1_batch",
+    "jacobian_m1_batch",
     "contract_full",
     "tensor_inf_norm",
     "vec_norms",
@@ -54,7 +55,9 @@ class DenseTensor:
         nonzeros.
     """
 
-    __slots__ = ("order", "dim", "_entries", "_rows", "_cols", "_vals", "_row_groups")
+    __slots__ = (
+        "order", "dim", "_entries", "_rows", "_cols", "_vals", "_row_slots", "_jac_slots"
+    )
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, float]):
         if not isinstance(order, int) or isinstance(order, bool) or order < 2:
@@ -85,9 +88,9 @@ class DenseTensor:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_vals", vals)
-        object.__setattr__(
-            self, "_row_groups", [np.flatnonzero(rows == r) for r in range(dim)]
-        )
+        object.__setattr__(self, "_row_slots", _slot_table(rows, dim))
+        # Built on the first Jacobian call: only the solver needs it.
+        object.__setattr__(self, "_jac_slots", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
         raise AttributeError("DenseTensor is immutable")
@@ -146,21 +149,94 @@ def contract_m1(tensor: DenseTensor, x) -> np.ndarray:
     return np.bincount(tensor._rows, weights=prods, minlength=tensor.dim)
 
 
-def contract_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
-    """Row-wise :func:`contract_m1` for a ``(k, dim)`` array of vectors."""
+def _slot_table(keys: np.ndarray, bins: int) -> np.ndarray:
+    """Index table for summing values by key in a fixed order.
+
+    Column ``b`` lists, in ascending order, the positions ``p`` with
+    ``keys[p] == b``, padded with ``len(keys)``, which :func:`_sum_by_slots`
+    points at a zero row.  Adding the table's rows one after the other adds
+    each bin's values in position order, the order ``np.bincount`` uses.
+    """
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=bins)
+    table = np.full((max(1, int(counts.max(initial=0))), bins), keys.size, dtype=np.intp)
+    sorted_keys = keys[order]
+    starts = np.cumsum(counts) - counts
+    table[np.arange(keys.size) - starts[sorted_keys], sorted_keys] = order
+    return table
+
+
+def _sum_by_slots(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``values`` (shape ``(len(keys) + 1, k)``, last row zero) by bin.
+
+    Returns shape ``(k, bins)``.  Accumulating one slot at a time keeps the
+    temporaries at ``bins * k``.
+    """
+    out = values[table[0]]
+    for slot in table[1:]:
+        out += values[slot]
+    return np.ascontiguousarray(out.T)
+
+
+def _as_points(tensor: DenseTensor, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != tensor.dim:
         raise DimensionMismatchError(
             f"points must have shape (k, {tensor.dim}), got {pts.shape}"
         )
-    out = np.zeros(pts.shape)
+    return pts
+
+
+def contract_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
+    """Row-wise :func:`contract_m1` for a ``(k, dim)`` array of vectors.
+
+    Every result row equals :func:`contract_m1` of that point bit for bit: the
+    products are formed in the same order and summed per output component in
+    stored-entry order, whatever ``k`` is.
+    """
+    pts = _as_points(tensor, points)
     if tensor.nnz == 0:
-        return out
-    prods = tensor._vals * np.prod(pts[:, tensor._cols], axis=2)
-    for r, group in enumerate(tensor._row_groups):
-        if group.size:
-            out[:, r] = prods[:, group].sum(axis=1)
-    return out
+        return np.zeros(pts.shape)
+    xt = np.ascontiguousarray(pts.T)
+    cols = tensor._cols
+    prod = xt[cols[:, 0]]
+    for j in range(1, cols.shape[1]):
+        prod *= xt[cols[:, j]]
+    # One row per stored entry, then the zero row the slot padding points at.
+    prods = np.zeros((tensor.nnz + 1, pts.shape[0]))
+    np.multiply(tensor._vals[:, None], prod, out=prods[:-1])
+    return _sum_by_slots(prods, tensor._row_slots)
+
+
+def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
+    """Jacobians of ``x -> A x^{m-1}`` at each row of a ``(k, dim)`` array.
+
+    ``out[b, i, j]`` is the derivative of component ``i`` with respect to
+    ``x_j`` at ``points[b]``.  A stored entry ``a[i, j2, ..., jm]`` adds
+    ``a * prod_{q != p} x[jq]`` to ``out[b, i, jp]`` for every position ``p``;
+    the product that leaves one factor out is a prefix product times a
+    suffix product, so no coordinate is divided by and zeros are safe.
+    Repeated column indices add one term per position, as the product rule
+    says.
+    """
+    pts = _as_points(tensor, points)
+    k, n = pts.shape
+    if tensor.nnz == 0:
+        return np.zeros((k, n, n))
+    if tensor._jac_slots is None:
+        keys = (tensor._rows[:, None] * n + tensor._cols).ravel()
+        object.__setattr__(tensor, "_jac_slots", _slot_table(keys, n * n))
+    xs = np.ascontiguousarray(pts.T)[tensor._cols]  # (nnz, m - 1, k)
+    left = np.ones_like(xs)
+    right = np.ones_like(xs)
+    np.cumprod(xs[:, :-1], axis=1, out=left[:, 1:])
+    np.cumprod(xs[:, :0:-1], axis=1, out=right[:, -2::-1])
+    # One row per (entry, position) pair, then the zero row for the padding.
+    partials = np.zeros((xs.shape[0] * xs.shape[1] + 1, k))
+    np.multiply(
+        tensor._vals[:, None, None], left * right, out=partials[:-1].reshape(xs.shape)
+    )
+    return _sum_by_slots(partials, tensor._jac_slots).reshape(k, n, n)
 
 
 def contract_full(tensor: DenseTensor, x) -> float:

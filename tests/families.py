@@ -66,3 +66,40 @@ def random_sparse_tensor(rng, order, dim, nnz, lo=-2.0, hi=2.0):
         if val != 0.0:
             entries[idx] = val
     return DenseTensor(order, dim, entries)
+
+
+def manufactured_unique(rng, family, order, dim):
+    """Instance with exactly one solution, and that solution.
+
+    Every row has a diagonal entry ``a_i`` in [1, 4] and off-diagonal entries
+    whose moduli sum to less than ``a_i``.  ``family`` places them:
+    ``"diagonal"`` has none; ``"row_power"`` puts them at ``(i, j, ..., j)``,
+    so ``A z^{m-1} = M z^{m-1}`` for a strictly diagonally dominant matrix
+    ``M`` with positive diagonal, a P-matrix; ``"general"`` needs
+    ``order == 2``, where ``A`` is such a matrix itself.  Either way the
+    problem has one solution.  ``z*`` is drawn first and ``q`` fixed so that
+    ``w* = 0`` on its support and positive off it; diagonal ``z*`` is then
+    recomputed from the rounded ``q`` by the closed form.
+    """
+    if family == "general" and order != 2:
+        raise ValueError("the general family is unique only for order 2")
+    entries = {}
+    for i in range(1, dim + 1):
+        a = float(rng.uniform(1.0, 4.0))
+        entries[(i,) * order] = a
+        others = [j for j in range(1, dim + 1) if j != i]
+        if family == "diagonal" or not others:
+            continue
+        vals = rng.uniform(0.1, 1.0, len(others)) * rng.choice([-1.0, 1.0], len(others))
+        vals *= rng.uniform(0.3, 0.7) * a / np.abs(vals).sum()
+        for j, v in zip(others, vals):
+            entries[(i,) + (j,) * (order - 1)] = float(v)
+    tensor = DenseTensor(order, dim, entries)
+    support = rng.uniform(size=dim) < 0.6
+    z = np.where(support, rng.uniform(0.2, 1.5, dim), 0.0)
+    q = -contract_m1(tensor, z)
+    q[~support] += rng.uniform(0.1, 2.0, int((~support).sum()))
+    if family == "diagonal":
+        diag = tensor.diagonal()
+        z = (np.maximum(-q, 0.0) / diag) ** (1.0 / (order - 1))
+    return TcpInstance(tensor, q), z

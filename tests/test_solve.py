@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from families import manufactured_diagonal, random_diagonal_instances
+import tcpbounds.solve as solve_module
+from families import manufactured_diagonal, manufactured_unique, random_diagonal_instances
 from tcpbounds import (
     DenseTensor,
     DimensionLimitError,
@@ -166,6 +167,54 @@ def test_enumerate_nondiagonal_tensor():
     w = cert.w
     assert np.all(cert.z >= -1e-12) and np.all(w >= -1e-9)
     assert float(np.max(np.abs(cert.z * w))) <= 1e-9
+
+
+def test_enumerate_drops_singular_support_in_batch():
+    # w = (2 z1 - 2, z1 + 1).  On support {2}, w2 does not depend on z2, so
+    # that 1x1 system is singular; it shares the size-1 batch with {1}.
+    inst = TcpInstance(DenseTensor(2, 2, {(1, 1): 2.0, (2, 1): 1.0}), np.array([-2.0, 1.0]))
+    certs = solve_enumerate(inst)
+    assert len(certs) == 1
+    np.testing.assert_allclose(certs[0].z, [1.0, 0.0], atol=1e-12)
+    assert certs[0].support == (1,)
+
+
+def test_enumerate_same_seed_is_bit_identical():
+    rng = np.random.default_rng(4)
+    inst, _ = manufactured_unique(rng, "row_power", 4, 5)
+    for seed in (0, 9):
+        a = solve_enumerate(inst, SolveOptions(seed=seed))
+        b = solve_enumerate(inst, SolveOptions(seed=seed))
+        assert len(a) == len(b) >= 1
+        for x, y in zip(a, b):
+            assert np.array_equal(x.z, y.z)
+
+
+def test_enumerate_batch_size_does_not_change_roots(monkeypatch):
+    # One row per batch tries the damping factors one at a time, as an
+    # unbatched loop would; the default runs every row of a size together.
+    rng = np.random.default_rng(8)
+    for family, order in (("row_power", 4), ("general", 2)):
+        inst, _ = manufactured_unique(rng, family, order, 4)
+        batched = solve_enumerate(inst)
+        monkeypatch.setattr(solve_module, "_BATCH_ENTRIES", 1)
+        single = solve_enumerate(inst)
+        monkeypatch.undo()
+        assert len(batched) == len(single) == 1
+        assert np.array_equal(batched[0].z, single[0].z)
+
+
+@pytest.mark.parametrize(
+    "family,order", [("diagonal", 4), ("row_power", 4), ("general", 2)]
+)
+def test_enumerate_finds_the_unique_manufactured_solution(family, order):
+    rng = np.random.default_rng(31)
+    for dim in range(2, 7):
+        inst, z_star = manufactured_unique(rng, family, order, dim)
+        certs = solve_enumerate(inst)
+        assert len(certs) == 1, (family, order, dim, [c.support for c in certs])
+        assert certs[0].passed
+        np.testing.assert_allclose(certs[0].z, z_star, rtol=0, atol=1e-10)
 
 
 def test_manufactured_solutions_verify_exactly():

@@ -11,6 +11,7 @@ from tcpbounds import (
     contract_full,
     contract_m1,
     contract_m1_batch,
+    jacobian_m1_batch,
     positive_part,
     signed_root,
     tensor_inf_norm,
@@ -133,6 +134,44 @@ def test_batch_contraction_matches_single_points():
         assert batch.shape == (13, dim)
         for k in range(13):
             np.testing.assert_array_equal(batch[k], contract_m1(t, pts[k]))
+
+
+def test_jacobian_matches_central_differences():
+    rng = np.random.default_rng(23)
+    h = 1e-6
+    for order in (2, 3, 4):
+        for _ in range(15):
+            dim = int(rng.integers(1, 5))
+            t = random_sparse_tensor(rng, order, dim, int(rng.integers(1, 12)))
+            pts = rng.uniform(-1.5, 1.5, (6, dim))
+            # exact zeros: one coordinate of some points, all of the last
+            pts[::2, int(rng.integers(dim))] = 0.0
+            pts[-1] = 0.0
+            jac = jacobian_m1_batch(t, pts)
+            assert jac.shape == (6, dim, dim)
+            for k in range(6):
+                for j in range(dim):
+                    bump = np.zeros(dim)
+                    bump[j] = h
+                    up, down = contract_m1(t, pts[k] + bump), contract_m1(t, pts[k] - bump)
+                    want = (up - down) / (2 * h)
+                    np.testing.assert_allclose(jac[k, :, j], want, rtol=0, atol=1e-7)
+
+
+def test_jacobian_repeated_columns_and_zeros():
+    # a * x2 * x2 * x2 has derivative 3 a x2^2 in x2; the mixed entry
+    # b * x1 * x2 * x2 has derivatives b x2^2 and 2 b x1 x2.
+    t = DenseTensor(4, 2, {(1, 2, 2, 2): 2.0, (2, 1, 2, 2): 5.0})
+    jac = jacobian_m1_batch(t, [[3.0, 0.5], [0.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_allclose(jac[0], [[0.0, 1.5], [1.25, 15.0]], rtol=1e-15)
+    np.testing.assert_array_equal(jac[1], np.zeros((2, 2)))
+    np.testing.assert_array_equal(jac[2], [[0.0, 24.0], [20.0, 0.0]])
+    # order 2: the Jacobian is the matrix itself, wherever it is taken
+    m = DenseTensor(2, 2, {(1, 1): 2.0, (1, 2): -1.0, (2, 1): 4.0})
+    np.testing.assert_array_equal(
+        jacobian_m1_batch(m, np.zeros((1, 2)))[0], [[2.0, -1.0], [4.0, 0.0]]
+    )
+    assert jacobian_m1_batch(DenseTensor(3, 2, {}), np.ones((3, 2))).shape == (3, 2, 2)
 
 
 def test_inf_norm_matches_oracle():
