@@ -150,10 +150,11 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     """Build the natural residual of ``u`` against the verified solution ``z``.
 
     ``z`` is re-verified first (tolerance ``tol``) and rejected if it is not a
-    solution.  ``u == z`` short-circuits to a zero residual flagged
-    EXACT_SOLUTION.  The max-form ``u - max(0, u - s)`` is evaluated by
-    componentwise selection, which resolves the outer subtraction exactly and
-    makes the result bitwise equal to ``min(u, s)``.
+    solution; a NaN or infinite ``u`` raises ``ValueError``.  ``u == z``
+    short-circuits to a zero residual flagged EXACT_SOLUTION.  The max-form
+    ``u - max(0, u - s)`` is evaluated by componentwise selection, which
+    resolves the outer subtraction exactly and makes the result bitwise equal
+    to ``min(u, s)``.
     """
     if tensor.order % 2 != 0:
         raise ValueError("the rooted residual needs an even tensor order")
@@ -166,6 +167,9 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
         )
     z = cert.z
     u = _as_vector(u, tensor.dim, "u")
+    # A Python scan beats a numpy reduction on vectors this short.
+    if not all(map(math.isfinite, u.tolist())):
+        raise ValueError("u must be finite, got NaN or inf")
     if np.array_equal(u, z):
         return ResidualData(
             v=np.zeros(tensor.dim),

@@ -12,14 +12,16 @@ the P-property; the bound formulas consume ``alpha(F)``.
 
 The minimum is estimated deterministically: the boundary of the cube
 ``[-1, 1]^n`` is swept face by face on a regular grid and the best point is
-polished with coordinate descent.  Grid estimates never undershoot the true
-minimum, so a positive estimate is evidence, not proof; only the diagonal
-closed form is certified.
+polished with coordinate descent.  Grid chunks are built by index arithmetic
+and each polish sweep evaluates its remaining trial points in one batch; the
+accepted steps, and so the value, are those of the one-trial-at-a-time
+first-improvement search.  Grid estimates never undershoot the true minimum,
+so a positive estimate is evidence, not proof; only the diagonal closed form
+is certified.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,21 +147,21 @@ def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.n
     return (points * mapped).max(axis=1)
 
 
-def _objective_single(tensor: DenseTensor, point: np.ndarray, kind: str) -> float:
-    return float(_objective_batch(tensor, point[None, :], kind)[0])
-
-
 def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
-    """Chunks of the grid on the cube face ``x[fixed] = sign``."""
+    """Chunks of the grid on the cube face ``x[fixed] = sign``.
+
+    Rows come in ``itertools.product(axis, repeat=n - 1)`` order, the last
+    free coordinate varying fastest, at most ``_CHUNK`` rows per chunk.
+    """
     if n == 1:
         yield np.array([[sign]])
         return
-    product = itertools.product(axis, repeat=n - 1)
-    while True:
-        block = list(itertools.islice(product, _CHUNK))
-        if not block:
-            return
-        free = np.asarray(block)
+    g = axis.size
+    total = g ** (n - 1)
+    place = g ** np.arange(n - 2, -1, -1)
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total))
+        free = axis[(flat[:, None] // place) % g]
         pts = np.empty((free.shape[0], n))
         pts[:, :fixed] = free[:, :fixed]
         pts[:, fixed] = sign
@@ -178,7 +180,10 @@ def estimate_alpha(
     so the result is independent of evaluation schedule.  The best point is
     then polished with coordinate descent that keeps the face's pinned
     coordinate at +-1 and clips the rest to ``[-1, 1]``, so every iterate
-    stays on the unit sphere.
+    stays on the unit sphere.  Each sweep tries ``+step`` then ``-step`` per
+    free coordinate and accepts the first trial that improves; the trials
+    left in the sweep are evaluated together in one batch from the current
+    point, which accepts exactly the steps of a one-trial-at-a-time search.
     """
     if kind not in (ALPHA_T, ALPHA_F):
         raise ValueError(f"kind must be {ALPHA_T!r} or {ALPHA_F!r}, got {kind!r}")
@@ -209,21 +214,32 @@ def estimate_alpha(
 
     point = np.array(best_point)
     value = best_val
+    # Trial order of a sweep: (j, +step), (j, -step) for each free j.
+    free = np.delete(np.arange(n), best_face)
+    coords = np.repeat(free, 2)
+    signs = np.tile([1.0, -1.0], free.size)
     step = grid.initial_step
     for _ in range(grid.refinement_steps):
         improved = False
-        for j in range(n):
-            if j == best_face:
-                continue
-            for delta in (step, -step):
-                trial = point.copy()
-                trial[j] = min(1.0, max(-1.0, trial[j] + delta))
-                if trial[j] == point[j]:
-                    continue
-                trial_val = _objective_single(tensor, trial, kind)
-                if trial_val < value:
-                    point, value = trial, trial_val
-                    improved = True
+        deltas = signs * step
+        start = 0
+        while start < coords.size:
+            js = coords[start:]
+            moved = np.minimum(np.maximum(point[js] + deltas[start:], -1.0), 1.0)
+            live = (moved != point[js]).nonzero()[0]
+            if live.size == 0:
+                break
+            trials = point[None, :].repeat(live.size, axis=0)
+            trials[np.arange(live.size), js[live]] = moved[live]
+            vals = _objective_batch(tensor, trials, kind)
+            better = (vals < value).nonzero()[0]
+            if better.size == 0:
+                break
+            k = int(better[0])
+            point, value = trials[k], float(vals[k])
+            improved = True
+            # Trials after the accepted one start from the new point.
+            start += int(live[k]) + 1
         if not improved:
             step *= 0.5
             if step < 1e-12:

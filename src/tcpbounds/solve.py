@@ -14,6 +14,7 @@ the violation measure from ``z``; nothing is trusted from the caller.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ class SolutionCertificate:
 
     ``support`` holds the 1-based coordinates where ``z`` exceeds ``tol``.
     ``max_violation`` is the largest of the negative parts of ``z`` and ``w``
-    and the absolute complementarity products; ``passed`` is the verdict
+    and the absolute complementarity products, or ``inf`` when ``z`` or ``w``
+    has a NaN or infinite entry; ``passed`` is the verdict
     ``max_violation <= tol``.
     """
 
@@ -101,7 +103,9 @@ class SolutionCertificate:
         violations.append(float(np.max(-z, initial=0.0)))
         violations.append(float(np.max(-w, initial=0.0)))
         violations.append(float(np.max(np.abs(z * w), initial=0.0)))
-        max_violation = max(violations)
+        # z_i * w_i is finite exactly when z_i and w_i are, and max() would
+        # drop the NaN that np.max keeps.
+        max_violation = max(violations) if math.isfinite(violations[-1]) else math.inf
         support = tuple(int(i) + 1 for i in np.flatnonzero(z > tol))
         return cls(
             z=z,

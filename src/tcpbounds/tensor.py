@@ -12,6 +12,7 @@ never mutates after construction and no operation writes to its arguments.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -52,7 +53,7 @@ class DenseTensor:
     entries : mapping
         ``{(i1, ..., im): value}`` with 1-based indices.  Zero values are
         dropped so that the stored entry count is the number of structural
-        nonzeros.
+        nonzeros; a NaN or infinite value raises ``ValueError``.
     """
 
     __slots__ = (
@@ -74,6 +75,8 @@ class DenseTensor:
             if any(i < 1 or i > dim for i in idx):
                 raise ValueError(f"index {idx} out of range 1..{dim}")
             val = float(raw_val)
+            if not math.isfinite(val):
+                raise ValueError(f"entry at index {idx} is not finite: {val}")
             if val != 0.0:
                 clean[idx] = val
         object.__setattr__(self, "order", order)

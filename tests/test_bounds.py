@@ -29,6 +29,7 @@ from tcpbounds import (
     NotPTensorError,
     ResidualData,
     SolutionVerificationError,
+    TcpInstance,
     build_report,
     compare_upper_bounds,
     contract_m1,
@@ -39,6 +40,7 @@ from tcpbounds import (
     relative_error_bounds,
     residual,
     signed_root,
+    solve_diagonal,
     solution_norm_bounds,
     tensor_inf_norm,
 )
@@ -308,6 +310,21 @@ def test_exact_solution_short_circuit():
 def test_residual_rejects_non_solutions():
     with pytest.raises(SolutionVerificationError):
         residual(TENSOR, Q, np.array([0.0, 0.6]), U)
+
+
+def test_non_finite_q_or_u_is_refused():
+    # these gave finite bounds with empty flags (NaN q) or an all-NaN report (u)
+    tensor = DenseTensor.from_diagonal([1.0, 8.0, 3.0], order=4)
+    q = np.array([1.0, -1.0, -2.0])
+    z = solve_diagonal(TcpInstance(tensor, q)).z
+    u = z + np.array([0.0, 1e-3, 0.0])
+    with pytest.raises(SolutionVerificationError):
+        diagonal_bounds(tensor, np.array([np.nan, -1.0, -2.0]), z, u)
+    for bad in (np.nan, np.inf, -np.inf):
+        u_bad = u.copy()
+        u_bad[1] = bad
+        with pytest.raises(ValueError, match="u must be finite"):
+            diagonal_bounds(tensor, q, z, u_bad)
 
 
 def test_residual_rejects_odd_order_and_bad_shapes():

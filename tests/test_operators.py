@@ -1,5 +1,7 @@
 """Normalized operators, the alpha search, and the sampled P-property check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from tcpbounds import (
     diagonal_alpha_estimate,
     estimate_alpha,
 )
+from tcpbounds.operators import _CHUNK, _iter_face_chunks, _objective_batch
 
 HAND3 = DenseTensor(3, 2, {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0})
 
@@ -137,6 +140,90 @@ def test_estimate_alpha_deterministic():
     a = estimate_alpha(HAND3, ALPHA_T, grid=GridSpec(points_per_axis=9))
     b = estimate_alpha(HAND3, ALPHA_T, grid=GridSpec(points_per_axis=9))
     assert a.value == b.value
+
+
+def _product_face_chunks(axis, n, fixed, sign):
+    """Face grid built from ``itertools.product`` tuples, ``_CHUNK`` rows at a time."""
+    if n == 1:
+        yield np.array([[sign]])
+        return
+    product = itertools.product(axis, repeat=n - 1)
+    while True:
+        block = list(itertools.islice(product, _CHUNK))
+        if not block:
+            return
+        yield np.insert(np.asarray(block), fixed, sign, axis=1)
+
+
+def _reference_alpha(tensor, kind, grid):
+    """Face sweep plus a polish that evaluates one trial point per call."""
+    n = tensor.dim
+    axis = np.linspace(-1.0, 1.0, grid.points_per_axis)
+    best_val, best_point, best_face = np.inf, None, 0
+    for fixed in range(n):
+        for sign in (-1.0, 1.0):
+            for pts in _product_face_chunks(axis, n, fixed, sign):
+                vals = _objective_batch(tensor, pts, kind)
+                local_min = float(vals.min())
+                if local_min > best_val:
+                    continue
+                local_point = min(tuple(pts[i]) for i in np.flatnonzero(vals == local_min))
+                if local_min < best_val or (best_point is not None and local_point < best_point):
+                    best_val, best_point, best_face = local_min, local_point, fixed
+    point, value = np.array(best_point), best_val
+    step = grid.initial_step
+    for _ in range(grid.refinement_steps):
+        improved = False
+        for j in range(n):
+            if j == best_face:
+                continue
+            for delta in (step, -step):
+                trial = point.copy()
+                trial[j] = min(1.0, max(-1.0, trial[j] + delta))
+                if trial[j] == point[j]:
+                    continue
+                trial_val = float(_objective_batch(tensor, trial[None, :], kind)[0])
+                if trial_val < value:
+                    point, value = trial, trial_val
+                    improved = True
+        if not improved:
+            step *= 0.5
+            if step < 1e-12:
+                break
+    return value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("g", [2, 3, 7, 11])
+def test_face_chunks_follow_product_order(n, g):
+    # n=5, g=11 has 14,641 rows per face: three full chunks and a partial one
+    axis = np.linspace(-1.0, 1.0, g)
+    for fixed in range(n):
+        for sign in (-1.0, 1.0):
+            chunks = list(_iter_face_chunks(axis, n, fixed, sign))
+            assert all(c.shape[0] <= _CHUNK for c in chunks)
+            expected = np.concatenate(list(_product_face_chunks(axis, n, fixed, sign)))
+            assert np.array_equal(np.concatenate(chunks), expected)
+
+
+def test_estimate_alpha_bit_identical_to_one_trial_polish():
+    rng = np.random.default_rng(2209)
+    cases = [(HAND3, ALPHA_T, GridSpec(points_per_axis=7))]
+    for _ in range(50):
+        order = int(rng.integers(2, 5))
+        dim = int(rng.integers(1, 6))
+        # n=5 stays at 7 points or fewer to keep the sweep small
+        points = int(rng.integers(2, 10 if dim < 5 else 8))
+        t = random_sparse_tensor(rng, order, dim, int(rng.integers(1, 3 * dim + 2)))
+        spec = GridSpec(
+            points_per_axis=points,
+            refinement_steps=int(rng.integers(0, 61)),
+            initial_step=float(rng.choice([0.1, 0.3, 1.0])),
+        )
+        for kind in (ALPHA_T, ALPHA_F) if order % 2 == 0 else (ALPHA_T,):
+            cases.append((t, kind, spec))
+    for t, kind, spec in cases:
+        assert estimate_alpha(t, kind, spec).value == _reference_alpha(t, kind, spec)
 
 
 def test_estimate_alpha_dimension_one():

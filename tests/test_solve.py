@@ -1,5 +1,7 @@
 """Solution certificates, the diagonal closed form, and support enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,22 @@ def test_verify_solution_flags_negative_components():
     cert = verify_solution(WORKED, np.array([-0.3, 0.5]))
     assert not cert.passed
     assert cert.max_violation >= 0.3
+
+
+@pytest.mark.parametrize(
+    "z, q",
+    [
+        ([np.nan, 0.5], [1.0, -1.0]),
+        ([0.0, 0.5], [np.nan, -1.0]),
+        ([0.0, 0.5], [np.inf, -1.0]),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+def test_verify_solution_fails_non_finite_z_or_w(z, q):
+    # each of these once passed with max_violation == 0.0: max() dropped the NaN
+    cert = verify_solution(TcpInstance(WORKED.tensor, np.array(q)), np.array(z))
+    assert cert.max_violation == math.inf
+    assert not cert.passed
 
 
 def test_solve_diagonal_golden():

@@ -69,6 +69,12 @@ def test_construction_rejects_bad_shapes(order, dim, entries):
         DenseTensor(order, dim, entries)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_construction_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match=r"\(1, 1, 1, 1\)"):
+        DenseTensor(4, 2, {(1, 1, 1, 1): bad, (2, 2, 2, 2): 1.0})
+
+
 def test_from_diagonal():
     t = DenseTensor.from_diagonal([1.0, 8.0], order=4)
     assert t.order == 4 and t.dim == 2
