@@ -52,6 +52,7 @@ from .operators import (
     GridSpec,
     PTensorCheck,
     alpha_F_diagonal,
+    alpha_for,
     apply_F,
     apply_T,
     check_p_tensor_sampled,
@@ -105,6 +106,7 @@ __all__ = [
     "apply_T",
     "apply_F",
     "estimate_alpha",
+    "alpha_for",
     "alpha_F_diagonal",
     "diagonal_alpha_estimate",
     "check_p_tensor_sampled",

@@ -19,6 +19,13 @@ baseline sandwich ``||v||_inf / (1 + R) <= ||z - u||_inf <= (1 + R) ||v||_inf
 ``||(-q)+||_inf^{1/(m-1)}`` and solution-norm bounds need no test point at
 all.
 
+:func:`build_report` is the one place that turns a residual into bounds.
+``diagonal_bounds`` is that report with the closed-form alpha, and
+``error_bounds_new``, ``error_bounds_zheng`` and ``relative_error_bounds``
+are views that return its fields, raising a named error where the report
+leaves them undefined.  ``solution_norm_bounds`` shares the report's
+``||(-q)+||_inf`` helper and needs no residual.
+
 Everything here consumes ``alpha(F)`` estimates.  ``D`` is nonnegative under
 the P hypothesis; round-off slightly below zero is clamped, anything material
 is reported as an invariant violation rather than patched over.
@@ -145,6 +152,23 @@ class BoundReport:
                     f"{self.ub_base}"
                 )
 
+    def relative_bounds(self) -> tuple[float, float]:
+        """``(rel_lb, rel_ub)``, or the named error when they are undefined."""
+        if FLAG_DEGENERATE_Q in self.flags:
+            raise DegenerateQError(
+                "DEGENERATE_Q: (-q)+ is zero, relative bounds are undefined"
+            )
+        if FLAG_DEGENERATE_Z in self.flags:
+            raise DegenerateZError(
+                "DEGENERATE_Z: the solution is zero, relative bounds are undefined"
+            )
+        if FLAG_EXACT_SOLUTION_INCONSISTENT in self.flags:
+            raise ExactSolutionInconsistentError(
+                f"residual component at the argmax index t={self.residual.t} is "
+                "zero while u != z; relative bounds are undefined"
+            )
+        return self.rel_lb, self.rel_ub
+
 
 def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     """Build the natural residual of ``u`` against the verified solution ``z``.
@@ -182,7 +206,8 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     d = u - z
     contracted = contract_m1(tensor, d)
     r = tensor.order - 1
-    s = signed_root(contracted, r) + signed_root(contract_m1(tensor, z) + q, r)
+    # cert.w is the equilibrium term A z^{m-1} + q, already computed from z.
+    s = signed_root(contracted, r) + signed_root(cert.w, r)
     v = np.where(u - s > 0.0, s, u)
     objective = d * contracted
     t0 = int(np.argmax(objective))
@@ -216,6 +241,18 @@ def _norm_root(tensor: DenseTensor) -> float:
     return tensor_inf_norm(tensor) ** (1.0 / (tensor.order - 1))
 
 
+def _q_root(tensor: DenseTensor, q: np.ndarray) -> float:
+    return vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
+
+
+def _solution_norm_pair(
+    q_root: float, norm_root: float, alpha: float
+) -> tuple[float, float]:
+    if norm_root == 0.0:
+        raise InvariantViolationError("the zero tensor cannot carry a P certificate")
+    return q_root / norm_root, q_root / alpha
+
+
 def _new_interval(
     v_inf: float, v_t: float, alpha: float, norm_root: float
 ) -> tuple[float, float, float, bool]:
@@ -246,120 +283,19 @@ def _check_argmax(data: ResidualData) -> None:
         )
 
 
-def error_bounds_new(
-    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
-) -> tuple[float, float, float]:
-    """Sharpened two-sided bounds ``(lb, ub, D)`` on ``||z - u||_inf``."""
-    _require_alpha_f(alpha)
-    data = residual(tensor, q, z, u, tol)
-    if FLAG_EXACT_SOLUTION in data.flags:
-        return 0.0, 0.0, 0.0
-    _check_argmax(data)
-    if data.v_t == 0.0:
-        raise ExactSolutionInconsistentError(
-            f"residual component at the argmax index t={data.t} is zero while "
-            "u != z; only the baseline bound applies"
-        )
-    lb, ub, d, _ = _new_interval(data.v_inf, data.v_t, alpha.value, _norm_root(tensor))
-    return lb, ub, d
-
-
-def error_bounds_zheng(
-    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
-) -> tuple[float, float]:
-    """Baseline two-sided bounds on ``||z - u||_inf`` from the same residual."""
-    _require_alpha_f(alpha)
-    data = residual(tensor, q, z, u, tol)
-    if FLAG_EXACT_SOLUTION in data.flags:
-        return 0.0, 0.0
-    _check_argmax(data)
-    return _base_interval(data.v_inf, alpha.value, _norm_root(tensor))
-
-
-def relative_error_bounds(
-    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
-) -> tuple[float, float]:
-    """Bounds on ``||z - u||_inf / ||z||_inf`` scaled by ``||(-q)+||_inf``.
-
-    Undefined when ``(-q)+ = 0`` (DEGENERATE_Q) or ``z = 0`` (DEGENERATE_Z).
-    """
-    _require_alpha_f(alpha)
-    q = _as_vector(q, tensor.dim, "q")
-    q_root = vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
-    if q_root == 0.0:
-        raise DegenerateQError(
-            "DEGENERATE_Q: (-q)+ is zero, relative bounds are undefined"
-        )
-    data = residual(tensor, q, z, u, tol)
-    if vec_norms(_as_vector(z, tensor.dim, "z"))[0] == 0.0:
-        raise DegenerateZError(
-            "DEGENERATE_Z: the solution is zero, relative bounds are undefined"
-        )
-    if FLAG_EXACT_SOLUTION in data.flags:
-        return 0.0, 0.0
-    _check_argmax(data)
-    if data.v_t == 0.0:
-        raise ExactSolutionInconsistentError(
-            f"residual component at the argmax index t={data.t} is zero while "
-            "u != z; relative bounds are undefined"
-        )
-    norm_root = _norm_root(tensor)
-    b = data.v_inf * (1.0 + norm_root)
-    _, _, d, _ = _new_interval(data.v_inf, data.v_t, alpha.value, norm_root)
-    sq = math.sqrt(d)
-    rel_lb = (b - sq) / (2.0 * q_root)
-    rel_ub = norm_root * (b + sq) / (2.0 * alpha.value * q_root)
-    return rel_lb, rel_ub
-
-
-def solution_norm_bounds(
-    tensor: DenseTensor, q, alpha: AlphaEstimate
-) -> tuple[float, float]:
-    """Bounds on ``||z||_inf`` valid for every solution, from ``q`` alone."""
-    _require_alpha_f(alpha)
-    q = _as_vector(q, tensor.dim, "q")
-    if tensor.order % 2 != 0:
-        raise ValueError("solution-norm bounds need an even tensor order")
-    q_root = vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
-    norm_root = _norm_root(tensor)
-    if norm_root == 0.0:
-        raise InvariantViolationError("the zero tensor cannot carry a P certificate")
-    return q_root / norm_root, q_root / alpha.value
-
-
 def build_report(
     tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
 ) -> BoundReport:
-    """Assemble every bound into one report using the supplied alpha."""
-    return _assemble_report(tensor, q, z, u, alpha, _norm_root(tensor), tol)
+    """Assemble every bound for ``(A, q, z, u)`` from one residual and ``alpha``.
 
-
-def diagonal_bounds(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> BoundReport:
-    """Full report for positive diagonal tensors via the certified closed form.
-
-    Uses ``alpha(F) = min_i a_i^{1/(m-1)}`` and ``||A||_inf = max_i a_i``
-    directly from the diagonal; agrees with :func:`build_report` fed the same
-    closed-form estimate.
+    The single-purpose bound functions below read their fields from this
+    report.
     """
-    alpha = diagonal_alpha_estimate(tensor)
-    r = 1.0 / (tensor.order - 1)
-    norm_root = float(np.max(tensor.diagonal())) ** r
-    return _assemble_report(tensor, q, z, u, alpha, norm_root, tol)
-
-
-def _assemble_report(
-    tensor: DenseTensor,
-    q,
-    z,
-    u,
-    alpha: AlphaEstimate,
-    norm_root: float,
-    tol: float,
-) -> BoundReport:
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")
     data = residual(tensor, q, z, u, tol)
     _check_argmax(data)
+    norm_root = _norm_root(tensor)
     flags = list(data.flags)
     if not alpha.certified:
         flags.append(FLAG_UNCERTIFIED_ALPHA)
@@ -382,10 +318,8 @@ def _assemble_report(
             flags.append(FLAG_CLAMPED_DISCRIMINANT)
         lb_base, ub_base = _base_interval(data.v_inf, alpha.value, norm_root)
 
-    q_root = vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
-    if norm_root == 0.0:
-        raise InvariantViolationError("the zero tensor cannot carry a P certificate")
-    sol_lb, sol_ub = q_root / norm_root, q_root / alpha.value
+    q_root = _q_root(tensor, q)
+    sol_lb, sol_ub = _solution_norm_pair(q_root, norm_root, alpha.value)
 
     rel_lb: float | None
     rel_ub: float | None
@@ -420,6 +354,57 @@ def _assemble_report(
         rel_ub=rel_ub,
         flags=tuple(flags),
     )
+
+
+def diagonal_bounds(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> BoundReport:
+    """Full report for positive diagonal tensors via the certified closed form.
+
+    :func:`build_report` fed ``alpha(F) = min_i a_i^{1/(m-1)}``; for a
+    positive diagonal ``||A||_inf`` is exactly the largest diagonal entry.
+    """
+    return build_report(tensor, q, z, u, diagonal_alpha_estimate(tensor), tol)
+
+
+def error_bounds_new(
+    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
+) -> tuple[float, float, float]:
+    """Sharpened two-sided bounds ``(lb, ub, D)`` on ``||z - u||_inf``."""
+    report = build_report(tensor, q, z, u, alpha, tol)
+    if FLAG_EXACT_SOLUTION_INCONSISTENT in report.flags:
+        raise ExactSolutionInconsistentError(
+            f"residual component at the argmax index t={report.residual.t} is "
+            "zero while u != z; only the baseline bound applies"
+        )
+    return report.lb_new, report.ub_new, report.D
+
+
+def error_bounds_zheng(
+    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
+) -> tuple[float, float]:
+    """Baseline two-sided bounds on ``||z - u||_inf`` from the same residual."""
+    report = build_report(tensor, q, z, u, alpha, tol)
+    return report.lb_base, report.ub_base
+
+
+def relative_error_bounds(
+    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
+) -> tuple[float, float]:
+    """Bounds on ``||z - u||_inf / ||z||_inf`` scaled by ``||(-q)+||_inf``.
+
+    Undefined when ``(-q)+ = 0`` (DEGENERATE_Q) or ``z = 0`` (DEGENERATE_Z).
+    """
+    return build_report(tensor, q, z, u, alpha, tol).relative_bounds()
+
+
+def solution_norm_bounds(
+    tensor: DenseTensor, q, alpha: AlphaEstimate
+) -> tuple[float, float]:
+    """Bounds on ``||z||_inf`` valid for every solution, from ``q`` alone."""
+    _require_alpha_f(alpha)
+    q = _as_vector(q, tensor.dim, "q")
+    if tensor.order % 2 != 0:
+        raise ValueError("solution-norm bounds need an even tensor order")
+    return _solution_norm_pair(_q_root(tensor, q), _norm_root(tensor), alpha.value)
 
 
 def compare_upper_bounds(report: BoundReport) -> float:

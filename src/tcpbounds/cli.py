@@ -18,9 +18,6 @@ from .bounds import (
     BoundReport,
     build_report,
     compare_upper_bounds,
-    diagonal_bounds,
-    relative_error_bounds,
-    residual,
     solution_norm_bounds,
 )
 from .errors import (
@@ -39,14 +36,12 @@ from .io import ProblemFile, parse_problem
 from .operators import (
     ALPHA_F,
     ALPHA_T,
-    AlphaEstimate,
     GridSpec,
     LIKELY_P,
+    alpha_for,
     check_p_tensor_sampled,
-    diagonal_alpha_estimate,
-    estimate_alpha,
 )
-from .solve import SolveOptions, solve_enumerate, verify_solution
+from .solve import SolveOptions, TcpInstance, solve_enumerate, verify_solution
 
 __all__ = ["main", "main_entry"]
 
@@ -100,12 +95,8 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
         ) from None
 
 
-def _alpha_for(problem: ProblemFile, args) -> AlphaEstimate:
-    tensor = problem.tensor()
-    if tensor.is_positive_diagonal() and tensor.order % 2 == 0:
-        return diagonal_alpha_estimate(tensor)
-    grid = GridSpec(points_per_axis=args.grid) if args.grid else GridSpec()
-    return estimate_alpha(tensor, ALPHA_F, grid)
+def _grid(args) -> GridSpec | None:
+    return GridSpec(points_per_axis=args.grid) if args.grid else None
 
 
 def _alpha_pairs(alpha) -> list[tuple[str, object]]:
@@ -119,14 +110,16 @@ def _alpha_pairs(alpha) -> list[tuple[str, object]]:
     ]
 
 
-def _resolve_z(problem: ProblemFile, args) -> tuple[np.ndarray, str, list]:
+def _resolve_z(
+    problem: ProblemFile, inst: TcpInstance, args
+) -> tuple[np.ndarray, str, list]:
     """Pick z from the flag, the file, or by solving; returns extra flags."""
     if args.z is not None:
         return _parse_vector(args.z, "z"), "flag", []
     if problem.z is not None:
         return problem.z, "file", []
     opts = SolveOptions(seed=args.seed)
-    certs = solve_enumerate(problem.instance(), opts)
+    certs = solve_enumerate(inst, opts)
     if not certs:
         raise SolutionVerificationError(
             "no solution found by support enumeration; supply --z"
@@ -147,20 +140,15 @@ def _tol(args, default: float = 1e-8) -> float:
     return args.tol if args.tol is not None else default
 
 
-def _cmd_alpha(problem: ProblemFile, args):
-    tensor = problem.tensor()
+def _cmd_alpha(problem: ProblemFile, inst: TcpInstance, args):
     kind = ALPHA_T if args.kind == "T" else ALPHA_F
-    if kind == ALPHA_F and tensor.is_positive_diagonal() and tensor.order % 2 == 0:
-        alpha = diagonal_alpha_estimate(tensor)
-    else:
-        grid = GridSpec(points_per_axis=args.grid) if args.grid else GridSpec()
-        alpha = estimate_alpha(tensor, kind, grid)
+    alpha = alpha_for(inst.tensor, kind, _grid(args))
     return [("command", "alpha")] + _alpha_pairs(alpha), 0
 
 
-def _cmd_check_p(problem: ProblemFile, args):
+def _cmd_check_p(problem: ProblemFile, inst: TcpInstance, args):
     check = check_p_tensor_sampled(
-        problem.tensor(), sample_count=args.samples, seed=args.seed
+        inst.tensor, sample_count=args.samples, seed=args.seed
     )
     pairs = [
         ("command", "check-p"),
@@ -172,11 +160,11 @@ def _cmd_check_p(problem: ProblemFile, args):
     return pairs, 0 if check.verdict == LIKELY_P else 1
 
 
-def _cmd_solve(problem: ProblemFile, args):
+def _cmd_solve(problem: ProblemFile, inst: TcpInstance, args):
     opts = SolveOptions(seed=args.seed)
     if args.tol is not None:
         opts.tol = args.tol
-    certs = solve_enumerate(problem.instance(), opts)
+    certs = solve_enumerate(inst, opts)
     pairs: list[tuple[str, object]] = [("command", "solve"), ("solutions", len(certs))]
     for k, cert in enumerate(certs, 1):
         pairs.extend(
@@ -190,9 +178,9 @@ def _cmd_solve(problem: ProblemFile, args):
     return pairs, 0 if certs else 1
 
 
-def _cmd_verify(problem: ProblemFile, args):
-    z, source, _ = _resolve_z(problem, args)
-    cert = verify_solution(problem.instance(), z, _tol(args))
+def _cmd_verify(problem: ProblemFile, inst: TcpInstance, args):
+    z, source, _ = _resolve_z(problem, inst, args)
+    cert = verify_solution(inst, z, _tol(args))
     pairs = [
         ("command", "verify"),
         ("z", cert.z),
@@ -206,9 +194,9 @@ def _cmd_verify(problem: ProblemFile, args):
     return pairs, 0 if cert.passed else 1
 
 
-def _cmd_sol_bounds(problem: ProblemFile, args):
-    alpha = _alpha_for(problem, args)
-    lb, ub = solution_norm_bounds(problem.tensor(), problem.q, alpha)
+def _cmd_sol_bounds(problem: ProblemFile, inst: TcpInstance, args):
+    alpha = alpha_for(inst.tensor, ALPHA_F, _grid(args))
+    lb, ub = solution_norm_bounds(inst.tensor, inst.q, alpha)
     pairs = (
         [("command", "sol-bounds")]
         + _alpha_pairs(alpha)
@@ -238,21 +226,19 @@ def _report_pairs(report: BoundReport) -> list[tuple[str, object]]:
     ]
 
 
-def _full_report(problem: ProblemFile, args) -> tuple[BoundReport, list, tuple]:
-    tensor = problem.tensor()
-    z, source, extra = _resolve_z(problem, args)
+def _full_report(
+    problem: ProblemFile, inst: TcpInstance, args
+) -> tuple[BoundReport, list, tuple]:
+    z, source, extra = _resolve_z(problem, inst, args)
     u = _resolve_u(problem, args)
-    if tensor.is_positive_diagonal() and tensor.order % 2 == 0:
-        report = diagonal_bounds(tensor, problem.q, z, u, _tol(args))
-    else:
-        alpha = _alpha_for(problem, args)
-        report = build_report(tensor, problem.q, z, u, alpha, _tol(args))
+    alpha = alpha_for(inst.tensor, ALPHA_F, _grid(args))
+    report = build_report(inst.tensor, inst.q, z, u, alpha, _tol(args))
     header = [("z", z), ("z_source", source), ("u", u)]
     return report, header, tuple(list(report.flags) + extra)
 
 
-def _cmd_bounds(problem: ProblemFile, args):
-    report, header, flags = _full_report(problem, args)
+def _cmd_bounds(problem: ProblemFile, inst: TcpInstance, args):
+    report, header, flags = _full_report(problem, inst, args)
     pairs = (
         [("command", "bounds")]
         + header
@@ -262,16 +248,14 @@ def _cmd_bounds(problem: ProblemFile, args):
     return pairs, 0
 
 
-def _cmd_rel_bounds(problem: ProblemFile, args):
-    tensor = problem.tensor()
-    z, source, _ = _resolve_z(problem, args)
-    u = _resolve_u(problem, args)
-    alpha = _alpha_for(problem, args)
-    rel_lb, rel_ub = relative_error_bounds(tensor, problem.q, z, u, alpha, _tol(args))
-    data = residual(tensor, problem.q, z, u, _tol(args))
+def _cmd_rel_bounds(problem: ProblemFile, inst: TcpInstance, args):
+    report, header, _ = _full_report(problem, inst, args)
+    rel_lb, rel_ub = report.relative_bounds()
+    data = report.residual
     pairs = (
-        [("command", "rel-bounds"), ("z", z), ("z_source", source), ("u", u)]
-        + _alpha_pairs(alpha)
+        [("command", "rel-bounds")]
+        + header
+        + _alpha_pairs(report.alpha)
         + [
             ("v_inf", data.v_inf),
             ("t", data.t),
@@ -283,8 +267,8 @@ def _cmd_rel_bounds(problem: ProblemFile, args):
     return pairs, 0
 
 
-def _cmd_compare(problem: ProblemFile, args):
-    report, header, flags = _full_report(problem, args)
+def _cmd_compare(problem: ProblemFile, inst: TcpInstance, args):
+    report, header, flags = _full_report(problem, inst, args)
     ratio = compare_upper_bounds(report)
     pairs = (
         [("command", "compare")]
@@ -349,7 +333,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         problem = parse_problem(args.file)
-        pairs, code = _COMMANDS[args.command](problem, args)
+        pairs, code = _COMMANDS[args.command](problem, problem.instance(), args)
     except _HYPOTHESIS_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

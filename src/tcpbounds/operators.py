@@ -42,6 +42,7 @@ __all__ = [
     "apply_T",
     "apply_F",
     "estimate_alpha",
+    "alpha_for",
     "alpha_F_diagonal",
     "diagonal_alpha_estimate",
     "check_p_tensor_sampled",
@@ -281,6 +282,20 @@ def diagonal_alpha_estimate(tensor: DenseTensor) -> AlphaEstimate:
         refinement_steps=0,
         certified=True,
     )
+
+
+def alpha_for(
+    tensor: DenseTensor, kind: str = ALPHA_F, grid: GridSpec | None = None
+) -> AlphaEstimate:
+    """The alpha estimate every bound and CLI subcommand uses.
+
+    ``alpha(F)`` of an even-order positive diagonal tensor comes from the
+    certified closed form (``grid`` is then unused); anything else from the
+    grid sweep of :func:`estimate_alpha`.
+    """
+    if kind == ALPHA_F and tensor.is_positive_diagonal() and tensor.order % 2 == 0:
+        return diagonal_alpha_estimate(tensor)
+    return estimate_alpha(tensor, kind, grid)
 
 
 def check_p_tensor_sampled(

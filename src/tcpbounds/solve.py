@@ -151,10 +151,13 @@ def solve_enumerate(
     Returns certificates sorted by support size, then lexicographically by
     ``z``; an empty list means no support produced an acceptable root (for an
     instance believed to be P this is a solver failure, not a proof of
-    infeasibility).  The run is deterministic for fixed options.
+    infeasibility).  The run is deterministic for fixed options.  A NaN or
+    infinite ``q`` raises ``ValueError``.
     """
     opts = opts or SolveOptions()
     tensor, q = inst.tensor, inst.q
+    if not np.isfinite(q).all():
+        raise ValueError("q must be finite, got NaN or inf")
     n = tensor.dim
     if n > opts.max_dim:
         raise DimensionLimitError(

@@ -19,6 +19,7 @@ from tcpbounds import (
     FLAG_UNCERTIFIED_ALPHA,
     GRID_REFINED,
     AlphaEstimate,
+    GridSpec,
     BoundReport,
     DegenerateQError,
     DegenerateZError,
@@ -36,11 +37,13 @@ from tcpbounds import (
     diagonal_alpha_estimate,
     diagonal_bounds,
     error_bounds_new,
+    estimate_alpha,
     error_bounds_zheng,
     relative_error_bounds,
     residual,
     signed_root,
     solve_diagonal,
+    solve_enumerate,
     solution_norm_bounds,
     tensor_inf_norm,
 )
@@ -444,6 +447,97 @@ def test_alpha_gatekeeping():
     wrong_kind = AlphaEstimate(1.0, ALPHA_T, GRID_REFINED, 0, 0, False)
     with pytest.raises(ValueError):
         error_bounds_new(TENSOR, Q, Z, U, wrong_kind)
+
+
+def assert_views_match_report(tensor, q, z, u, alpha):
+    """Each single-purpose bound returns exactly the report's fields, or
+    raises the error named by the flag that leaves them undefined."""
+    rep = build_report(tensor, q, z, u, alpha)
+    assert error_bounds_zheng(tensor, q, z, u, alpha) == (rep.lb_base, rep.ub_base)
+    assert solution_norm_bounds(tensor, q, alpha) == (rep.sol_lb, rep.sol_ub)
+    if FLAG_EXACT_SOLUTION_INCONSISTENT in rep.flags:
+        with pytest.raises(ExactSolutionInconsistentError):
+            error_bounds_new(tensor, q, z, u, alpha)
+    else:
+        assert error_bounds_new(tensor, q, z, u, alpha) == (rep.lb_new, rep.ub_new, rep.D)
+    relative_error = None
+    if FLAG_DEGENERATE_Q in rep.flags:
+        relative_error = DegenerateQError
+    elif FLAG_DEGENERATE_Z in rep.flags:
+        relative_error = DegenerateZError
+    elif FLAG_EXACT_SOLUTION_INCONSISTENT in rep.flags:
+        relative_error = ExactSolutionInconsistentError
+    if relative_error is None:
+        assert relative_error_bounds(tensor, q, z, u, alpha) == (rep.rel_lb, rep.rel_ub)
+    else:
+        with pytest.raises(relative_error):
+            relative_error_bounds(tensor, q, z, u, alpha)
+    return rep
+
+
+def test_views_equal_report_on_manufactured_diagonal():
+    for tensor, q, z, u in manufactured_diagonal(40, seed=55, single_coord=False):
+        assert_views_match_report(tensor, q, z, u, diagonal_alpha_estimate(tensor))
+
+
+def test_views_equal_report_on_solver_produced_z():
+    rng = np.random.default_rng(808)
+    checked = 0
+    for _ in range(24):
+        order = int(rng.choice([2, 4]))
+        dim = int(rng.integers(1, 4))
+        # a random sparse part under a dominant positive diagonal keeps alpha > 0
+        noise = random_sparse_tensor(rng, order, dim, int(rng.integers(1, 6)), -0.4, 0.4)
+        entries = dict(noise.entries)
+        for i in range(1, dim + 1):
+            entries[(i,) * order] = entries.get((i,) * order, 0.0) + 3.0
+        tensor = DenseTensor(order, dim, entries)
+        q = rng.uniform(-2.0, 2.0, dim)
+        certs = solve_enumerate(TcpInstance(tensor, q))
+        if not certs:
+            continue
+        alpha = estimate_alpha(tensor, grid=GridSpec(points_per_axis=5, refinement_steps=5))
+        z = certs[0].z
+        for scale in (1e-6, 1e-2, 0.5):
+            u = z + scale * rng.uniform(-1.0, 1.0, dim)
+            assert_views_match_report(tensor, q, z, u, alpha)
+        assert_views_match_report(tensor, q, z, z.copy(), alpha)
+        checked += 1
+    assert checked >= 12
+
+
+def test_views_raise_on_undefined_report_fields():
+    cases = [
+        # DEGENERATE_Q: (-q)+ = 0
+        (TENSOR, np.array([1.0, 0.0]), np.zeros(2), np.array([0.4, 0.2]), ALPHA),
+        # DEGENERATE_Z: q negative within the tolerance, so z = 0 verifies
+        (
+            DenseTensor.from_diagonal([1.0], order=4),
+            np.array([-5e-9]),
+            np.array([0.0]),
+            np.array([0.5]),
+            forged_alpha(1.0),
+        ),
+        # EXACT_SOLUTION_INCONSISTENT: v_t = 0 with u != z under a forged alpha
+        (
+            DenseTensor(2, 2, {(2, 2): 1.0}),
+            np.array([0.0, -1.0]),
+            np.array([0.0, 1.0]),
+            np.array([5.0, 1.0]),
+            forged_alpha(1.0),
+        ),
+    ]
+    wanted = (FLAG_DEGENERATE_Q, FLAG_DEGENERATE_Z, FLAG_EXACT_SOLUTION_INCONSISTENT)
+    for (tensor, q, z, u, alpha), flag in zip(cases, wanted):
+        rep = assert_views_match_report(tensor, q, z, u, alpha)
+        assert flag in rep.flags
+
+
+def test_baseline_view_refuses_overestimated_alpha():
+    # as a view of the report, the baseline pair is refused together with the
+    # sharpened one instead of being returned from an impossible alpha
+    with pytest.raises(InvariantViolationError):
+        error_bounds_zheng(TENSOR, Q, Z, U, forged_alpha(10.0))
 
 
 def test_uncertified_alpha_is_flagged():

@@ -253,6 +253,32 @@ def test_cli_rel_bounds(worked_file, capsys):
     assert float(data["rel_ub"]) == pytest.approx(2.618033988749895, rel=1e-12)
 
 
+def test_cli_rel_bounds_verifies_once_and_matches_compare(
+    worked_file, capsys, monkeypatch
+):
+    import tcpbounds.bounds as bounds_module
+
+    calls = []
+    verify = bounds_module.verify_solution
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(bounds_module, "verify_solution", counting)
+    code, out, _ = run_cli(
+        capsys, "rel-bounds", "--file", worked_file, "--format", "machine"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    rel = machine(out)
+    code, out, _ = run_cli(capsys, "compare", "--file", worked_file, "--format", "machine")
+    assert code == 0
+    full = machine(out)
+    for key in ("rel_lb", "rel_ub", "v_inf", "t", "v_t"):
+        assert rel[key] == full[key]
+
+
 def test_cli_rel_bounds_degenerate_q_exits_one(tmp_path, capsys):
     text = "order: 4\ndim: 1\nentries:\n  - idx: [1, 1, 1, 1]\n    val: 2.0\nq: [1.0]\nz: [0.0]\nu: [0.5]\n"
     path = write(tmp_path, text)

@@ -80,6 +80,14 @@ def test_verify_solution_fails_non_finite_z_or_w(z, q):
     assert not cert.passed
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_enumerate_refuses_non_finite_q(bad):
+    # a NaN q once returned [] ("no acceptable root") instead of being refused
+    tensor = DenseTensor.from_diagonal([1.0, 8.0, 3.0], order=4)
+    with pytest.raises(ValueError, match="q must be finite"):
+        solve_enumerate(TcpInstance(tensor, np.array([bad, -1.0, -2.0])))
+
+
 def test_solve_diagonal_golden():
     inst = TcpInstance(
         DenseTensor.from_diagonal([16.0, 81.0], order=4), np.array([-2.0, -3.0])
