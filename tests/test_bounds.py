@@ -19,25 +19,25 @@ from tcpbounds import (
     FLAG_UNCERTIFIED_ALPHA,
     GRID_REFINED,
     AlphaEstimate,
-    GridSpec,
     BoundReport,
     DegenerateQError,
     DegenerateZError,
     DenseTensor,
     DimensionMismatchError,
     ExactSolutionInconsistentError,
+    GridSpec,
     InvariantViolationError,
     NotPTensorError,
     ResidualData,
     SolutionVerificationError,
     TcpInstance,
+    alpha_for,
     build_report,
     compare_upper_bounds,
     contract_m1,
     diagonal_alpha_estimate,
     diagonal_bounds,
     error_bounds_new,
-    estimate_alpha,
     error_bounds_zheng,
     relative_error_bounds,
     residual,
@@ -496,7 +496,7 @@ def test_views_equal_report_on_solver_produced_z():
         certs = solve_enumerate(TcpInstance(tensor, q))
         if not certs:
             continue
-        alpha = estimate_alpha(tensor, grid=GridSpec(points_per_axis=5, refinement_steps=5))
+        alpha = alpha_for(tensor, grid=GridSpec(points_per_axis=5, refinement_steps=5))
         z = certs[0].z
         for scale in (1e-6, 1e-2, 0.5):
             u = z + scale * rng.uniform(-1.0, 1.0, dim)
