@@ -47,12 +47,12 @@ from .errors import (
     SolutionVerificationError,
 )
 from .operators import ALPHA_F, AlphaEstimate, diagonal_alpha_estimate
-from .solve import TcpInstance, verify_solution
+from .solve import TcpInstance, _q_root, verify_solution
 from .tensor import (
     DenseTensor,
     _as_vector,
+    _require_even_order,
     contract_m1,
-    positive_part,
     signed_root,
     tensor_inf_norm,
     vec_norms,
@@ -180,8 +180,7 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     resolves the outer subtraction exactly and makes the result bitwise equal
     to ``min(u, s)``.
     """
-    if tensor.order % 2 != 0:
-        raise ValueError("the rooted residual needs an even tensor order")
+    _require_even_order(tensor, "the rooted residual")
     inst = TcpInstance(tensor, q)
     cert = verify_solution(inst, z, tol)
     if not cert.passed:
@@ -239,10 +238,6 @@ def _require_alpha_f(alpha: AlphaEstimate) -> None:
 
 def _norm_root(tensor: DenseTensor) -> float:
     return tensor_inf_norm(tensor) ** (1.0 / (tensor.order - 1))
-
-
-def _q_root(tensor: DenseTensor, q: np.ndarray) -> float:
-    return vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
 
 
 def _solution_norm_pair(
@@ -402,8 +397,7 @@ def solution_norm_bounds(
     """Bounds on ``||z||_inf`` valid for every solution, from ``q`` alone."""
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")
-    if tensor.order % 2 != 0:
-        raise ValueError("solution-norm bounds need an even tensor order")
+    _require_even_order(tensor, "solution-norm bounds")
     return _solution_norm_pair(_q_root(tensor, q), _norm_root(tensor), alpha.value)
 
 

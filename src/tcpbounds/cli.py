@@ -23,11 +23,8 @@ from .bounds import (
 from .errors import (
     DegenerateQError,
     DegenerateZError,
-    DimensionLimitError,
-    DimensionMismatchError,
     ExactSolutionInconsistentError,
     InvariantViolationError,
-    NotPositiveDiagonalError,
     NotPTensorError,
     ProblemFormatError,
     SolutionVerificationError,
@@ -53,14 +50,9 @@ _HYPOTHESIS_ERRORS = (
     ExactSolutionInconsistentError,
     InvariantViolationError,
 )
-_VALIDATION_ERRORS = (
-    ProblemFormatError,
-    DimensionMismatchError,
-    DimensionLimitError,
-    NotPositiveDiagonalError,
-    ValueError,
-    OSError,
-)
+# Every validation error of the package (bad file, shape, size, tensor kind
+# or setting) is a ValueError.
+_VALIDATION_ERRORS = (ValueError, OSError)
 
 AMBIGUOUS_SOLUTION = "AMBIGUOUS_SOLUTION"
 
@@ -96,7 +88,7 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
 
 
 def _grid(args) -> GridSpec | None:
-    return GridSpec(points_per_axis=args.grid) if args.grid else None
+    return None if args.grid is None else GridSpec(points_per_axis=args.grid)
 
 
 def _alpha_pairs(alpha) -> list[tuple[str, object]]:
@@ -161,9 +153,7 @@ def _cmd_check_p(problem: ProblemFile, inst: TcpInstance, args):
 
 
 def _cmd_solve(problem: ProblemFile, inst: TcpInstance, args):
-    opts = SolveOptions(seed=args.seed)
-    if args.tol is not None:
-        opts.tol = args.tol
+    opts = SolveOptions(seed=args.seed, tol=_tol(args, SolveOptions.tol))
     certs = solve_enumerate(inst, opts)
     pairs: list[tuple[str, object]] = [("command", "solve"), ("solutions", len(certs))]
     for k, cert in enumerate(certs, 1):
@@ -249,7 +239,7 @@ def _cmd_bounds(problem: ProblemFile, inst: TcpInstance, args):
 
 
 def _cmd_rel_bounds(problem: ProblemFile, inst: TcpInstance, args):
-    report, header, _ = _full_report(problem, inst, args)
+    report, header, flags = _full_report(problem, inst, args)
     rel_lb, rel_ub = report.relative_bounds()
     data = report.residual
     pairs = (
@@ -262,6 +252,7 @@ def _cmd_rel_bounds(problem: ProblemFile, inst: TcpInstance, args):
             ("v_t", data.v_t),
             ("rel_lb", rel_lb),
             ("rel_ub", rel_ub),
+            ("flags", flags),
         ]
     )
     return pairs, 0

@@ -14,14 +14,18 @@ A problem file is a YAML document with 1-based tensor indices:
     u: [0.5, 0.4]     # optional test point
 
 Absent entries are zero and an empty (or omitted) ``entries`` list is the
-zero tensor.  Emission is deterministic and floats round-trip exactly, so
-``parse(emit(pf))`` reproduces every field bit for bit.
+zero tensor.  :class:`ProblemFile` builds its :class:`DenseTensor` once and
+reports the tensor's own order, dim, index and value checks as
+:class:`ProblemFormatError`; it checks only what the tensor never sees,
+duplicate indices and the vectors ``q``, ``z`` and ``u``.  Emission is
+deterministic and floats round-trip exactly, so ``parse(emit(pf))``
+reproduces every field bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,34 +54,21 @@ class ProblemFile:
     q: np.ndarray
     z: np.ndarray | None = None
     u: np.ndarray | None = None
+    _tensor: DenseTensor = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ProblemFormatError(f"order must be an integer >= 2, got {self.order!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ProblemFormatError(f"dim must be a positive integer, got {self.dim!r}")
-        seen: set[tuple[int, ...]] = set()
-        clean = []
-        for pos, (idx, val) in enumerate(self.entries, 1):
+        clean = {}
+        for idx, val in self.entries:
             idx = tuple(int(i) for i in idx)
-            if len(idx) != self.order:
-                raise ProblemFormatError(
-                    f"entries[{pos}].idx has {len(idx)} components, expected "
-                    f"order {self.order}"
-                )
-            if any(i < 1 or i > self.dim for i in idx):
-                raise ProblemFormatError(
-                    f"entries[{pos}].idx {list(idx)} out of range 1..{self.dim}"
-                )
-            if idx in seen:
+            if idx in clean:
                 raise ProblemFormatError(f"duplicate index {list(idx)} in entries")
-            seen.add(idx)
-            val = float(val)
-            if not math.isfinite(val):
-                raise ProblemFormatError(f"entries[{pos}].val must be finite")
-            clean.append((idx, val))
-        clean.sort(key=lambda item: item[0])
-        object.__setattr__(self, "entries", tuple(clean))
+            clean[idx] = float(val)
+        try:
+            tensor = DenseTensor(self.order, self.dim, clean)
+        except ValueError as exc:
+            raise ProblemFormatError(str(exc)) from None
+        object.__setattr__(self, "_tensor", tensor)
+        object.__setattr__(self, "entries", tuple(sorted(clean.items())))
         object.__setattr__(self, "q", self._vector_field("q", self.q, required=True))
         object.__setattr__(self, "z", self._vector_field("z", self.z, required=False))
         object.__setattr__(self, "u", self._vector_field("u", self.u, required=False))
@@ -97,10 +88,10 @@ class ProblemFile:
         return arr
 
     def tensor(self) -> DenseTensor:
-        return DenseTensor(self.order, self.dim, dict(self.entries))
+        return self._tensor
 
     def instance(self) -> TcpInstance:
-        return TcpInstance(self.tensor(), self.q)
+        return TcpInstance(self._tensor, self.q)
 
 
 def _as_number(value, where: str) -> float:

@@ -26,8 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDiagonalError
-from .tensor import DenseTensor, contract_m1, contract_m1_batch, signed_root
+from .tensor import (
+    DenseTensor,
+    _as_vector,
+    _require_even_order,
+    _require_positive_diagonal,
+    contract_m1_batch,
+    signed_root,
+)
 
 __all__ = [
     "ALPHA_T",
@@ -56,6 +62,8 @@ LIKELY_P = "LIKELY_P"
 NOT_P = "NOT_P"
 
 _CHUNK = 4096
+# Step of the first polish sweep; it halves whenever a sweep stalls.
+_INITIAL_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -65,20 +73,17 @@ class GridSpec:
     ``points_per_axis`` grid points per free coordinate on each cube face
     (odd counts include 0, which is what lets diagonal minimizers be hit
     exactly), then ``refinement_steps`` sweeps of coordinate descent with the
-    step halving from ``initial_step`` whenever a sweep stalls.
+    step halving from ``0.1`` whenever a sweep stalls.
     """
 
     points_per_axis: int = 41
     refinement_steps: int = 50
-    initial_step: float = 0.1
 
     def __post_init__(self):
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be at least 2")
         if self.refinement_steps < 0:
             raise ValueError("refinement_steps must be nonnegative")
-        if not self.initial_step > 0.0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,39 +118,30 @@ def apply_T(tensor: DenseTensor, x) -> np.ndarray:
 
     Positively homogeneous of degree 1; maps 0 to 0 by convention.
     """
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1 and not arr.any():
-        return np.zeros(tensor.dim)
-    norm2 = float(np.sqrt(np.dot(arr, arr)))
-    return norm2 ** (2 - tensor.order) * contract_m1(tensor, arr)
+    return _map_batch(tensor, _as_vector(x, tensor.dim, "x")[None, :], ALPHA_T)[0]
 
 
 def apply_F(tensor: DenseTensor, x) -> np.ndarray:
     """Rooted contraction ``(A x^{m-1})^{[1/(m-1)]}``; requires even order."""
     _require_even_order(tensor, "apply_F")
-    return signed_root(contract_m1(tensor, x), tensor.order - 1)
+    return _map_batch(tensor, _as_vector(x, tensor.dim, "x")[None, :], ALPHA_F)[0]
 
 
-def _require_even_order(tensor: DenseTensor, what: str) -> None:
-    if tensor.order % 2 != 0:
-        raise ValueError(
-            f"{what} needs an even tensor order so the {tensor.order - 1}-th "
-            "signed root is a bijection; got odd order"
-        )
-
-
-def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
-    """``max_i x_i * (op x)_i`` for each row of ``points``."""
+def _map_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
+    """``T`` (``kind == ALPHA_T``) or ``F`` applied to each row of ``points``."""
     contracted = contract_m1_batch(tensor, points)
     if kind == ALPHA_T:
         norms = np.sqrt((points * points).sum(axis=1))
         factors = np.zeros(points.shape[0])
         nz = norms > 0.0
         factors[nz] = norms[nz] ** (2 - tensor.order)
-        mapped = contracted * factors[:, None]
-    else:
-        mapped = signed_root(contracted, tensor.order - 1)
-    return (points * mapped).max(axis=1)
+        return contracted * factors[:, None]
+    return signed_root(contracted, tensor.order - 1)
+
+
+def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
+    """``max_i x_i * (op x)_i`` for each row of ``points``."""
+    return (points * _map_batch(tensor, points, kind)).max(axis=1)
 
 
 def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
@@ -219,7 +215,7 @@ def estimate_alpha(
     free = np.delete(np.arange(n), best_face)
     coords = np.repeat(free, 2)
     signs = np.tile([1.0, -1.0], free.size)
-    step = grid.initial_step
+    step = _INITIAL_STEP
     for _ in range(grid.refinement_steps):
         improved = False
         deltas = signs * step
@@ -262,12 +258,7 @@ def alpha_F_diagonal(tensor: DenseTensor) -> float:
     The unit sphere forces some ``|x_j| = 1``, so the objective is at least the
     smallest rooted diagonal entry, and the corresponding unit vector attains it.
     """
-    if not tensor.is_positive_diagonal():
-        raise NotPositiveDiagonalError(
-            "closed-form alpha needs a diagonal tensor with every diagonal "
-            "entry positive"
-        )
-    _require_even_order(tensor, "alpha_F_diagonal")
+    _require_positive_diagonal(tensor, "closed-form alpha")
     r = 1.0 / (tensor.order - 1)
     return min(float(a) ** r for a in tensor.diagonal())
 
@@ -293,8 +284,10 @@ def alpha_for(
     certified closed form (``grid`` is then unused); anything else from the
     grid sweep of :func:`estimate_alpha`.
     """
-    if kind == ALPHA_F and tensor.is_positive_diagonal() and tensor.order % 2 == 0:
-        return diagonal_alpha_estimate(tensor)
+    if kind == ALPHA_F:
+        _require_even_order(tensor, "alpha_F")
+        if tensor.is_positive_diagonal():
+            return diagonal_alpha_estimate(tensor)
     return estimate_alpha(tensor, kind, grid)
 
 
@@ -303,10 +296,11 @@ def check_p_tensor_sampled(
 ) -> PTensorCheck:
     """Sample ``max_i x_i (A x^{m-1})_i`` on the unit sphere, unit vectors first.
 
-    Any point with a nonpositive value disproves the P-property and is
-    returned as a witness whose value reproduces exactly under
-    ``max(x * contract_m1(A, x))``.  A clean sweep only says LIKELY_P:
-    sampling cannot certify the property.
+    Every point is evaluated once, in one batch.  The first point with a
+    nonpositive value disproves the P-property and is returned as a witness
+    whose value reproduces exactly under ``max(x * contract_m1(A, x))``: the
+    batch kernel equals ``contract_m1`` bit for bit.  A clean sweep only says
+    LIKELY_P: sampling cannot certify the property.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -320,17 +314,16 @@ def check_p_tensor_sampled(
     norms[degenerate] = 1.0
     points = np.vstack([units, raw / norms[:, None]])
 
-    screened = (points * contract_m1_batch(tensor, points)).max(axis=1)
-    for k in np.flatnonzero(screened <= 1e-9):
-        x = points[k].copy()
-        value = float(np.max(x * contract_m1(tensor, x)))
-        if value <= 0.0:
-            return PTensorCheck(
-                verdict=NOT_P,
-                witness=x,
-                witness_value=value,
-                points_checked=points.shape[0],
-            )
+    values = (points * contract_m1_batch(tensor, points)).max(axis=1)
+    hits = np.flatnonzero(values <= 0.0)
+    if hits.size:
+        k = hits[0]
+        return PTensorCheck(
+            verdict=NOT_P,
+            witness=points[k].copy(),
+            witness_value=float(values[k]),
+            points_checked=points.shape[0],
+        )
     return PTensorCheck(
         verdict=LIKELY_P, witness=None, witness_value=None, points_checked=points.shape[0]
     )

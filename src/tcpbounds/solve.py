@@ -14,18 +14,15 @@ the violation measure from ``z``; nothing is trusted from the caller.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionLimitError,
-    NotPositiveDiagonalError,
-)
+from .errors import DimensionLimitError
 from .tensor import (
     DenseTensor,
     _as_vector,
+    _require_positive_diagonal,
     contract_m1,
     contract_m1_batch,
     jacobian_m1_batch,
@@ -57,22 +54,43 @@ class TcpInstance:
         )
 
 
+# Newton schedule of solve_enumerate: seeded starts per support, iterations
+# per start, the step that ends a start, and the backtracking factors
+# 1, 1/2, ..., 2**-26 (every power of 1/2 down to 1e-8).
+_STARTS = 8
+_MAX_ITERATIONS = 100
+_STEP_TOL = 1e-12
+_DAMPING = 0.5 ** np.arange(27)
+
+
 @dataclass
 class SolveOptions:
-    """Knobs for :func:`solve_enumerate`.
+    """Settings of :func:`solve_enumerate`.
 
-    ``tol`` is the acceptance tolerance: roots are kept when no component of
-    ``z`` or ``w`` is below ``-tol`` and no product ``|z_i w_i|`` exceeds it.
-    Roots closer than ``10 * tol`` in the max-norm are considered duplicates.
+    ``max_dim`` caps the dimension, since the enumeration is exponential, and
+    ``seed`` fixes the Newton starts.  ``tol`` is the acceptance tolerance
+    and must be positive: roots are kept when no component of ``z`` or ``w``
+    is below ``-tol`` and no product ``|z_i w_i|`` exceeds it.  Roots closer
+    than ``10 * tol`` in the max-norm are considered duplicates.
     """
 
     max_dim: int = 6
-    starts: int = 8
     seed: int = 0
     tol: float = 1e-9
-    max_iterations: int = 100
-    step_tol: float = 1e-12
-    damping: float = 0.5
+
+
+def _violations(z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+    """Violation measure of each row of the ``(k, n)`` arrays ``z`` and ``w``.
+
+    The largest negative part of ``z`` or ``w`` or product ``|z_i w_i|``; a
+    row with a NaN or inf entry has a NaN or inf product and measures ``inf``.
+    A ``tol`` that is not positive raises ``ValueError``.
+    """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    out = np.max(np.concatenate([-z, -w, np.abs(z * w)], axis=1), axis=1, initial=0.0)
+    out[~np.isfinite(out)] = np.inf
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,18 +117,16 @@ class SolutionCertificate:
     ) -> "SolutionCertificate":
         z = _as_vector(z, inst.tensor.dim, "z").copy()
         w = contract_m1(inst.tensor, z) + inst.q
-        violations = [0.0]
-        violations.append(float(np.max(-z, initial=0.0)))
-        violations.append(float(np.max(-w, initial=0.0)))
-        violations.append(float(np.max(np.abs(z * w), initial=0.0)))
-        # z_i * w_i is finite exactly when z_i and w_i are, and max() would
-        # drop the NaN that np.max keeps.
-        max_violation = max(violations) if math.isfinite(violations[-1]) else math.inf
-        support = tuple(int(i) + 1 for i in np.flatnonzero(z > tol))
+        return cls._from_row(z, w, float(_violations(z[None], w[None], tol)[0]), tol)
+
+    @classmethod
+    def _from_row(
+        cls, z: np.ndarray, w: np.ndarray, max_violation: float, tol: float
+    ) -> "SolutionCertificate":
         return cls(
             z=z,
             w=w,
-            support=support,
+            support=tuple(int(i) + 1 for i in np.flatnonzero(z > tol)),
             max_violation=max_violation,
             tol=tol,
             passed=max_violation <= tol,
@@ -119,8 +135,6 @@ class SolutionCertificate:
 
 def verify_solution(inst: TcpInstance, z, tol: float = 1e-8) -> SolutionCertificate:
     """Recompute ``w`` and the violation measure for a claimed solution."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     return SolutionCertificate.from_candidate(inst, z, tol)
 
 
@@ -132,12 +146,7 @@ def solve_diagonal(inst: TcpInstance, tol: float = 1e-9) -> SolutionCertificate:
     elsewhere.
     """
     tensor = inst.tensor
-    if not tensor.is_positive_diagonal():
-        raise NotPositiveDiagonalError(
-            "solve_diagonal needs a diagonal tensor with positive diagonal"
-        )
-    if tensor.order % 2 != 0:
-        raise ValueError("solve_diagonal needs an even tensor order")
+    _require_positive_diagonal(tensor, "solve_diagonal")
     powered = positive_part(-inst.q) / tensor.diagonal()
     z = signed_root(powered, tensor.order - 1)
     return SolutionCertificate.from_candidate(inst, z, tol)
@@ -152,7 +161,7 @@ def solve_enumerate(
     ``z``; an empty list means no support produced an acceptable root (for an
     instance believed to be P this is a solver failure, not a proof of
     infeasibility).  The run is deterministic for fixed options.  A NaN or
-    infinite ``q`` raises ``ValueError``.
+    infinite ``q``, or a ``tol`` that is not positive, raises ``ValueError``.
     """
     opts = opts or SolveOptions()
     tensor, q = inst.tensor, inst.q
@@ -165,48 +174,47 @@ def solve_enumerate(
             f"{opts.max_dim}"
         )
     rng = np.random.default_rng(opts.seed)
-    scale = 1.0 + vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
+    scale = 1.0 + _q_root(tensor, q)
 
     batch_rows = _batch_rows(tensor)
     kept: list[SolutionCertificate] = []
     for size in range(n + 1):
         if size == 0:
+            # Screened before any Newton step, so a bad tol is refused first.
             batches = [np.zeros((1, n))]
         else:
             supports = list(itertools.combinations(range(n), size))
-            # Per support, in combinations order, as many starts as asked for.
+            # Per support, in combinations order, _STARTS starts.
             starts = scale * np.concatenate(
-                [rng.uniform(0.05, 1.0, size=(opts.starts, size)) for _ in supports]
+                [rng.uniform(0.05, 1.0, size=(_STARTS, size)) for _ in supports]
             )
-            idx = np.repeat(np.array(supports, dtype=np.intp), opts.starts, axis=0)
+            idx = np.repeat(np.array(supports, dtype=np.intp), _STARTS, axis=0)
             batches = (
                 _newton_on_supports(
-                    inst, idx[lo : lo + batch_rows], starts[lo : lo + batch_rows], opts
+                    inst, idx[lo : lo + batch_rows], starts[lo : lo + batch_rows]
                 )
                 for lo in range(0, idx.shape[0], batch_rows)
             )
         for candidates in batches:
-            # One batched check screens the rows.  It is the certificate's own
-            # check (the batch kernel equals contract_m1 bit for bit), and the
-            # certificate still recomputes it from z.
+            # The certificate's own check, batched: the batch kernel equals
+            # contract_m1 bit for bit, so w is still computed from z.
             w = contract_m1_batch(tensor, candidates) + q
-            violation = np.max(
-                np.concatenate([-candidates, -w, np.abs(candidates * w)], axis=1),
-                axis=1,
-                initial=0.0,
-            )
-            for z in candidates[violation <= opts.tol]:
-                cert = SolutionCertificate.from_candidate(inst, z, opts.tol)
-                if not cert.passed:
-                    continue
+            violation = _violations(candidates, w, opts.tol)
+            ok = violation <= opts.tol
+            for z, w_z, v in zip(candidates[ok], w[ok], violation[ok].tolist()):
                 if any(
-                    float(np.max(np.abs(cert.z - other.z))) <= 10.0 * opts.tol
+                    float(np.max(np.abs(z - other.z))) <= 10.0 * opts.tol
                     for other in kept
                 ):
                     continue
-                kept.append(cert)
+                kept.append(SolutionCertificate._from_row(z, w_z, v, opts.tol))
     kept.sort(key=lambda c: (len(c.support), tuple(c.z)))
     return kept
+
+
+def _q_root(tensor: DenseTensor, q: np.ndarray) -> float:
+    """``||(-q)+||_inf^{1/(m-1)}``, the scale of every solution's max-norm."""
+    return vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
 
 
 # Rows times stored entries times (order - 1) that one batched contraction or
@@ -219,19 +227,19 @@ def _batch_rows(tensor: DenseTensor) -> int:
 
 
 def _newton_on_supports(
-    inst: TcpInstance, idx: np.ndarray, starts: np.ndarray, opts: SolveOptions
+    inst: TcpInstance, idx: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """Damped Newton for ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S``, per row.
 
     Row ``r`` solves on support ``idx[r]`` from ``starts[r]``; all rows run
     together and each stops on its own test.  An iteration solves the
-    Jacobian system, then tries the damping factors ``1, damping, ...`` down
-    to ``1e-8`` and takes the first whose residual max-norm is finite and
-    below the current one.  A row stops when its taken step is at most
-    ``step_tol`` or when no factor helps (keeping its iterate), and is dropped
-    when its residual at the start is not finite or its Jacobian is singular
-    or gives a non-finite step.  Returns the kept rows' final iterates,
-    embedded in ``dim`` coordinates.
+    Jacobian system, then tries the damping factors ``_DAMPING`` in order
+    and takes the first whose residual max-norm is finite and below the
+    current one.  A row stops when its taken step is at most ``_STEP_TOL`` or
+    when no factor helps (keeping its iterate), and is dropped when its
+    residual at the start is not finite or its Jacobian is singular or gives
+    a non-finite step.  Returns the kept rows' final iterates, embedded in
+    ``dim`` coordinates.
     """
     tensor, q = inst.tensor, inst.q
     n = tensor.dim
@@ -246,12 +254,6 @@ def _newton_on_supports(
         full = contract_m1_batch(tensor, embed(sel, z_s))
         return full[np.arange(sel.size)[:, None], idx[sel]] + q[idx[sel]]
 
-    damps = []
-    damp = 1.0
-    while damp >= 1e-8:
-        damps.append(damp)
-        damp *= opts.damping
-    damps = np.array(damps)
     batch_rows = _batch_rows(tensor)
 
     every = np.arange(rows)
@@ -259,7 +261,7 @@ def _newton_on_supports(
     f_s = residual(every, z_s)
     keep = np.isfinite(f_s).all(axis=1)
     active = keep.copy()
-    for _ in range(opts.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         act = np.flatnonzero(active)
         if act.size == 0:
             break
@@ -279,9 +281,9 @@ def _newton_on_supports(
         f_new = np.empty((act.size, size))
         waiting = np.arange(act.size)
         level = 0
-        while waiting.size and level < damps.size:
+        while waiting.size and level < _DAMPING.size:
             width = 1 if level == 0 else max(1, batch_rows // waiting.size)
-            block = damps[level : level + width]
+            block = _DAMPING[level : level + width]
             trial = (
                 z_s[act[waiting], None, :] + block[None, :, None] * step[waiting, None, :]
             )
@@ -302,10 +304,10 @@ def _newton_on_supports(
         active[act[waiting]] = False
         moved = taken >= 0
         act, step, taken = act[moved], step[moved], taken[moved]
-        damped = damps[taken][:, None] * step
+        damped = _DAMPING[taken][:, None] * step
         z_s[act] = z_s[act] + damped
         f_s[act] = f_new[moved]
-        active[act[np.max(np.abs(damped), axis=1) <= opts.step_tol]] = False
+        active[act[np.max(np.abs(damped), axis=1) <= _STEP_TOL]] = False
     return embed(every[keep], z_s[keep])
 
 

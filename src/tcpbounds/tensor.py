@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NotPositiveDiagonalError
 
 __all__ = [
     "DenseTensor",
@@ -139,6 +139,24 @@ class DenseTensor:
         return f"DenseTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
 
 
+def _require_even_order(tensor: DenseTensor, what: str) -> None:
+    """Refuse an odd order: the rooted maps need a bijective signed root."""
+    if tensor.order % 2 != 0:
+        raise ValueError(
+            f"{what} needs an even tensor order so the {tensor.order - 1}-th "
+            "signed root is a bijection; got odd order"
+        )
+
+
+def _require_positive_diagonal(tensor: DenseTensor, what: str) -> None:
+    """Refuse a tensor outside the closed forms: positive diagonal, even order."""
+    if not tensor.is_positive_diagonal():
+        raise NotPositiveDiagonalError(
+            f"{what} needs a diagonal tensor with every diagonal entry positive"
+        )
+    _require_even_order(tensor, what)
+
+
 def contract_m1(tensor: DenseTensor, x) -> np.ndarray:
     """Contract against ``m - 1`` copies of ``x``.
 
@@ -173,9 +191,12 @@ def _sum_by_slots(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Sum the rows of ``values`` (shape ``(len(keys) + 1, k)``, last row zero) by bin.
 
     Returns shape ``(k, bins)``.  Accumulating one slot at a time keeps the
-    temporaries at ``bins * k``.
+    temporaries at ``bins * k``.  The sums start from ``+0.0``, as
+    ``np.bincount``'s do, so a bin whose values are all ``-0.0`` sums to
+    ``+0.0`` there too.
     """
     out = values[table[0]]
+    out += 0.0
     for slot in table[1:]:
         out += values[slot]
     return np.ascontiguousarray(out.T)

@@ -177,6 +177,25 @@ def test_problem_file_validates_directly():
         )
 
 
+@pytest.mark.parametrize(
+    "entries, fragment",
+    [
+        ((((1, 3), 1.0),), "out of range"),
+        ((((1,), 1.0),), "expected order 2"),
+        ((((1, 1, 1), 1.0),), "expected order 2"),
+    ],
+)
+def test_problem_file_reports_tensor_errors_as_format_errors(entries, fragment):
+    # the tensor's own checks, re-raised under the file's error class
+    with pytest.raises(ProblemFormatError, match=fragment):
+        ProblemFile(order=2, dim=2, entries=entries, q=np.zeros(2))
+
+
+def test_problem_file_builds_its_tensor_once(tmp_path):
+    pf = parse_problem(write(tmp_path, WORKED_YAML))
+    assert pf.tensor() is pf.tensor() is pf.instance().tensor
+
+
 # ------------------------------------------------------------------------ CLI
 
 
@@ -277,6 +296,49 @@ def test_cli_rel_bounds_verifies_once_and_matches_compare(
     full = machine(out)
     for key in ("rel_lb", "rel_ub", "v_inf", "t", "v_t"):
         assert rel[key] == full[key]
+
+
+# Two solutions: z = (c, 0) with c^3 = 1.9, and one with both coordinates
+# positive.  The solver finds both, so bounds rest on the smaller support.
+MULTI_YAML = """\
+order: 4
+dim: 2
+entries:
+  - idx: [1, 1, 1, 1]
+    val: 1.0
+  - idx: [2, 1, 2, 2]
+    val: -0.2
+  - idx: [2, 2, 1, 1]
+    val: -1.1
+  - idx: [2, 2, 2, 2]
+    val: 1.5
+q: [-1.9, 0.2]
+u: [1.338562329630171, 0.1]
+"""
+
+
+def test_cli_rel_bounds_prints_flags(tmp_path, worked_file, capsys):
+    # rel-bounds used to drop the flags that bounds and compare print
+    code, out, _ = run_cli(capsys, "rel-bounds", "--file", worked_file, "--format", "machine")
+    assert code == 0
+    assert machine(out)["flags"] == "none"
+    coupled = WORKED_YAML.replace(
+        "q: [1.0, -1.0]", "  - idx: [1, 2, 2, 2]\n    val: 0.25\nq: [1.0, -1.0]"
+    )
+    code, out, _ = run_cli(
+        capsys, "rel-bounds", "--file", write(tmp_path, coupled), "--grid", "7",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert machine(out)["flags"] == "UNCERTIFIED_ALPHA"
+    path = write(tmp_path, MULTI_YAML, "multi.yaml")
+    code, out, _ = run_cli(capsys, "rel-bounds", "--file", path, "--format", "machine")
+    assert code == 0
+    data = machine(out)
+    assert data["z_source"].startswith("solver(2 found")
+    assert data["flags"] == "UNCERTIFIED_ALPHA,AMBIGUOUS_SOLUTION"
+    code, out, _ = run_cli(capsys, "compare", "--file", path, "--format", "machine")
+    assert machine(out)["flags"] == data["flags"]
 
 
 def test_cli_rel_bounds_degenerate_q_exits_one(tmp_path, capsys):
@@ -421,6 +483,23 @@ def test_cli_validation_errors_exit_two(tmp_path, capsys):
     worked = write(tmp_path, WORKED_YAML, "w.yaml")
     code, _, err = run_cli(capsys, "bounds", "--file", worked, "--u", "not,numbers")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("tol", ["-1", "0"])
+def test_cli_non_positive_tol_exits_two(worked_file, capsys, command, tol):
+    # solve used to print solutions=0 and exit 1, as if nothing solved it
+    code, out, err = run_cli(capsys, command, "--file", worked_file, "--tol", tol)
+    assert code == 2 and out == ""
+    assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["alpha", "bounds"])
+def test_cli_grid_zero_exits_two(worked_file, capsys, command):
+    # --grid 0 used to run the default grid of 41
+    code, out, err = run_cli(capsys, command, "--file", worked_file, "--grid", "0")
+    assert code == 2 and out == ""
+    assert "points_per_axis" in err
 
 
 def test_cli_verification_failure_exits_one(tmp_path, capsys):

@@ -25,7 +25,7 @@ from tcpbounds import (
     diagonal_alpha_estimate,
     estimate_alpha,
 )
-from tcpbounds.operators import _CHUNK, _iter_face_chunks, _objective_batch
+from tcpbounds.operators import _CHUNK, _INITIAL_STEP, _iter_face_chunks, _objective_batch
 
 HAND3 = DenseTensor(3, 2, {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0})
 
@@ -171,7 +171,7 @@ def _reference_alpha(tensor, kind, grid):
                 if local_min < best_val or (best_point is not None and local_point < best_point):
                     best_val, best_point, best_face = local_min, local_point, fixed
     point, value = np.array(best_point), best_val
-    step = grid.initial_step
+    step = _INITIAL_STEP
     for _ in range(grid.refinement_steps):
         improved = False
         for j in range(n):
@@ -215,11 +215,7 @@ def test_estimate_alpha_bit_identical_to_one_trial_polish():
         # n=5 stays at 7 points or fewer to keep the sweep small
         points = int(rng.integers(2, 10 if dim < 5 else 8))
         t = random_sparse_tensor(rng, order, dim, int(rng.integers(1, 3 * dim + 2)))
-        spec = GridSpec(
-            points_per_axis=points,
-            refinement_steps=int(rng.integers(0, 61)),
-            initial_step=float(rng.choice([0.1, 0.3, 1.0])),
-        )
+        spec = GridSpec(points_per_axis=points, refinement_steps=int(rng.integers(0, 61)))
         for kind in (ALPHA_T, ALPHA_F) if order % 2 == 0 else (ALPHA_T,):
             cases.append((t, kind, spec))
     for t, kind, spec in cases:
@@ -247,7 +243,6 @@ def test_alpha_F_rejects_odd_order():
     [
         {"points_per_axis": 1},
         {"refinement_steps": -1},
-        {"initial_step": 0.0},
     ],
 )
 def test_grid_spec_validation(kwargs):
@@ -289,3 +284,44 @@ def test_alpha_estimate_is_frozen():
     est = AlphaEstimate(1.0, ALPHA_F, CLOSED_FORM_DIAGONAL, 0, 0, True)
     with pytest.raises(Exception):
         est.value = 2.0
+
+
+def test_apply_maps_are_rows_of_the_objective_map():
+    # apply_T and apply_F are one-row views of the map the alpha sweep uses
+    rng = np.random.default_rng(17)
+    for t, kinds in ((HAND3, (ALPHA_T,)), (random_sparse_tensor(rng, 4, 3, 7), (ALPHA_T, ALPHA_F))):
+        for _ in range(20):
+            x = rng.uniform(-1.0, 1.0, t.dim)
+            for kind in kinds:
+                mapped = apply_T(t, x) if kind == ALPHA_T else apply_F(t, x)
+                assert float(np.max(x * mapped)) == _objective_batch(t, x[None, :], kind)[0]
+
+
+def test_grid_spec_has_no_initial_step_option():
+    with pytest.raises(TypeError):
+        GridSpec(initial_step=0.1)
+
+
+def test_check_p_evaluates_each_point_once(monkeypatch):
+    import tcpbounds.operators as operators_module
+
+    rows = []
+    batch = operators_module.contract_m1_batch
+
+    def counting(tensor, points):
+        rows.append(len(points))
+        return batch(tensor, points)
+
+    def single(tensor, x):
+        rows.append(1)
+        return contract_m1(tensor, x)
+
+    monkeypatch.setattr(operators_module, "contract_m1_batch", counting)
+    # A second, one-point evaluation of a screened point would count twice.
+    monkeypatch.setattr(operators_module, "contract_m1", single, raising=False)
+    t = DenseTensor(2, 2, {(1, 1): 1.0, (1, 2): -3.0, (2, 1): -3.0, (2, 2): 1.0})
+    for tensor in (t, DenseTensor.from_diagonal([1.0, 8.0], order=4)):
+        rows.clear()
+        check = check_p_tensor_sampled(tensor, sample_count=128, seed=4)
+        assert sum(rows) == check.points_checked
+

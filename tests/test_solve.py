@@ -13,6 +13,7 @@ from tcpbounds import (
     DimensionLimitError,
     DimensionMismatchError,
     NotPositiveDiagonalError,
+    SolutionCertificate,
     SolveOptions,
     TcpInstance,
     solve_diagonal,
@@ -256,3 +257,80 @@ def test_certificate_support_is_one_based_and_sorted():
     )
     cert = solve_diagonal(inst)
     assert cert.support == (1, 3)
+
+
+def _reference_violation(z, w):
+    """The one-vector measure as first written: the largest part, inf if not finite."""
+    parts = [
+        0.0,
+        float(np.max(-z, initial=0.0)),
+        float(np.max(-w, initial=0.0)),
+        float(np.max(np.abs(z * w), initial=0.0)),
+    ]
+    return max(parts) if math.isfinite(parts[-1]) else math.inf
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+def test_batch_violations_equal_from_candidate_row_by_row():
+    tensor = DenseTensor.from_diagonal([1.0, 8.0], order=4)
+    cases = [
+        ([0.0, 0.5], [1.0, -1.0]),  # a solution
+        ([0.0, 0.6], [1.0, -1.0]),  # complementarity slack
+        ([-0.3, 0.5], [1.0, -1.0]),  # negative z
+        ([np.nan, 0.5], [1.0, -1.0]),
+        ([np.inf, 0.5], [1.0, -1.0]),
+        ([-np.inf, 0.5], [1.0, -1.0]),
+        ([0.0, 0.5], [np.nan, -1.0]),
+        ([0.0, 0.5], [np.inf, -1.0]),  # 0 * inf
+        ([0.0, 0.5], [-np.inf, -1.0]),  # 0 * -inf
+        ([1e100, 0.5], [1.0, -1.0]),  # a finite row whose product overflows
+    ]
+    certs = [
+        SolutionCertificate.from_candidate(TcpInstance(tensor, np.array(q)), np.array(z), 1e-8)
+        for z, q in cases
+    ]
+    z_rows = np.array([c.z for c in certs])
+    w_rows = np.array([c.w for c in certs])
+    batch = solve_module._violations(z_rows, w_rows, 1e-8)
+    for k, cert in enumerate(certs):
+        assert batch[k] == cert.max_violation == _reference_violation(cert.z, cert.w)
+    assert [bool(v) for v in np.isinf(batch)] == [False] * 3 + [True] * 7
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+def test_non_positive_tol_is_refused(tol):
+    # solve_enumerate used to accept it and report no solutions
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_enumerate(WORKED, SolveOptions(tol=tol))
+    with pytest.raises(ValueError, match="tol must be positive"):
+        verify_solution(WORKED, np.array([0.0, 0.5]), tol)
+
+
+def test_enumerated_certificates_equal_from_candidate_bit_for_bit():
+    # q_1 = -0.0 and a negative entry at z_1 = 0: the product is -0.0, and
+    # w_1 must come out +0.0 from the batch kernel as from contract_m1.
+    signed = TcpInstance(DenseTensor(2, 2, {(1, 1): -1.0, (2, 2): 1.0}), np.array([-0.0, 1.0]))
+    rng = np.random.default_rng(12)
+    instances = [signed, WORKED] + [
+        manufactured_unique(rng, family, order, 4)[0]
+        for family, order in (("row_power", 4), ("general", 2))
+    ]
+    for inst in instances:
+        certs = solve_enumerate(inst)
+        assert certs
+        for cert in certs:
+            ref = SolutionCertificate.from_candidate(inst, cert.z, cert.tol)
+            assert np.array_equal(cert.z, ref.z)
+            assert np.array_equal(cert.w, ref.w)
+            assert np.array_equal(np.signbit(cert.w), np.signbit(ref.w))
+            assert cert.support == ref.support
+            assert cert.max_violation == ref.max_violation
+            assert cert.passed and ref.passed
+    assert not np.signbit(solve_enumerate(signed)[0].w[0])
+
+
+@pytest.mark.parametrize("knob", ["starts", "max_iterations", "step_tol", "damping"])
+def test_fixed_newton_schedule_is_not_an_option(knob):
+    with pytest.raises(TypeError):
+        SolveOptions(**{knob: 1})

@@ -142,6 +142,18 @@ def test_batch_contraction_matches_single_points():
             np.testing.assert_array_equal(batch[k], contract_m1(t, pts[k]))
 
 
+def test_batch_contraction_keeps_the_signed_zeros_of_single_points():
+    # A negative entry at a zero coordinate gives -0.0; np.bincount adds it
+    # to +0.0, and the batch kernel must give +0.0 as well.
+    t = DenseTensor(2, 3, {(1, 1): -1.0, (2, 1): -2.0, (2, 3): -0.5, (3, 3): 3.0})
+    pts = np.array([[0.0, 1.0, 0.0], [-0.0, 2.0, -0.0], [0.0, 0.0, 1.0]])
+    batch = contract_m1_batch(t, pts)
+    for k in range(pts.shape[0]):
+        single = contract_m1(t, pts[k])
+        np.testing.assert_array_equal(batch[k], single)
+        assert np.array_equal(np.signbit(batch[k]), np.signbit(single))
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(23)
     h = 1e-6
