@@ -20,15 +20,7 @@ from .bounds import (
     compare_upper_bounds,
     solution_norm_bounds,
 )
-from .errors import (
-    DegenerateQError,
-    DegenerateZError,
-    ExactSolutionInconsistentError,
-    InvariantViolationError,
-    NotPTensorError,
-    ProblemFormatError,
-    SolutionVerificationError,
-)
+from .errors import ProblemFormatError, SolutionVerificationError, TcpBoundsError
 from .io import ProblemFile, parse_problem
 from .operators import (
     ALPHA_F,
@@ -41,18 +33,6 @@ from .operators import (
 from .solve import SolveOptions, TcpInstance, solve_enumerate, verify_solution
 
 __all__ = ["main", "main_entry"]
-
-_HYPOTHESIS_ERRORS = (
-    NotPTensorError,
-    DegenerateQError,
-    DegenerateZError,
-    SolutionVerificationError,
-    ExactSolutionInconsistentError,
-    InvariantViolationError,
-)
-# Every validation error of the package (bad file, shape, size, tensor kind
-# or setting) is a ValueError.
-_VALIDATION_ERRORS = (ValueError, OSError)
 
 AMBIGUOUS_SOLUTION = "AMBIGUOUS_SOLUTION"
 
@@ -110,8 +90,7 @@ def _resolve_z(
         return _parse_vector(args.z, "z"), "flag", []
     if problem.z is not None:
         return problem.z, "file", []
-    opts = SolveOptions(seed=args.seed)
-    certs = solve_enumerate(inst, opts)
+    certs = _solve(inst, args)
     if not certs:
         raise SolutionVerificationError(
             "no solution found by support enumeration; supply --z"
@@ -130,6 +109,12 @@ def _resolve_u(problem: ProblemFile, args) -> np.ndarray:
 
 def _tol(args, default: float = 1e-8) -> float:
     return args.tol if args.tol is not None else default
+
+
+def _solve(inst: TcpInstance, args) -> list:
+    return solve_enumerate(
+        inst, SolveOptions(seed=args.seed, tol=_tol(args, SolveOptions.tol))
+    )
 
 
 def _cmd_alpha(problem: ProblemFile, inst: TcpInstance, args):
@@ -153,8 +138,7 @@ def _cmd_check_p(problem: ProblemFile, inst: TcpInstance, args):
 
 
 def _cmd_solve(problem: ProblemFile, inst: TcpInstance, args):
-    opts = SolveOptions(seed=args.seed, tol=_tol(args, SolveOptions.tol))
-    certs = solve_enumerate(inst, opts)
+    certs = _solve(inst, args)
     pairs: list[tuple[str, object]] = [("command", "solve"), ("solutions", len(certs))]
     for k, cert in enumerate(certs, 1):
         pairs.extend(
@@ -270,15 +254,53 @@ def _cmd_compare(problem: ProblemFile, inst: TcpInstance, args):
     return pairs, 0
 
 
+# argparse specs of the optional flags; each subcommand takes the ones it reads.
+_FLAGS = {
+    "u": dict(help="test point, comma-separated reals"),
+    "z": dict(help="solution, comma-separated reals"),
+    "grid": dict(type=int, help="alpha grid points per axis"),
+    "seed": dict(type=int, default=0, help="seed for sampling/starts"),
+    "tol": dict(type=float, help="verification/acceptance tolerance"),
+    "kind": dict(choices=("F", "T"), default="F"),
+    "samples": dict(type=int, default=64),
+}
+
+_REPORT_FLAGS = ("u", "z", "grid", "seed", "tol")
+
+# name: (handler, help text, flags it reads besides --file and --format)
 _COMMANDS = {
-    "alpha": _cmd_alpha,
-    "check-p": _cmd_check_p,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "sol-bounds": _cmd_sol_bounds,
-    "bounds": _cmd_bounds,
-    "rel-bounds": _cmd_rel_bounds,
-    "compare": _cmd_compare,
+    "alpha": (
+        _cmd_alpha, "estimate the P-certifying coefficient alpha", ("kind", "grid")
+    ),
+    "check-p": (
+        _cmd_check_p,
+        "sample the P-defining objective for a counterexample",
+        ("samples", "seed"),
+    ),
+    "solve": (
+        _cmd_solve,
+        "enumerate supports and report all verified solutions",
+        ("seed", "tol"),
+    ),
+    "verify": (
+        _cmd_verify,
+        "check a claimed solution and report its violation measure",
+        ("z", "seed", "tol"),
+    ),
+    "sol-bounds": (
+        _cmd_sol_bounds, "bound the max-norm of every solution from q alone", ("grid",)
+    ),
+    "bounds": (
+        _cmd_bounds, "full two-sided error-bound report for a test point", _REPORT_FLAGS
+    ),
+    "rel-bounds": (
+        _cmd_rel_bounds, "relative error bounds for a test point", _REPORT_FLAGS
+    ),
+    "compare": (
+        _cmd_compare,
+        "bounds report plus the sharpened/baseline upper-bound ratio",
+        _REPORT_FLAGS,
+    ),
 }
 
 
@@ -288,31 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certified error bounds for tensor complementarity problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "alpha": "estimate the P-certifying coefficient alpha",
-        "check-p": "sample the P-defining objective for a counterexample",
-        "solve": "enumerate supports and report all verified solutions",
-        "verify": "check a claimed solution and report its violation measure",
-        "sol-bounds": "bound the max-norm of every solution from q alone",
-        "bounds": "full two-sided error-bound report for a test point",
-        "rel-bounds": "relative error bounds for a test point",
-        "compare": "bounds report plus the sharpened/baseline upper-bound ratio",
-    }
-    for name, help_text in descriptions.items():
+    for name, (_, help_text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--file", required=True, help="problem file (YAML)")
-        cmd.add_argument("--u", help="test point, comma-separated reals")
-        cmd.add_argument("--z", help="solution, comma-separated reals")
-        cmd.add_argument("--grid", type=int, help="alpha grid points per axis")
-        cmd.add_argument("--seed", type=int, default=0, help="seed for sampling/starts")
-        cmd.add_argument("--tol", type=float, help="verification/acceptance tolerance")
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
         cmd.add_argument(
             "--format", choices=("text", "machine"), default="text", dest="format"
         )
-        if name == "alpha":
-            cmd.add_argument("--kind", choices=("F", "T"), default="F")
-        if name == "check-p":
-            cmd.add_argument("--samples", type=int, default=64)
     return parser
 
 
@@ -324,13 +329,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         problem = parse_problem(args.file)
-        pairs, code = _COMMANDS[args.command](problem, problem.instance(), args)
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _VALIDATION_ERRORS as exc:
+        handler = _COMMANDS[args.command][0]
+        pairs, code = handler(problem, problem.instance(), args)
+    # Every validation error of the package (bad file, shape, size, tensor
+    # kind or setting) is a ValueError; every other package error is a
+    # failed mathematical hypothesis.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TcpBoundsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(_render(pairs, args.format))
     return code
 

@@ -59,7 +59,7 @@ class ProblemFile:
     def __post_init__(self):
         clean = {}
         for idx, val in self.entries:
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(idx)
             if idx in clean:
                 raise ProblemFormatError(f"duplicate index {list(idx)} in entries")
             clean[idx] = float(val)
@@ -67,8 +67,10 @@ class ProblemFile:
             tensor = DenseTensor(self.order, self.dim, clean)
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from None
+        # The tensor accepted every index, so each component is an integer.
+        entries = sorted((tuple(map(int, idx)), val) for idx, val in clean.items())
         object.__setattr__(self, "_tensor", tensor)
-        object.__setattr__(self, "entries", tuple(sorted(clean.items())))
+        object.__setattr__(self, "entries", tuple(entries))
         object.__setattr__(self, "q", self._vector_field("q", self.q, required=True))
         object.__setattr__(self, "z", self._vector_field("z", self.z, required=False))
         object.__setattr__(self, "u", self._vector_field("u", self.u, required=False))

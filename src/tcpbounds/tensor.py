@@ -51,9 +51,11 @@ class DenseTensor:
     dim : int
         Each index ranges over ``1..dim``.
     entries : mapping
-        ``{(i1, ..., im): value}`` with 1-based indices.  Zero values are
-        dropped so that the stored entry count is the number of structural
-        nonzeros; a NaN or infinite value raises ``ValueError``.
+        ``{(i1, ..., im): value}`` with 1-based indices whose components are
+        Python or numpy integers; a float or bool component raises
+        ``ValueError`` rather than being truncated.  Zero values are dropped
+        so that the stored entry count is the number of structural nonzeros;
+        a NaN or infinite value raises ``ValueError``.
     """
 
     __slots__ = (
@@ -67,6 +69,11 @@ class DenseTensor:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         clean: dict[tuple, float] = {}
         for raw_idx, raw_val in entries.items():
+            if any(
+                isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                for i in raw_idx
+            ):
+                raise ValueError(f"index {tuple(raw_idx)} must have integer components")
             idx = tuple(int(i) for i in raw_idx)
             if len(idx) != order:
                 raise ValueError(

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from tcpbounds import ProblemFile, ProblemFormatError, emit_problem, parse_problem
+import tcpbounds
+from tcpbounds import (
+    ProblemFile,
+    ProblemFormatError,
+    SolveOptions,
+    cli,
+    emit_problem,
+    errors,
+    parse_problem,
+)
 from tcpbounds.cli import main
 
 WORKED_YAML = """\
@@ -189,6 +198,25 @@ def test_problem_file_reports_tensor_errors_as_format_errors(entries, fragment):
     # the tensor's own checks, re-raised under the file's error class
     with pytest.raises(ProblemFormatError, match=fragment):
         ProblemFile(order=2, dim=2, entries=entries, q=np.zeros(2))
+
+
+@pytest.mark.parametrize("idx", [(1.5, 1), (True, 2)])
+def test_problem_file_rejects_non_integer_indices(idx):
+    # (1.5, 1) used to be truncated and stored at (1, 1)
+    with pytest.raises(ProblemFormatError, match="integer components"):
+        ProblemFile(order=2, dim=2, entries=((idx, 1.0),), q=np.zeros(2))
+
+
+def test_problem_file_accepts_numpy_integer_indices():
+    pf = ProblemFile(
+        order=2, dim=2, entries=(((np.int64(2), np.int64(1)), 1.0),), q=np.zeros(2)
+    )
+    assert pf.entries == (((2, 1), 1.0),)
+    assert all(type(i) is int for i in pf.entries[0][0])
+    with pytest.raises(ProblemFormatError, match="duplicate"):
+        ProblemFile(
+            order=2, dim=2, entries=(((np.int64(1), 1), 1.0), ((1, 1), 2.0)), q=np.zeros(2)
+        )
 
 
 def test_problem_file_builds_its_tensor_once(tmp_path):
@@ -526,3 +554,106 @@ def test_module_invocation(worked_file):
     )
     assert proc.returncode == 0
     assert "ratio_ub_new_over_ub_base=" in proc.stdout
+
+
+# ------------------------------------------------------ per-subcommand flags
+
+# The optional flags each subcommand reads, besides --file and --format.
+REPORT_FLAGS = ("u", "z", "grid", "seed", "tol")
+READS = {
+    "alpha": ("kind", "grid"),
+    "check-p": ("samples", "seed"),
+    "solve": ("seed", "tol"),
+    "verify": ("z", "seed", "tol"),
+    "sol-bounds": ("grid",),
+    "bounds": REPORT_FLAGS,
+    "rel-bounds": REPORT_FLAGS,
+    "compare": REPORT_FLAGS,
+}
+FLAG_VALUES = {
+    "u": "0.5,0.3",
+    "z": "0,0.5",
+    "grid": "5",
+    "seed": "3",
+    "tol": "1e-7",
+    "kind": "T",
+    "samples": "16",
+}
+# Every subcommand used to take all of REPORT_FLAGS and ignore the unread
+# ones: these 17 pairs.
+IGNORED = [(c, f) for c in READS for f in REPORT_FLAGS if f not in READS[c]]
+
+
+@pytest.mark.parametrize("command, flag", IGNORED)
+def test_cli_refuses_flags_a_subcommand_does_not_read(worked_file, capsys, command, flag):
+    code, out, err = run_cli(
+        capsys, command, "--file", worked_file, f"--{flag}", FLAG_VALUES[flag]
+    )
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_cli_accepts_every_flag_it_reads(worked_file, capsys, command):
+    argv = [command, "--file", worked_file, "--format", "machine"]
+    for flag in READS[command]:
+        argv += [f"--{flag}", FLAG_VALUES[flag]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert machine(out)["command"] == command
+
+
+@pytest.mark.parametrize("tol", [None, "1e-7"])
+@pytest.mark.parametrize("command", ["solve", "verify", "bounds", "rel-bounds", "compare"])
+def test_cli_tol_reaches_the_solver(tmp_path, capsys, monkeypatch, command, tol):
+    # z is not in the file, so each command solves the instance
+    path = write(tmp_path, WORKED_YAML.replace("z: [0.0, 0.5]\n", ""))
+    seen = []
+
+    def recording_solve(inst, opts):
+        seen.append(opts)
+        return solve_enumerate(inst, opts)
+
+    solve_enumerate = cli.solve_enumerate
+    monkeypatch.setattr(cli, "solve_enumerate", recording_solve)
+    argv = [command, "--file", path, "--seed", "3"]
+    if tol is not None:
+        argv += ["--tol", tol]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(seen) == 1
+    assert seen[0].seed == 3
+    assert seen[0].tol == (SolveOptions.tol if tol is None else float(tol))
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_cli_exit_code_of_each_error_class(worked_file, capsys, monkeypatch, name):
+    cls = getattr(errors, name)
+
+    def failing_parse(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "parse_problem", failing_parse)
+    code, out, err = run_cli(capsys, "bounds", "--file", worked_file)
+    assert code == (2 if issubclass(cls, ValueError) else 1)
+    assert out == "" and err == "error: boom\n"
+
+
+# ------------------------------------------------------------- public names
+
+
+def test_package_exports_every_submodule_name_once():
+    modules = (
+        tcpbounds.bounds,
+        tcpbounds.errors,
+        tcpbounds.io,
+        tcpbounds.operators,
+        tcpbounds.solve,
+        tcpbounds.tensor,
+    )
+    expected = {"__version__"}.union(*(m.__all__ for m in modules))
+    assert len(expected) == 63
+    assert len(tcpbounds.__all__) == len(set(tcpbounds.__all__))
+    assert set(tcpbounds.__all__) == expected
+    for name in tcpbounds.__all__:
+        assert hasattr(tcpbounds, name), name

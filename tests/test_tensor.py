@@ -75,6 +75,19 @@ def test_construction_rejects_non_finite_entries(bad):
         DenseTensor(4, 2, {(1, 1, 1, 1): bad, (2, 2, 2, 2): 1.0})
 
 
+@pytest.mark.parametrize("idx", [(1.7, 2.9), (1.0, 2), (True, 2), (1, np.bool_(True))])
+def test_construction_rejects_non_integer_indices(idx):
+    # (1.7, 2.9) used to be truncated and stored at (1, 2)
+    with pytest.raises(ValueError, match="integer components"):
+        DenseTensor(2, 2, {idx: 1.0})
+
+
+def test_construction_accepts_numpy_integer_indices():
+    t = DenseTensor(2, 2, {(np.int64(1), np.int32(2)): 1.0})
+    assert t.entries == {(1, 2): 1.0}
+    assert all(type(i) is int for i in next(iter(t.entries)))
+
+
 def test_from_diagonal():
     t = DenseTensor.from_diagonal([1.0, 8.0], order=4)
     assert t.order == 4 and t.dim == 2
