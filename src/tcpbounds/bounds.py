@@ -23,7 +23,8 @@ all.
 ``diagonal_bounds`` is that report with the closed-form alpha, and
 ``error_bounds_new``, ``error_bounds_zheng`` and ``relative_error_bounds``
 are views that return its fields, raising a named error where the report
-leaves them undefined.  ``solution_norm_bounds`` shares the report's
+leaves them undefined.  The views take no ``tol``: they verify ``z`` at the
+report's default, 1e-8.  ``solution_norm_bounds`` shares the report's
 ``||(-q)+||_inf`` helper and needs no residual.
 
 Everything here consumes ``alpha(F)`` estimates.  ``D`` is nonnegative under
@@ -55,7 +56,6 @@ from .tensor import (
     contract_m1,
     signed_root,
     tensor_inf_norm,
-    vec_norms,
 )
 
 __all__ = [
@@ -248,11 +248,12 @@ def _solution_norm_pair(
     return q_root / norm_root, q_root / alpha
 
 
-def _new_interval(
-    v_inf: float, v_t: float, alpha: float, norm_root: float
-) -> tuple[float, float, float, bool]:
-    """Sharpened interval endpoints plus the clamped discriminant."""
-    b = v_inf * (1.0 + norm_root)
+def _discriminant(b: float, v_t: float, alpha: float) -> tuple[float, bool]:
+    """``D = b^2 - 4 alpha v_t^2`` with round-off below zero clamped to 0.
+
+    Returns ``D`` and whether the clamp fired; a materially negative ``D``
+    raises.
+    """
     d_raw = b * b - 4.0 * alpha * v_t * v_t
     eps_d = 1e-10 * max(1.0, b * b)
     if d_raw <= -eps_d:
@@ -261,9 +262,7 @@ def _new_interval(
             "the P hypothesis or the supplied alpha is wrong"
         )
     clamped = d_raw < 0.0
-    d = 0.0 if clamped else d_raw
-    sq = math.sqrt(d)
-    return (b - sq) / (2.0 * alpha), (b + sq) / (2.0 * alpha), d, clamped
+    return (0.0 if clamped else d_raw), clamped
 
 
 def _base_interval(v_inf: float, alpha: float, norm_root: float) -> tuple[float, float]:
@@ -296,22 +295,22 @@ def build_report(
         flags.append(FLAG_UNCERTIFIED_ALPHA)
 
     exact = FLAG_EXACT_SOLUTION in data.flags
-    d_value: float | None
+    # b and sqrt(D) are shared by the sharpened and the relative pairs.
+    b = data.v_inf * (1.0 + norm_root)
+    lb_new = ub_new = d_value = sq = None
     if exact:
-        lb_new = ub_new = 0.0
-        d_value = 0.0
-        lb_base = ub_base = 0.0
-    elif data.v_t == 0.0:
-        flags.append(FLAG_EXACT_SOLUTION_INCONSISTENT)
-        lb_new = ub_new = d_value = None
-        lb_base, ub_base = _base_interval(data.v_inf, alpha.value, norm_root)
+        lb_new = ub_new = d_value = lb_base = ub_base = 0.0
     else:
-        lb_new, ub_new, d_value, clamped = _new_interval(
-            data.v_inf, data.v_t, alpha.value, norm_root
-        )
-        if clamped:
-            flags.append(FLAG_CLAMPED_DISCRIMINANT)
         lb_base, ub_base = _base_interval(data.v_inf, alpha.value, norm_root)
+        if data.v_t == 0.0:
+            flags.append(FLAG_EXACT_SOLUTION_INCONSISTENT)
+        else:
+            d_value, clamped = _discriminant(b, data.v_t, alpha.value)
+            if clamped:
+                flags.append(FLAG_CLAMPED_DISCRIMINANT)
+            sq = math.sqrt(d_value)
+            lb_new = (b - sq) / (2.0 * alpha.value)
+            ub_new = (b + sq) / (2.0 * alpha.value)
 
     q_root = _q_root(tensor, q)
     sol_lb, sol_ub = _solution_norm_pair(q_root, norm_root, alpha.value)
@@ -321,16 +320,14 @@ def build_report(
     if q_root == 0.0:
         flags.append(FLAG_DEGENERATE_Q)
         rel_lb = rel_ub = None
-    elif vec_norms(_as_vector(z, tensor.dim, "z"))[0] == 0.0:
+    elif not np.any(_as_vector(z, tensor.dim, "z")):
         flags.append(FLAG_DEGENERATE_Z)
         rel_lb = rel_ub = None
     elif exact:
         rel_lb = rel_ub = 0.0
-    elif d_value is None:
+    elif sq is None:
         rel_lb = rel_ub = None
     else:
-        b = data.v_inf * (1.0 + norm_root)
-        sq = math.sqrt(d_value)
         rel_lb = (b - sq) / (2.0 * q_root)
         rel_ub = norm_root * (b + sq) / (2.0 * alpha.value * q_root)
 
@@ -351,20 +348,20 @@ def build_report(
     )
 
 
-def diagonal_bounds(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> BoundReport:
+def diagonal_bounds(tensor: DenseTensor, q, z, u) -> BoundReport:
     """Full report for positive diagonal tensors via the certified closed form.
 
     :func:`build_report` fed ``alpha(F) = min_i a_i^{1/(m-1)}``; for a
     positive diagonal ``||A||_inf`` is exactly the largest diagonal entry.
     """
-    return build_report(tensor, q, z, u, diagonal_alpha_estimate(tensor), tol)
+    return build_report(tensor, q, z, u, diagonal_alpha_estimate(tensor))
 
 
 def error_bounds_new(
-    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
+    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate
 ) -> tuple[float, float, float]:
     """Sharpened two-sided bounds ``(lb, ub, D)`` on ``||z - u||_inf``."""
-    report = build_report(tensor, q, z, u, alpha, tol)
+    report = build_report(tensor, q, z, u, alpha)
     if FLAG_EXACT_SOLUTION_INCONSISTENT in report.flags:
         raise ExactSolutionInconsistentError(
             f"residual component at the argmax index t={report.residual.t} is "
@@ -374,21 +371,21 @@ def error_bounds_new(
 
 
 def error_bounds_zheng(
-    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
+    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate
 ) -> tuple[float, float]:
     """Baseline two-sided bounds on ``||z - u||_inf`` from the same residual."""
-    report = build_report(tensor, q, z, u, alpha, tol)
+    report = build_report(tensor, q, z, u, alpha)
     return report.lb_base, report.ub_base
 
 
 def relative_error_bounds(
-    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate, tol: float = 1e-8
+    tensor: DenseTensor, q, z, u, alpha: AlphaEstimate
 ) -> tuple[float, float]:
     """Bounds on ``||z - u||_inf / ||z||_inf`` scaled by ``||(-q)+||_inf``.
 
     Undefined when ``(-q)+ = 0`` (DEGENERATE_Q) or ``z = 0`` (DEGENERATE_Z).
     """
-    return build_report(tensor, q, z, u, alpha, tol).relative_bounds()
+    return build_report(tensor, q, z, u, alpha).relative_bounds()
 
 
 def solution_norm_bounds(

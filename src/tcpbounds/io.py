@@ -17,9 +17,10 @@ Absent entries are zero and an empty (or omitted) ``entries`` list is the
 zero tensor.  :class:`ProblemFile` builds its :class:`DenseTensor` once and
 reports the tensor's own order, dim, index and value checks as
 :class:`ProblemFormatError`; it checks only what the tensor never sees,
-duplicate indices and the vectors ``q``, ``z`` and ``u``.  Emission is
-deterministic and floats round-trip exactly, so ``parse(emit(pf))``
-reproduces every field bit for bit.
+duplicate indices (each key first passes the tensor's index check) and the
+vectors ``q``, ``z`` and ``u``.  Emission is deterministic and floats
+round-trip exactly, so ``parse(emit(pf))`` reproduces every field bit for
+bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import yaml
 
 from .errors import ProblemFormatError
 from .solve import TcpInstance
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _as_index
 
 __all__ = ["ProblemFile", "parse_problem", "emit_problem"]
 
@@ -58,19 +59,17 @@ class ProblemFile:
 
     def __post_init__(self):
         clean = {}
-        for idx, val in self.entries:
-            idx = tuple(idx)
-            if idx in clean:
-                raise ProblemFormatError(f"duplicate index {list(idx)} in entries")
-            clean[idx] = float(val)
         try:
+            for raw_idx, val in self.entries:
+                idx = _as_index(raw_idx)
+                if idx in clean:
+                    raise ValueError(f"duplicate index {list(idx)} in entries")
+                clean[idx] = float(val)
             tensor = DenseTensor(self.order, self.dim, clean)
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from None
-        # The tensor accepted every index, so each component is an integer.
-        entries = sorted((tuple(map(int, idx)), val) for idx, val in clean.items())
         object.__setattr__(self, "_tensor", tensor)
-        object.__setattr__(self, "entries", tuple(entries))
+        object.__setattr__(self, "entries", tuple(sorted(clean.items())))
         object.__setattr__(self, "q", self._vector_field("q", self.q, required=True))
         object.__setattr__(self, "z", self._vector_field("z", self.z, required=False))
         object.__setattr__(self, "u", self._vector_field("u", self.u, required=False))
@@ -117,12 +116,6 @@ def _as_number(value, where: str) -> float:
     return result
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFormatError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _as_number_list(value, where: str) -> list[float]:
     if not isinstance(value, list):
         raise ProblemFormatError(f"{where} must be a list of reals")
@@ -145,9 +138,6 @@ def parse_problem(path) -> ProblemFile:
         if required not in data:
             raise ProblemFormatError(f"field '{required}' is required")
 
-    order = _as_int(data["order"], "order")
-    dim = _as_int(data["dim"], "dim")
-
     raw_entries = data.get("entries") or []
     if not isinstance(raw_entries, list):
         raise ProblemFormatError("entries must be a list")
@@ -156,16 +146,21 @@ def parse_problem(path) -> ProblemFile:
         where = f"entries[{pos}]"
         if not isinstance(item, dict) or set(item) != {"idx", "val"}:
             raise ProblemFormatError(f"{where} must be a mapping with keys idx, val")
-        idx_raw = item["idx"]
-        if not isinstance(idx_raw, list):
+        if not isinstance(item["idx"], list):
             raise ProblemFormatError(f"{where}.idx must be a list of integers")
-        idx = tuple(_as_int(i, f"{where}.idx[{k}]") for k, i in enumerate(idx_raw, 1))
-        entries.append((idx, _as_number(item["val"], f"{where}.val")))
+        entries.append((item["idx"], _as_number(item["val"], f"{where}.val")))
 
     q = _as_number_list(data["q"], "q")
     z = _as_number_list(data["z"], "z") if data.get("z") is not None else None
     u = _as_number_list(data["u"], "u") if data.get("u") is not None else None
-    return ProblemFile(order=order, dim=dim, entries=tuple(entries), q=np.array(q), z=None if z is None else np.array(z), u=None if u is None else np.array(u))
+    return ProblemFile(
+        order=data["order"],
+        dim=data["dim"],
+        entries=tuple(entries),
+        q=np.array(q),
+        z=None if z is None else np.array(z),
+        u=None if u is None else np.array(u),
+    )
 
 
 def emit_problem(problem: ProblemFile, path=None) -> str:

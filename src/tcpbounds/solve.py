@@ -26,9 +26,7 @@ from .tensor import (
     contract_m1,
     contract_m1_batch,
     jacobian_m1_batch,
-    positive_part,
     signed_root,
-    vec_norms,
 )
 
 __all__ = [
@@ -69,9 +67,9 @@ class SolveOptions:
 
     ``max_dim`` caps the dimension, since the enumeration is exponential, and
     ``seed`` fixes the Newton starts.  ``tol`` is the acceptance tolerance
-    and must be positive: roots are kept when no component of ``z`` or ``w``
-    is below ``-tol`` and no product ``|z_i w_i|`` exceeds it.  Roots closer
-    than ``10 * tol`` in the max-norm are considered duplicates.
+    and must be positive and finite: roots are kept when no component of
+    ``z`` or ``w`` is below ``-tol`` and no product ``|z_i w_i|`` exceeds it.
+    Roots closer than ``10 * tol`` in the max-norm are considered duplicates.
     """
 
     max_dim: int = 6
@@ -84,10 +82,11 @@ def _violations(z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
 
     The largest negative part of ``z`` or ``w`` or product ``|z_i w_i|``; a
     row with a NaN or inf entry has a NaN or inf product and measures ``inf``.
-    A ``tol`` that is not positive raises ``ValueError``.
+    A ``tol`` outside ``0 < tol < inf`` raises ``ValueError``: an infinite one
+    would pass every candidate.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     out = np.max(np.concatenate([-z, -w, np.abs(z * w)], axis=1), axis=1, initial=0.0)
     out[~np.isfinite(out)] = np.inf
     return out
@@ -112,14 +111,6 @@ class SolutionCertificate:
     passed: bool
 
     @classmethod
-    def from_candidate(
-        cls, inst: TcpInstance, z, tol: float
-    ) -> "SolutionCertificate":
-        z = _as_vector(z, inst.tensor.dim, "z").copy()
-        w = contract_m1(inst.tensor, z) + inst.q
-        return cls._from_row(z, w, float(_violations(z[None], w[None], tol)[0]), tol)
-
-    @classmethod
     def _from_row(
         cls, z: np.ndarray, w: np.ndarray, max_violation: float, tol: float
     ) -> "SolutionCertificate":
@@ -135,21 +126,24 @@ class SolutionCertificate:
 
 def verify_solution(inst: TcpInstance, z, tol: float = 1e-8) -> SolutionCertificate:
     """Recompute ``w`` and the violation measure for a claimed solution."""
-    return SolutionCertificate.from_candidate(inst, z, tol)
+    z = _as_vector(z, inst.tensor.dim, "z").copy()
+    w = contract_m1(inst.tensor, z) + inst.q
+    violation = float(_violations(z[None], w[None], tol)[0])
+    return SolutionCertificate._from_row(z, w, violation, tol)
 
 
-def solve_diagonal(inst: TcpInstance, tol: float = 1e-9) -> SolutionCertificate:
+def solve_diagonal(inst: TcpInstance) -> SolutionCertificate:
     """Closed-form solution for positive diagonal tensors.
 
     The problem decouples componentwise: ``z_i = ((-q_i)+ / a_i)^{1/(m-1)}``
     zeroes ``w_i`` exactly where ``q_i < 0`` and leaves ``w_i = q_i >= 0``
-    elsewhere.
+    elsewhere.  The certificate is checked at ``SolveOptions.tol``.
     """
     tensor = inst.tensor
     _require_positive_diagonal(tensor, "solve_diagonal")
-    powered = positive_part(-inst.q) / tensor.diagonal()
+    powered = np.maximum(-inst.q, 0.0) / tensor.diagonal()
     z = signed_root(powered, tensor.order - 1)
-    return SolutionCertificate.from_candidate(inst, z, tol)
+    return verify_solution(inst, z, SolveOptions.tol)
 
 
 def solve_enumerate(
@@ -161,7 +155,8 @@ def solve_enumerate(
     ``z``; an empty list means no support produced an acceptable root (for an
     instance believed to be P this is a solver failure, not a proof of
     infeasibility).  The run is deterministic for fixed options.  A NaN or
-    infinite ``q``, or a ``tol`` that is not positive, raises ``ValueError``.
+    infinite ``q``, or a ``tol`` outside ``0 < tol < inf``, raises
+    ``ValueError``.
     """
     opts = opts or SolveOptions()
     tensor, q = inst.tensor, inst.q
@@ -214,7 +209,8 @@ def solve_enumerate(
 
 def _q_root(tensor: DenseTensor, q: np.ndarray) -> float:
     """``||(-q)+||_inf^{1/(m-1)}``, the scale of every solution's max-norm."""
-    return vec_norms(positive_part(-q))[0] ** (1.0 / (tensor.order - 1))
+    # Adding +0.0 turns a -0.0 maximum (from q_i = +0.0) into +0.0.
+    return (float(np.max(-q, initial=0.0)) + 0.0) ** (1.0 / (tensor.order - 1))
 
 
 # Rows times stored entries times (order - 1) that one batched contraction or

@@ -13,7 +13,7 @@ never mutates after construction and no operation writes to its arguments.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "jacobian_m1_batch",
     "contract_full",
     "tensor_inf_norm",
-    "vec_norms",
     "signed_root",
-    "positive_part",
 ]
 
 
@@ -39,6 +37,22 @@ def _as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
             f"{name} must be a 1-d array of length {dim}, got shape {arr.shape}"
         )
     return arr
+
+
+def _as_index(raw_idx) -> tuple[int, ...]:
+    """An index key as a tuple of Python ints.
+
+    A key that is not iterable, or a component that is not a Python or numpy
+    integer (a float or a ``bool`` included), raises ``ValueError`` naming the
+    key.
+    """
+    try:
+        idx = tuple(raw_idx)
+    except TypeError:
+        raise ValueError(f"index {raw_idx!r} must be a sequence of integers") from None
+    if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+        raise ValueError(f"index {idx} must have integer components")
+    return tuple(int(i) for i in idx)
 
 
 class DenseTensor:
@@ -52,10 +66,10 @@ class DenseTensor:
         Each index ranges over ``1..dim``.
     entries : mapping
         ``{(i1, ..., im): value}`` with 1-based indices whose components are
-        Python or numpy integers; a float or bool component raises
-        ``ValueError`` rather than being truncated.  Zero values are dropped
-        so that the stored entry count is the number of structural nonzeros;
-        a NaN or infinite value raises ``ValueError``.
+        Python or numpy integers; a key that is not iterable, or a float or
+        bool component, raises ``ValueError`` rather than being truncated.
+        Zero values are dropped so that the stored entry count is the number
+        of structural nonzeros; a NaN or infinite value raises ``ValueError``.
     """
 
     __slots__ = (
@@ -69,12 +83,7 @@ class DenseTensor:
             raise ValueError(f"dim must be a positive integer, got {dim!r}")
         clean: dict[tuple, float] = {}
         for raw_idx, raw_val in entries.items():
-            if any(
-                isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                for i in raw_idx
-            ):
-                raise ValueError(f"index {tuple(raw_idx)} must have integer components")
-            idx = tuple(int(i) for i in raw_idx)
+            idx = _as_index(raw_idx)
             if len(idx) != order:
                 raise ValueError(
                     f"index {idx} has {len(idx)} components, expected order {order}"
@@ -271,12 +280,8 @@ def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
 
 
 def contract_full(tensor: DenseTensor, x) -> float:
-    """Fully contract against ``m`` copies of ``x`` (the homogeneous form value)."""
-    x = _as_vector(x, tensor.dim, "x")
-    if tensor.nnz == 0:
-        return 0.0
-    full = x[tensor._rows] * np.prod(x[tensor._cols], axis=1)
-    return float(np.dot(tensor._vals, full))
+    """Full contraction against ``m`` copies of ``x``, ``x . A x^{m-1}``."""
+    return float(np.dot(x, contract_m1(tensor, x)))
 
 
 def tensor_inf_norm(tensor: DenseTensor) -> float:
@@ -285,14 +290,6 @@ def tensor_inf_norm(tensor: DenseTensor) -> float:
         return 0.0
     sums = np.bincount(tensor._rows, weights=np.abs(tensor._vals), minlength=tensor.dim)
     return float(sums.max())
-
-
-def vec_norms(x) -> tuple[float, float]:
-    """Pair ``(max-norm, Euclidean norm)`` of a vector."""
-    arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        return 0.0, 0.0
-    return float(np.max(np.abs(arr))), float(np.sqrt(np.dot(arr, arr)))
 
 
 def signed_root(x, r: int) -> np.ndarray:
@@ -305,8 +302,3 @@ def signed_root(x, r: int) -> np.ndarray:
         raise ValueError(f"root order must be an odd positive integer, got {r!r}")
     arr = np.asarray(x, dtype=float)
     return np.sign(arr) * np.abs(arr) ** (1.0 / r)
-
-
-def positive_part(x) -> np.ndarray:
-    """Componentwise ``max(t, 0)``."""
-    return np.maximum(np.asarray(x, dtype=float), 0.0)

@@ -563,3 +563,44 @@ def test_report_invariant_guards():
         BoundReport(lb_new=0.1, ub_new=1.0, lb_base=0.1, ub_base=3.0, D=-1.0, **base)
     with pytest.raises(InvariantViolationError):
         BoundReport(lb_new=0.1, ub_new=4.0, lb_base=0.1, ub_base=3.0, D=0.0, **base)
+
+
+@pytest.mark.parametrize(
+    "view, args",
+    [
+        (diagonal_bounds, (TENSOR, Q, Z, U)),
+        (error_bounds_new, (TENSOR, Q, Z, U, ALPHA)),
+        (error_bounds_zheng, (TENSOR, Q, Z, U, ALPHA)),
+        (relative_error_bounds, (TENSOR, Q, Z, U, ALPHA)),
+    ],
+)
+def test_views_take_no_tol(view, args):
+    # the views verify z at build_report's default; only the report takes tol
+    view(*args)
+    with pytest.raises(TypeError):
+        view(*args, tol=1e-8)
+
+
+def test_infinite_tol_is_refused_by_the_report():
+    # an infinite tol used to verify z = (5, 5), which does not solve the
+    # problem, and the report came back with no flag
+    z = np.array([5.0, 5.0])
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        residual(TENSOR, Q, z, U, tol=math.inf)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        build_report(TENSOR, Q, z, U, ALPHA, tol=math.inf)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "q", [[0.0, -0.0, 2.0], [-0.0, 0.0, 2.0], [3.0, 0.0, 0.0], [-0.0, -0.0, 1.0]]
+)
+def test_signed_zero_q_gives_positive_zero_solution_norm_bounds(order, q):
+    # (-q)+ has only zeros; a -0.0 maximum must not reach sol_lb or sol_ub
+    tensor = DenseTensor.from_diagonal([1.0, 2.0, 4.0], order=order)
+    q = np.array(q)
+    alpha = diagonal_alpha_estimate(tensor)
+    rep = diagonal_bounds(tensor, q, np.zeros(3), np.array([0.5, 0.25, 0.125]))
+    assert FLAG_DEGENERATE_Q in rep.flags
+    for value in (rep.sol_lb, rep.sol_ub, *solution_norm_bounds(tensor, q, alpha)):
+        assert value == 0.0 and not math.copysign(1.0, value) < 0.0

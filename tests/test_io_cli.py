@@ -652,8 +652,65 @@ def test_package_exports_every_submodule_name_once():
         tcpbounds.tensor,
     )
     expected = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(expected) == 63
+    assert len(expected) == 61
     assert len(tcpbounds.__all__) == len(set(tcpbounds.__all__))
     assert set(tcpbounds.__all__) == expected
     for name in tcpbounds.__all__:
         assert hasattr(tcpbounds, name), name
+
+
+# ------------------------------------------------- non-finite tol, index keys
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "bounds", "rel-bounds", "compare"])
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_cli_non_finite_tol_exits_two(worked_file, capsys, command, tol):
+    # verify --z 5,5 --tol inf used to print passed=true with
+    # max_violation=4995, and bounds a full report with flags=none
+    argv = [command, "--file", worked_file, "--tol", tol]
+    if command != "solve":
+        argv += ["--z", "5,5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "tol must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "entries, fragment",
+    [
+        (((1, 1.0),), "index 1 must be a sequence"),
+        ((([1], 1.0), ((1,), 2.0)), "duplicate"),
+        ((([[1], [2]], 1.0), ([[1], [2]], 2.0)), "integer components"),
+    ],
+)
+def test_problem_file_checks_index_keys_before_the_duplicate_step(entries, fragment):
+    # a non-iterable key used to let TypeError: 'int' object is not iterable
+    # escape, and an unhashable one TypeError: unhashable type
+    with pytest.raises(ProblemFormatError, match=fragment):
+        ProblemFile(order=2, dim=2, entries=entries, q=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ('order: "4"\ndim: 2\nq: [0.0, 0.0]\n', "order must be an integer"),
+        ('order: 2\ndim: "2"\nq: [0.0, 0.0]\n', "dim must be a positive integer"),
+        (
+            "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [1, \"a\"]\n    val: 1.0\n",
+            "integer components",
+        ),
+        (
+            "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [[1, 1], 1]\n    val: 1.0\n",
+            "integer components",
+        ),
+        (
+            "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: 5\n    val: 1.0\n",
+            "entries[1].idx must be a list of integers",
+        ),
+    ],
+)
+def test_parse_refuses_non_integer_order_dim_and_indices(tmp_path, text, fragment):
+    # the tensor's checks, reached through ProblemFile, are the only ones
+    with pytest.raises(ProblemFormatError) as excinfo:
+        parse_problem(write(tmp_path, text))
+    assert fragment in str(excinfo.value)

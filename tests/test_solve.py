@@ -287,7 +287,7 @@ def test_batch_violations_equal_from_candidate_row_by_row():
         ([1e100, 0.5], [1.0, -1.0]),  # a finite row whose product overflows
     ]
     certs = [
-        SolutionCertificate.from_candidate(TcpInstance(tensor, np.array(q)), np.array(z), 1e-8)
+        verify_solution(TcpInstance(tensor, np.array(q)), np.array(z), 1e-8)
         for z, q in cases
     ]
     z_rows = np.array([c.z for c in certs])
@@ -320,7 +320,7 @@ def test_enumerated_certificates_equal_from_candidate_bit_for_bit():
         certs = solve_enumerate(inst)
         assert certs
         for cert in certs:
-            ref = SolutionCertificate.from_candidate(inst, cert.z, cert.tol)
+            ref = verify_solution(inst, cert.z, cert.tol)
             assert np.array_equal(cert.z, ref.z)
             assert np.array_equal(cert.w, ref.w)
             assert np.array_equal(np.signbit(cert.w), np.signbit(ref.w))
@@ -334,3 +334,20 @@ def test_enumerated_certificates_equal_from_candidate_bit_for_bit():
 def test_fixed_newton_schedule_is_not_an_option(knob):
     with pytest.raises(TypeError):
         SolveOptions(**{knob: 1})
+
+
+def test_infinite_tol_is_refused():
+    # verify_solution used to pass z = (5, 5) under tol = inf, with a
+    # max_violation of 4995
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        verify_solution(WORKED, np.array([5.0, 5.0]), math.inf)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        solve_enumerate(WORKED, SolveOptions(tol=math.inf))
+
+
+def test_verify_solution_is_the_one_certificate_entry_point():
+    assert not hasattr(SolutionCertificate, "from_candidate")
+    cert = solve_diagonal(WORKED)
+    assert cert.tol == SolveOptions.tol
+    with pytest.raises(TypeError):
+        solve_diagonal(WORKED, tol=1e-9)

@@ -12,10 +12,8 @@ from tcpbounds import (
     contract_m1,
     contract_m1_batch,
     jacobian_m1_batch,
-    positive_part,
     signed_root,
     tensor_inf_norm,
-    vec_norms,
 )
 
 # Hand-checked order-3 case: rows (1,1,2)->2, (1,2,1)->3, (2,2,2)->1, (2,1,1)->-1.
@@ -255,20 +253,25 @@ def test_signed_root_is_odd_function():
     np.testing.assert_array_equal(signed_root(-x, 3), -signed_root(x, 3))
 
 
-def test_positive_part():
-    x = np.array([-2.0, 0.0, 3.5])
-    assert np.array_equal(positive_part(x), [0.0, 0.0, 3.5])
-
-
-def test_vec_norms():
-    inf, two = vec_norms(np.array([3.0, -4.0]))
-    assert inf == 4.0
-    assert two == 5.0
-
-
 def test_contraction_rejects_wrong_dimension():
     t = hand_tensor()
     with pytest.raises(DimensionMismatchError):
         contract_m1(t, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DimensionMismatchError):
         contract_full(t, np.array([1.0]))
+
+
+def test_contract_full_is_x_dot_contract_m1():
+    rng = np.random.default_rng(41)
+    for order in (2, 3, 4):
+        t = random_sparse_tensor(rng, order, 4, 6)
+        x = rng.standard_normal(4)
+        assert contract_full(t, x) == float(np.dot(x, contract_m1(t, x)))
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None])
+def test_construction_rejects_non_iterable_index(key):
+    # DenseTensor(2, 2, {1: 1.0}) used to raise TypeError: 'int' object is
+    # not iterable
+    with pytest.raises(ValueError, match=f"index {key!r} must be a sequence"):
+        DenseTensor(2, 2, {key: 1.0})
