@@ -88,6 +88,12 @@ FLAG_CLAMPED_DISCRIMINANT = "CLAMPED_DISCRIMINANT"
 
 _RATIO_SLACK = 1e-12
 
+# The real-valued fields of a BoundReport; each is a float or None.
+_REAL_FIELDS = (
+    "lb_new", "ub_new", "lb_base", "ub_base", "D",
+    "a_norm_root", "sol_lb", "sol_ub", "rel_lb", "rel_ub",
+)
+
 
 @dataclass(frozen=True, eq=False)
 class ResidualData:
@@ -134,6 +140,11 @@ class BoundReport:
     flags: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
+        # NaN passes every ordering check below, so it is refused first.
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and math.isnan(value):
+                raise InvariantViolationError(f"{name} is NaN")
         if self.lb_new is not None and self.ub_new is not None:
             if self.lb_new > self.ub_new + _RATIO_SLACK * max(1.0, abs(self.ub_new)):
                 raise InvariantViolationError(
@@ -237,7 +248,13 @@ def _require_alpha_f(alpha: AlphaEstimate) -> None:
 
 
 def _norm_root(tensor: DenseTensor) -> float:
-    return tensor_inf_norm(tensor) ** (1.0 / (tensor.order - 1))
+    norm = tensor_inf_norm(tensor)
+    if not math.isfinite(norm):
+        raise ValueError(
+            f"||A||_inf overflows to {norm} although every entry is finite; "
+            "rescale the tensor"
+        )
+    return norm ** (1.0 / (tensor.order - 1))
 
 
 def _solution_norm_pair(
@@ -252,10 +269,17 @@ def _discriminant(b: float, v_t: float, alpha: float) -> tuple[float, bool]:
     """``D = b^2 - 4 alpha v_t^2`` with round-off below zero clamped to 0.
 
     Returns ``D`` and whether the clamp fired; a materially negative ``D``
-    raises.
+    raises, and a term that overflows to inf raises ``ValueError``.
     """
-    d_raw = b * b - 4.0 * alpha * v_t * v_t
-    eps_d = 1e-10 * max(1.0, b * b)
+    b2 = b * b
+    a2 = 4.0 * alpha * v_t * v_t
+    if not (math.isfinite(b2) and math.isfinite(a2)):
+        raise ValueError(
+            f"D = b^2 - 4 alpha v_t^2 overflows (b = {b}, v_t = {v_t}); "
+            "u is too far from z, rescale the problem"
+        )
+    d_raw = b2 - a2
+    eps_d = 1e-10 * max(1.0, b2)
     if d_raw <= -eps_d:
         raise InvariantViolationError(
             f"discriminant {d_raw} is materially negative (threshold {-eps_d}); "
@@ -283,7 +307,9 @@ def build_report(
     """Assemble every bound for ``(A, q, z, u)`` from one residual and ``alpha``.
 
     The single-purpose bound functions below read their fields from this
-    report.
+    report.  A tensor whose ``||A||_inf`` overflows to inf is refused with
+    ``ValueError``, here and in :func:`solution_norm_bounds`, and so is a
+    ``u`` whose discriminant ``D`` overflows.
     """
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")

@@ -21,6 +21,14 @@ duplicate indices (each key first passes the tensor's index check) and the
 vectors ``q``, ``z`` and ``u``.  Emission is deterministic and floats
 round-trip exactly, so ``parse(emit(pf))`` reproduces every field bit for
 bit.
+
+Files are read with PyYAML's libyaml-based ``yaml.CSafeLoader`` when PyYAML
+was built with libyaml, else with the pure-Python ``yaml.SafeLoader``.
+Both feed the same resolver and constructor, so a document both accept gives
+the same Python objects.  The one known difference: libyaml accepts a tab as
+separating white space, after ``order:`` or after a comma in ``[1.0, 2.0]``,
+where the pure-Python scanner refuses it.  The detail after
+``not valid YAML:`` also differs between the two.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from .tensor import DenseTensor, _as_index
 __all__ = ["ProblemFile", "parse_problem", "emit_problem"]
 
 _TOP_KEYS = {"order", "dim", "entries", "q", "z", "u"}
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +74,13 @@ class ProblemFile:
                 idx = _as_index(raw_idx)
                 if idx in clean:
                     raise ValueError(f"duplicate index {list(idx)} in entries")
-                clean[idx] = float(val)
+                clean[idx] = val
             tensor = DenseTensor(self.order, self.dim, clean)
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from None
         object.__setattr__(self, "_tensor", tensor)
-        object.__setattr__(self, "entries", tuple(sorted(clean.items())))
+        entries = tuple(sorted((idx, float(val)) for idx, val in clean.items()))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "q", self._vector_field("q", self.q, required=True))
         object.__setattr__(self, "z", self._vector_field("z", self.z, required=False))
         object.__setattr__(self, "u", self._vector_field("u", self.u, required=False))
@@ -126,7 +137,7 @@ def parse_problem(path) -> ProblemFile:
     """Parse and validate a problem file; every complaint names its field."""
     text = Path(path).read_text()
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ProblemFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):

@@ -69,7 +69,8 @@ class DenseTensor:
         Python or numpy integers; a key that is not iterable, or a float or
         bool component, raises ``ValueError`` rather than being truncated.
         Zero values are dropped so that the stored entry count is the number
-        of structural nonzeros; a NaN or infinite value raises ``ValueError``.
+        of structural nonzeros; a value ``float`` cannot convert, or a NaN or
+        infinite one, raises ``ValueError`` naming its index.
     """
 
     __slots__ = (
@@ -90,7 +91,12 @@ class DenseTensor:
                 )
             if any(i < 1 or i > dim for i in idx):
                 raise ValueError(f"index {idx} out of range 1..{dim}")
-            val = float(raw_val)
+            try:
+                val = float(raw_val)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"entry at index {idx} must be a real number, got {raw_val!r}"
+                ) from None
             if not math.isfinite(val):
                 raise ValueError(f"entry at index {idx} is not finite: {val}")
             if val != 0.0:

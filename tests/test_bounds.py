@@ -604,3 +604,43 @@ def test_signed_zero_q_gives_positive_zero_solution_norm_bounds(order, q):
     assert FLAG_DEGENERATE_Q in rep.flags
     for value in (rep.sol_lb, rep.sol_ub, *solution_norm_bounds(tensor, q, alpha)):
         assert value == 0.0 and not math.copysign(1.0, value) < 0.0
+
+
+def test_overflowing_norm_is_refused():
+    # every entry is finite but ||A||_inf = 1e308 + 1e308 overflows: the
+    # report used to carry lb_new = nan and ub_new = ub_base = inf with only
+    # UNCERTIFIED_ALPHA among its flags
+    tensor = DenseTensor(2, 2, {(1, 1): 1e308, (1, 2): 1e308, (2, 2): 1.0})
+    alpha = AlphaEstimate(0.5, ALPHA_F, "grid", 41, 0, False)
+    with pytest.raises(ValueError, match=r"\|\|A\|\|_inf overflows to inf"):
+        build_report(tensor, (1.0, -1.0), (0.0, 1.0), (0.5, 0.5), alpha)
+    with pytest.raises(ValueError, match=r"\|\|A\|\|_inf overflows to inf"):
+        solution_norm_bounds(tensor, (1.0, -1.0), alpha)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lb_new", "ub_new", "lb_base", "ub_base", "D", "a_norm_root", "sol_lb", "sol_ub",
+     "rel_lb", "rel_ub"],
+)
+def test_report_refuses_a_nan_field(name):
+    # NaN compares false with everything, so the ordering guards let it pass
+    fields = dict(
+        lb_new=0.1, ub_new=1.0, lb_base=0.1, ub_base=3.0, D=0.0,
+        residual=ResidualData(np.array([1.0]), 1.0, 1, 1.0, 1.0),
+        alpha=forged_alpha(1.0), a_norm_root=1.0, sol_lb=0.0, sol_ub=1.0,
+        rel_lb=0.1, rel_ub=1.0,
+    )
+    BoundReport(**fields)
+    fields[name] = math.nan
+    with pytest.raises(InvariantViolationError, match=f"{name} is NaN"):
+        BoundReport(**fields)
+
+
+def test_overflowing_discriminant_is_refused():
+    # A(u-z) and the residual are finite, but b = ||v||_inf (1 + ||A||_inf) =
+    # 1e160 squares to inf: D was inf, and the report carried lb_new = -inf
+    # and ub_new = inf with no flag
+    tensor = DenseTensor(2, 2, {(1, 1): 1e-300, (2, 2): 1e-300})
+    with pytest.raises(ValueError, match=r"D = b\^2 - 4 alpha v_t\^2 overflows"):
+        diagonal_bounds(tensor, (1.0, 1.0), (0.0, 0.0), (-1e160, -1e160))

@@ -2,9 +2,11 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import tcpbounds
 from tcpbounds import (
@@ -57,6 +59,46 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The module's loader: libyaml's when PyYAML was built with it.
+MODULE_LOADER = tcpbounds.io._LOADER
+
+
+def parse_with(loader, path):
+    """``parse_problem`` with the module's loader swapped for ``loader``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcpbounds.io, "_LOADER", loader)
+        return parse_problem(path)
+
+
+def parsed_fields(loader, path):
+    """What ``loader`` makes of a file: its fields with every float as bits,
+    or the refusal message (without the scanner's detail, which differs
+    between the loaders)."""
+    try:
+        pf = parse_with(loader, path)
+    except ProblemFormatError as exc:
+        message = str(exc)
+        return message.partition(": ")[0] if message.startswith("not valid YAML") else message
+    entries = [(idx, val.hex()) for idx, val in pf.entries]
+    vectors = [None if v is None else v.tobytes() for v in (pf.q, pf.z, pf.u)]
+    return pf.order, pf.dim, entries, vectors
+
+
+@pytest.fixture(autouse=True)
+def loaders_agree_on_every_written_file(request, tmp_path):
+    """Every file a test here writes must give the same fields, bit for bit,
+    under the pure-Python loader as under the module's loader, or be refused
+    by both with the same message.  So every refusal table below runs under
+    both loaders.  A test marked ``loaders_differ`` is left out."""
+    yield
+    if request.node.get_closest_marker("loaders_differ"):
+        return
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        assert parsed_fields(yaml.SafeLoader, path) == parsed_fields(MODULE_LOADER, path), (
+            path.name
+        )
 
 
 # ---------------------------------------------------------------- file format
@@ -192,6 +234,11 @@ def test_problem_file_validates_directly():
         ((((1, 3), 1.0),), "out of range"),
         ((((1,), 1.0),), "expected order 2"),
         ((((1, 1, 1), 1.0),), "expected order 2"),
+        # a non-numeric value used to escape as a bare TypeError, or as a
+        # ValueError that did not name the index
+        ((((2, 1), None),), r"index \(2, 1\) must be a real number"),
+        ((((2, 1), "abc"),), r"index \(2, 1\) must be a real number"),
+        ((((2, 1), object()),), r"index \(2, 1\) must be a real number"),
     ],
 )
 def test_problem_file_reports_tensor_errors_as_format_errors(entries, fragment):
@@ -497,9 +544,10 @@ def test_cli_text_format(worked_file, capsys):
 
 
 def test_cli_output_is_deterministic(worked_file, capsys):
-    _, first, _ = run_cli(capsys, "bounds", "--file", worked_file, "--format", "machine")
-    _, second, _ = run_cli(capsys, "bounds", "--file", worked_file, "--format", "machine")
-    assert first == second
+    for command in READS:
+        argv = [command, "--file", worked_file, "--format", "machine"]
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first
 
 
 def test_cli_validation_errors_exit_two(tmp_path, capsys):
@@ -511,6 +559,15 @@ def test_cli_validation_errors_exit_two(tmp_path, capsys):
     worked = write(tmp_path, WORKED_YAML, "w.yaml")
     code, _, err = run_cli(capsys, "bounds", "--file", worked, "--u", "not,numbers")
     assert code == 2
+    # D overflows for this u: an input out of range, not a failed hypothesis
+    tiny = write(
+        tmp_path,
+        "order: 2\ndim: 2\nentries:\n  - idx: [1, 1]\n    val: 1.0e-300\n"
+        "  - idx: [2, 2]\n    val: 1.0e-300\nq: [1.0, 1.0]\nz: [0.0, 0.0]\n",
+        "tiny.yaml",
+    )
+    code, out, err = run_cli(capsys, "bounds", "--file", tiny, "--u=-1e160,-1e160")
+    assert code == 2 and out == "" and "overflows" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -714,3 +771,59 @@ def test_parse_refuses_non_integer_order_dim_and_indices(tmp_path, text, fragmen
     with pytest.raises(ProblemFormatError) as excinfo:
         parse_problem(write(tmp_path, text))
     assert fragment in str(excinfo.value)
+
+
+# ------------------------------------------------------------- YAML loaders
+
+
+def test_module_loader_is_libyaml_when_pyyaml_has_it():
+    assert (MODULE_LOADER is not yaml.SafeLoader) == yaml.__with_libyaml__
+
+
+def test_readme_worked_file_parses_alike_under_both_loaders(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = write(tmp_path, text, "readme.yaml")
+    assert parsed_fields(yaml.SafeLoader, path) == parsed_fields(MODULE_LOADER, path)
+    pf = parse_problem(path)
+    assert (pf.order, pf.dim) == (4, 2)
+    np.testing.assert_array_equal(pf.u, [0.5, 0.3])
+
+
+# Inputs probed for a difference between the loaders: each is taken or
+# refused alike by both.
+LOADER_PROBES = {
+    "control-character": "order: 2\x01\ndim: 1\nq: [1.0]\n",
+    "nul": "order: 2\x00\ndim: 1\nq: [1.0]\n",
+    "bom": "\ufefforder: 2\ndim: 1\nq: [1.0]\n",
+    "unsigned-exponent": "order: 2\ndim: 1\nq: [1e5]\n",
+    "inf": "order: 2\ndim: 1\nq: [.inf]\n",
+    "duplicate-key": "order: 3\norder: 2\ndim: 1\nq: [1.0]\n",
+    "anchor": "order: 2\ndim: 2\nq: &v [1.0, 2.0]\nz: *v\n",
+    "python-tag": "order: !!python/object/apply:os.getcwd []\ndim: 1\nq: [1.0]\n",
+    "two-documents": "order: 2\ndim: 1\nq: [1.0]\n---\norder: 2\n",
+    "unclosed-flow-sequence": "order: 2\ndim: 1\nq: [1.0\n",
+    "tab-indentation": "order: 2\ndim: 1\nentries:\n\t- idx: [1, 1]\n\t  val: 1.0\nq: [1.0]\n",
+}
+
+
+@pytest.mark.parametrize("text", LOADER_PROBES.values(), ids=list(LOADER_PROBES))
+def test_loaders_agree_on_probes(tmp_path, text):
+    path = write(tmp_path, text)
+    assert parsed_fields(yaml.SafeLoader, path) == parsed_fields(MODULE_LOADER, path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["order:\t2\ndim: 1\nq: [1.0]\n", "order: 2\ndim: 2\nq: [1.0,\t2.0]\n"],
+    ids=["after-colon", "after-comma"],
+)
+@pytest.mark.loaders_differ
+def test_a_separating_tab_is_valid_only_to_libyaml(tmp_path, text):
+    # The one difference found between the loaders.
+    path = write(tmp_path, text)
+    with pytest.raises(ProblemFormatError, match="not valid YAML: while scanning"):
+        parse_with(yaml.SafeLoader, path)
+    if yaml.__with_libyaml__:
+        assert parse_with(yaml.CSafeLoader, path).order == 2
+

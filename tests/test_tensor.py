@@ -73,6 +73,14 @@ def test_construction_rejects_non_finite_entries(bad):
         DenseTensor(4, 2, {(1, 1, 1, 1): bad, (2, 2, 2, 2): 1.0})
 
 
+@pytest.mark.parametrize("bad", [None, "abc", object()], ids=["None", "abc", "object"])
+def test_construction_rejects_non_numeric_entries(bad):
+    # None and object() used to escape as a bare TypeError, and "abc" as a
+    # ValueError that did not name the index
+    with pytest.raises(ValueError, match=r"entry at index \(2, 1\) must be a real number"):
+        DenseTensor(2, 2, {(1, 1): 1.0, (2, 1): bad})
+
+
 @pytest.mark.parametrize("idx", [(1.7, 2.9), (1.0, 2), (True, 2), (1, np.bool_(True))])
 def test_construction_rejects_non_integer_indices(idx):
     # (1.7, 2.9) used to be truncated and stored at (1, 2)
