@@ -35,6 +35,7 @@ is reported as an invariant violation rather than patched over.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,9 @@ FLAG_DEGENERATE_Z = "DEGENERATE_Z"
 FLAG_CLAMPED_DISCRIMINANT = "CLAMPED_DISCRIMINANT"
 
 _RATIO_SLACK = 1e-12
+
+# A positive magnitude overflows exactly when its log exceeds this.
+_LOG_MAX = math.log(sys.float_info.max)
 
 # The real-valued fields of a BoundReport; each is a float or None.
 _REAL_FIELDS = (
@@ -186,7 +190,10 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
 
     ``z`` is re-verified first (tolerance ``tol``) and rejected if it is not a
     solution; a NaN or infinite ``u`` raises ``ValueError``.  ``u == z``
-    short-circuits to a zero residual flagged EXACT_SOLUTION.  The max-form
+    short-circuits to a zero residual flagged EXACT_SOLUTION.  A tensor whose
+    ``||A||_inf`` overflows, or a ``u`` so far from ``z`` that
+    ``||u - z||_inf^{m-1}`` or ``||A||_inf ||u - z||_inf^m`` leaves the float
+    range, raises ``ValueError`` before anything is contracted.  The max-form
     ``u - max(0, u - s)`` is evaluated by componentwise selection, which
     resolves the outer subtraction exactly and makes the result bitwise equal
     to ``min(u, s)``.
@@ -201,8 +208,9 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
         )
     z = cert.z
     u = _as_vector(u, tensor.dim, "u")
+    u_list = u.tolist()
     # A Python scan beats a numpy reduction on vectors this short.
-    if not all(map(math.isfinite, u.tolist())):
+    if not all(map(math.isfinite, u_list)):
         raise ValueError("u must be finite, got NaN or inf")
     if np.array_equal(u, z):
         return ResidualData(
@@ -213,9 +221,22 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
             argmax_value=0.0,
             flags=(FLAG_EXACT_SOLUTION,),
         )
+    r = tensor.order - 1
+    # Every product contract_m1 forms is at most ||d||^{m-1} in modulus, and
+    # |d_i (A d^{m-1})_i| <= ||A|| ||d||^m.  Compared in logs, and with d_inf
+    # from Python floats, the test overflows nowhere itself.
+    d_inf = max(abs(a - b) for a, b in zip(u_list, z.tolist()))
+    norm = _inf_norm(tensor)
+    log_d = math.log(d_inf)
+    if r * log_d > _LOG_MAX or (
+        norm > 0.0 and math.log(norm) + (r + 1) * log_d > _LOG_MAX
+    ):
+        raise ValueError(
+            f"A (u - z)^{{m-1}} overflows (||u - z||_inf = {d_inf}, ||A||_inf = "
+            f"{norm}); u is too far from z, rescale the problem"
+        )
     d = u - z
     contracted = contract_m1(tensor, d)
-    r = tensor.order - 1
     # cert.w is the equilibrium term A z^{m-1} + q, already computed from z.
     s = signed_root(contracted, r) + signed_root(cert.w, r)
     v = np.where(u - s > 0.0, s, u)
@@ -247,14 +268,18 @@ def _require_alpha_f(alpha: AlphaEstimate) -> None:
         )
 
 
-def _norm_root(tensor: DenseTensor) -> float:
+def _inf_norm(tensor: DenseTensor) -> float:
     norm = tensor_inf_norm(tensor)
     if not math.isfinite(norm):
         raise ValueError(
             f"||A||_inf overflows to {norm} although every entry is finite; "
             "rescale the tensor"
         )
-    return norm ** (1.0 / (tensor.order - 1))
+    return norm
+
+
+def _norm_root(tensor: DenseTensor) -> float:
+    return _inf_norm(tensor) ** (1.0 / (tensor.order - 1))
 
 
 def _solution_norm_pair(
@@ -309,7 +334,8 @@ def build_report(
     The single-purpose bound functions below read their fields from this
     report.  A tensor whose ``||A||_inf`` overflows to inf is refused with
     ``ValueError``, here and in :func:`solution_norm_bounds`, and so is a
-    ``u`` whose discriminant ``D`` overflows.
+    ``u`` whose contraction (see :func:`residual`) or discriminant ``D``
+    overflows.
     """
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")

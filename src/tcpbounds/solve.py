@@ -4,11 +4,12 @@ TCP(q, A) asks for ``z >= 0`` with ``w = A z^{m-1} + q >= 0`` and ``z . w = 0``.
 At desk scale the active set can be enumerated outright: for every support
 ``S`` of coordinates allowed to be positive, the square system
 ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved from several
-seeded starts by batched damped Newton with an analytic Jacobian: all
-(support, start) pairs of one support size iterate together, each stopping on
-its own test.  Every root that satisfies the sign and complementarity
-conditions is kept.  Certificates always recompute ``w`` and
-the violation measure from ``z``; nothing is trusted from the caller.
+seeded starts by batched damped Newton with an analytic Jacobian: the
+(support, start) pairs of every support size iterate together, each stopping
+on its own test, and only the linear solves are grouped by support size.
+Every root that satisfies the sign and complementarity conditions is kept.
+Certificates always recompute ``w`` and the violation measure from ``z``;
+nothing is trusted from the caller.
 """
 
 from __future__ import annotations
@@ -171,38 +172,46 @@ def solve_enumerate(
     rng = np.random.default_rng(opts.seed)
     scale = 1.0 + _q_root(tensor, q)
 
+    # Per support, in size then combinations order, _STARTS starts, zero off
+    # the support.
+    supports = [
+        s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)
+    ]
+    mask = np.zeros((len(supports), n), dtype=bool)
+    for k, support in enumerate(supports):
+        mask[k, support] = True
+    mask = np.repeat(mask, _STARTS, axis=0)
+    starts = np.zeros(mask.shape)
+    starts[mask] = scale * np.concatenate(
+        [rng.uniform(0.05, 1.0, size=_STARTS * len(s)) for s in supports]
+    )
+
     batch_rows = _batch_rows(tensor)
+    # The zero support is screened first and the Newton batches are made
+    # lazily after it, so a bad tol is refused before any Newton step.
+    batches = itertools.chain(
+        [np.zeros((1, n))],
+        (
+            _newton_on_supports(
+                inst, mask[lo : lo + batch_rows], starts[lo : lo + batch_rows]
+            )
+            for lo in range(0, mask.shape[0], batch_rows)
+        ),
+    )
     kept: list[SolutionCertificate] = []
-    for size in range(n + 1):
-        if size == 0:
-            # Screened before any Newton step, so a bad tol is refused first.
-            batches = [np.zeros((1, n))]
-        else:
-            supports = list(itertools.combinations(range(n), size))
-            # Per support, in combinations order, _STARTS starts.
-            starts = scale * np.concatenate(
-                [rng.uniform(0.05, 1.0, size=(_STARTS, size)) for _ in supports]
-            )
-            idx = np.repeat(np.array(supports, dtype=np.intp), _STARTS, axis=0)
-            batches = (
-                _newton_on_supports(
-                    inst, idx[lo : lo + batch_rows], starts[lo : lo + batch_rows]
-                )
-                for lo in range(0, idx.shape[0], batch_rows)
-            )
-        for candidates in batches:
-            # The certificate's own check, batched: the batch kernel equals
-            # contract_m1 bit for bit, so w is still computed from z.
-            w = contract_m1_batch(tensor, candidates) + q
-            violation = _violations(candidates, w, opts.tol)
-            ok = violation <= opts.tol
-            for z, w_z, v in zip(candidates[ok], w[ok], violation[ok].tolist()):
-                if any(
-                    float(np.max(np.abs(z - other.z))) <= 10.0 * opts.tol
-                    for other in kept
-                ):
-                    continue
-                kept.append(SolutionCertificate._from_row(z, w_z, v, opts.tol))
+    for candidates in batches:
+        # The certificate's own check, batched: the batch kernel equals
+        # contract_m1 bit for bit, so w is still computed from z.
+        w = contract_m1_batch(tensor, candidates) + q
+        violation = _violations(candidates, w, opts.tol)
+        ok = violation <= opts.tol
+        for z, w_z, v in zip(candidates[ok], w[ok], violation[ok].tolist()):
+            if any(
+                float(np.max(np.abs(z - other.z))) <= 10.0 * opts.tol
+                for other in kept
+            ):
+                continue
+            kept.append(SolutionCertificate._from_row(z, w_z, v, opts.tol))
     kept.sort(key=lambda c: (len(c.support), tuple(c.z)))
     return kept
 
@@ -223,48 +232,52 @@ def _batch_rows(tensor: DenseTensor) -> int:
 
 
 def _newton_on_supports(
-    inst: TcpInstance, idx: np.ndarray, starts: np.ndarray
+    inst: TcpInstance, mask: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
     """Damped Newton for ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S``, per row.
 
-    Row ``r`` solves on support ``idx[r]`` from ``starts[r]``; all rows run
-    together and each stops on its own test.  An iteration solves the
-    Jacobian system, then tries the damping factors ``_DAMPING`` in order
-    and takes the first whose residual max-norm is finite and below the
-    current one.  A row stops when its taken step is at most ``_STEP_TOL`` or
-    when no factor helps (keeping its iterate), and is dropped when its
-    residual at the start is not finite or its Jacobian is singular or gives
-    a non-finite step.  Returns the kept rows' final iterates, embedded in
-    ``dim`` coordinates.
+    Row ``r`` solves on the support ``S = mask[r]`` from ``starts[r]`` (zero
+    off ``S``); all rows run together, whatever their support sizes, and each
+    stops on its own test.  Iterates stay in ``dim`` coordinates and residuals
+    are zero off ``S``.  An iteration solves the Jacobian system on ``S``, one
+    stacked solve per support size, then tries the damping factors
+    ``_DAMPING`` in order and takes the first whose residual max-norm is
+    finite and below the current one.  A row stops when its taken step is at
+    most ``_STEP_TOL`` or when no factor helps (keeping its iterate), and is
+    dropped when its residual at the start is not finite or its Jacobian is
+    singular or gives a non-finite step.  Returns the kept rows' final
+    iterates.
     """
     tensor, q = inst.tensor, inst.q
     n = tensor.dim
-    rows, size = starts.shape
+    size = mask.sum(axis=1)
 
-    def embed(sel: np.ndarray, z_s: np.ndarray) -> np.ndarray:
-        z = np.zeros((sel.size, n))
-        z[np.arange(sel.size)[:, None], idx[sel]] = z_s
-        return z
-
-    def residual(sel: np.ndarray, z_s: np.ndarray) -> np.ndarray:
-        full = contract_m1_batch(tensor, embed(sel, z_s))
-        return full[np.arange(sel.size)[:, None], idx[sel]] + q[idx[sel]]
+    def residual(sel: np.ndarray, z: np.ndarray) -> np.ndarray:
+        f = np.zeros(z.shape)
+        np.add(contract_m1_batch(tensor, z), q, out=f, where=mask[sel])
+        return f
 
     batch_rows = _batch_rows(tensor)
 
-    every = np.arange(rows)
-    z_s = starts.astype(float)
-    f_s = residual(every, z_s)
-    keep = np.isfinite(f_s).all(axis=1)
+    z = starts.copy()
+    f = residual(np.arange(mask.shape[0]), z)
+    keep = np.isfinite(f).all(axis=1)
     active = keep.copy()
     for _ in range(_MAX_ITERATIONS):
         act = np.flatnonzero(active)
         if act.size == 0:
             break
-        sub = idx[act]
-        jac = jacobian_m1_batch(tensor, embed(act, z_s[act]))
-        jac = jac[np.arange(act.size)[:, None, None], sub[:, :, None], sub[:, None, :]]
-        step = _solve_stacked(jac, -f_s[act])
+        jac = jacobian_m1_batch(tensor, z[act])
+        step = np.zeros((act.size, n))
+        # The sizes present, ascending; np.unique would do, but its first
+        # call alone raises the resident memory by about 1 MB.
+        for s in np.flatnonzero(np.bincount(size[act])).tolist():
+            group = np.flatnonzero(size[act] == s)
+            sub = np.nonzero(mask[act[group]])[1].reshape(group.size, s)
+            step[group[:, None], sub] = _solve_stacked(
+                jac[group[:, None, None], sub[:, :, None], sub[:, None, :]],
+                -f[act[group][:, None], sub],
+            )
         bad = ~np.isfinite(step).all(axis=1)
         keep[act[bad]] = active[act[bad]] = False
         act, step = act[~bad], step[~bad]
@@ -272,20 +285,18 @@ def _newton_on_supports(
         # Backtrack: the full step for every row, then the remaining factors
         # in blocks for the rows still waiting, first acceptable factor wins.
         # A block holds at most batch_rows trial points.
-        base = np.max(np.abs(f_s[act]), axis=1)
+        base = np.max(np.abs(f[act]), axis=1)
         taken = np.full(act.size, -1)
-        f_new = np.empty((act.size, size))
+        f_new = np.empty((act.size, n))
         waiting = np.arange(act.size)
         level = 0
         while waiting.size and level < _DAMPING.size:
             width = 1 if level == 0 else max(1, batch_rows // waiting.size)
             block = _DAMPING[level : level + width]
-            trial = (
-                z_s[act[waiting], None, :] + block[None, :, None] * step[waiting, None, :]
-            )
+            trial = z[act[waiting], None, :] + block[None, :, None] * step[waiting, None, :]
             f_trial = residual(
-                np.repeat(act[waiting], block.size), trial.reshape(-1, size)
-            ).reshape(waiting.size, block.size, size)
+                np.repeat(act[waiting], block.size), trial.reshape(-1, n)
+            ).reshape(waiting.size, block.size, n)
             good = np.isfinite(f_trial).all(axis=2) & (
                 np.max(np.abs(f_trial), axis=2) < base[waiting, None]
             )
@@ -301,10 +312,10 @@ def _newton_on_supports(
         moved = taken >= 0
         act, step, taken = act[moved], step[moved], taken[moved]
         damped = _DAMPING[taken][:, None] * step
-        z_s[act] = z_s[act] + damped
-        f_s[act] = f_new[moved]
+        z[act] = z[act] + damped
+        f[act] = f_new[moved]
         active[act[np.max(np.abs(damped), axis=1) <= _STEP_TOL]] = False
-    return embed(every[keep], z_s[keep])
+    return z[keep]
 
 
 def _solve_stacked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:

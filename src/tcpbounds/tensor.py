@@ -74,7 +74,8 @@ class DenseTensor:
     """
 
     __slots__ = (
-        "order", "dim", "_entries", "_rows", "_cols", "_vals", "_row_slots", "_jac_slots"
+        "order", "dim", "_entries", "_rows", "_cols", "_vals", "_row_slots",
+        "_jac_slots", "_inf_norm",
     )
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, float]):
@@ -116,6 +117,8 @@ class DenseTensor:
         object.__setattr__(self, "_row_slots", _slot_table(rows, dim))
         # Built on the first Jacobian call: only the solver needs it.
         object.__setattr__(self, "_jac_slots", None)
+        # Set by the first tensor_inf_norm call.
+        object.__setattr__(self, "_inf_norm", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
         raise AttributeError("DenseTensor is immutable")
@@ -291,11 +294,20 @@ def contract_full(tensor: DenseTensor, x) -> float:
 
 
 def tensor_inf_norm(tensor: DenseTensor) -> float:
-    """Maximum over rows of the sum of absolute entries sharing that first index."""
-    if tensor.nnz == 0:
-        return 0.0
-    sums = np.bincount(tensor._rows, weights=np.abs(tensor._vals), minlength=tensor.dim)
-    return float(sums.max())
+    """Maximum over rows of the sum of absolute entries sharing that first index.
+
+    Computed on the first call and kept on the tensor, which never changes.
+    """
+    if tensor._inf_norm is None:
+        norm = 0.0
+        if tensor.nnz:
+            norm = float(
+                np.bincount(
+                    tensor._rows, weights=np.abs(tensor._vals), minlength=tensor.dim
+                ).max()
+            )
+        object.__setattr__(tensor, "_inf_norm", norm)
+    return tensor._inf_norm
 
 
 def signed_root(x, r: int) -> np.ndarray:

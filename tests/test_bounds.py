@@ -644,3 +644,30 @@ def test_overflowing_discriminant_is_refused():
     tensor = DenseTensor(2, 2, {(1, 1): 1e-300, (2, 2): 1e-300})
     with pytest.raises(ValueError, match=r"D = b\^2 - 4 alpha v_t\^2 overflows"):
         diagonal_bounds(tensor, (1.0, 1.0), (0.0, 0.0), (-1e160, -1e160))
+
+
+@pytest.mark.parametrize(
+    "tensor, q, z",
+    [
+        (DenseTensor.from_diagonal([1.0, 8.0], order=4), (1.0, -1.0), (0.0, 0.5)),
+        (DenseTensor(2, 2, {(1, 1): 2.0, (1, 2): 0.5, (2, 2): 1.0}), (1.0, -1.0),
+         (0.0, 1.0)),
+    ],
+)
+@pytest.mark.parametrize("u", [(1e160, 1e160), (-1e200, 0.0), (1.7e308, -1.7e308)])
+def test_overflowing_contraction_is_refused_before_contracting(tensor, q, z, u):
+    # contract_m1 (order 4) and d * contracted (order 2) used to overflow
+    # with a numpy warning before the discriminant refusal
+    with pytest.raises(ValueError, match=r"A \(u - z\)\^\{m-1\} overflows"):
+        residual(tensor, q, z, u)
+    with pytest.raises(ValueError, match=r"A \(u - z\)\^\{m-1\} overflows"):
+        build_report(tensor, q, z, u, forged_alpha(1.0))
+
+
+def test_u_whose_difference_from_z_overflows_is_refused():
+    # u - z itself overflows: ||u - z||_inf is inf before any contraction
+    tensor = DenseTensor.from_diagonal([1e-10], order=2)
+    z = np.array([1e308])
+    q = -contract_m1(tensor, z)
+    with pytest.raises(ValueError, match=r"overflows \(\|\|u - z\|\|_inf = inf"):
+        residual(tensor, q, z, (-1e308,))

@@ -602,6 +602,39 @@ def test_cli_argparse_errors_return_two(capsys):
     capsys.readouterr()
 
 
+ORDER_2_YAML = """\
+order: 2
+dim: 2
+entries:
+  - idx: [1, 1]
+    val: 2.0
+  - idx: [1, 2]
+    val: 0.5
+  - idx: [2, 2]
+    val: 1.0
+q: [1.0, -1.0]
+z: [0.0, 1.0]
+"""
+
+
+@pytest.mark.parametrize("text", [WORKED_YAML, ORDER_2_YAML], ids=["order4", "order2"])
+def test_cli_overflowing_u_is_refused_without_a_warning(tmp_path, capsys, text):
+    # A(u-z)^{m-1} overflowed in numpy first: under -W error the warning was
+    # raised as a traceback with exit 1, otherwise printed before the refusal
+    path = write(tmp_path, text)
+    argv = ["bounds", "--file", path, "--u", "1e160,1e160"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "overflows" in err
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tcpbounds", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
 def test_module_invocation(worked_file):
     proc = subprocess.run(
         [sys.executable, "-m", "tcpbounds", "compare", "--file", worked_file,

@@ -198,7 +198,8 @@ def test_enumerate_nondiagonal_tensor():
 
 def test_enumerate_drops_singular_support_in_batch():
     # w = (2 z1 - 2, z1 + 1).  On support {2}, w2 does not depend on z2, so
-    # that 1x1 system is singular; it shares the size-1 batch with {1}.
+    # that 1x1 system is singular; it shares the one batch with every other
+    # support.
     inst = TcpInstance(DenseTensor(2, 2, {(1, 1): 2.0, (2, 1): 1.0}), np.array([-2.0, 1.0]))
     certs = solve_enumerate(inst)
     assert len(certs) == 1
@@ -219,7 +220,7 @@ def test_enumerate_same_seed_is_bit_identical():
 
 def test_enumerate_batch_size_does_not_change_roots(monkeypatch):
     # One row per batch tries the damping factors one at a time, as an
-    # unbatched loop would; the default runs every row of a size together.
+    # unbatched loop would; the default runs every row together.
     rng = np.random.default_rng(8)
     for family, order in (("row_power", 4), ("general", 2)):
         inst, _ = manufactured_unique(rng, family, order, 4)
@@ -351,3 +352,126 @@ def test_verify_solution_is_the_one_certificate_entry_point():
     assert cert.tol == SolveOptions.tol
     with pytest.raises(TypeError):
         solve_diagonal(WORKED, tol=1e-9)
+
+
+# solve_enumerate on manufactured_unique(default_rng(2027), ...) instances,
+# drawn in this order: (family, order, dim, support, z, w, max_violation) with
+# every float as float.hex().  How the Newton rows are batched must not move
+# any of these bits.
+ENUMERATE_GOLDENS = [
+    ("row_power", 4, 3, (3,),
+     ("0x0.0p+0", "0x0.0p+0", "0x1.61bdbe249fd23p+0"),
+     ("0x1.6d0d6c63f6204p-3", "0x1.2c902de69103cp-2", "0x0.0p+0"),
+     "0x0.0p+0"),
+    ("general", 2, 4, (3, 4),
+     ("0x0.0p+0", "0x0.0p+0", "0x1.ddc0a78a04d25p-2", "0x1.24dcd9951f61ep+0"),
+     ("0x1.e5f52514c8958p+0", "0x1.7f2ebb2f16003p+0", "0x0.0p+0", "0x0.0p+0"),
+     "0x0.0p+0"),
+    ("diagonal", 4, 5, (2, 3, 5),
+     ("0x0.0p+0", "0x1.392355578feccp-1", "0x1.dac76abcd39b2p-3", "0x0.0p+0",
+      "0x1.13cc10dbcccfbp+0"),
+     ("0x1.0a3f5f336339ap+0", "0x0.0p+0", "0x0.0p+0", "0x1.685c973cace81p+0",
+      "0x0.0p+0"),
+     "0x0.0p+0"),
+    ("row_power", 4, 6, (2, 4, 6),
+     ("0x0.0p+0", "0x1.795bdac0d18b3p+0", "0x0.0p+0", "0x1.752f3323f83ccp-2",
+      "0x0.0p+0", "0x1.e89cb43ba3b15p-3"),
+     ("0x1.7a306cc76f7d0p-1", "0x0.0p+0", "0x1.ecea639ab713bp+0", "0x0.0p+0",
+      "0x1.c41c9c9097a29p+0", "-0x1.0000000000000p-53"),
+     "0x1.0000000000000p-53"),
+    ("general", 2, 6, (1, 2, 3, 5),
+     ("0x1.36cb408426c48p-2", "0x1.18607bb77dfc1p+0", "0x1.16b8aa9f7f2f3p+0",
+      "0x0.0p+0", "0x1.39c04ba63f877p+0", "0x0.0p+0"),
+     ("0x1.0000000000000p-53", "-0x1.0000000000000p-52", "0x0.0p+0",
+      "0x1.8587968d30b1fp-1", "0x0.0p+0", "0x1.af078cfebf4dap+0"),
+     "0x1.18607bb77dfc1p-52"),
+    ("row_power", 2, 5, (1, 3, 4),
+     ("0x1.52297e05e9bc3p+0", "0x0.0p+0", "0x1.51184ec599546p-2",
+      "0x1.f627b37205416p-1", "0x0.0p+0"),
+     ("0x0.0p+0", "0x1.772684aa32eecp+0", "0x0.0p+0", "0x0.0p+0",
+      "0x1.e47eef29f68cfp+0"),
+     "0x0.0p+0"),
+]
+
+
+def _golden_instances():
+    rng = np.random.default_rng(2027)
+    return [
+        manufactured_unique(rng, family, order, dim)[0]
+        for family, order, dim, *_ in ENUMERATE_GOLDENS
+    ]
+
+
+def _hex(values):
+    return tuple(float(x).hex() for x in values)
+
+
+def test_enumerate_goldens_bit_for_bit():
+    for inst, golden in zip(_golden_instances(), ENUMERATE_GOLDENS):
+        support, z, w, violation = golden[3:]
+        certs = solve_enumerate(inst)
+        assert len(certs) == 1, golden[:3]
+        cert = certs[0]
+        assert cert.support == support, golden[:3]
+        assert _hex(cert.z) == z, golden[:3]
+        assert _hex(cert.w) == w, golden[:3]
+        assert float(cert.max_violation).hex() == violation, golden[:3]
+
+
+def _bits(certs):
+    return [(_hex(c.z), _hex(c.w), c.max_violation, c.support) for c in certs]
+
+
+def test_enumerate_batches_that_split_a_support_size_change_no_bit(monkeypatch):
+    # 12 rows per batch is not a multiple of the 8 starts of a support, so
+    # batches end inside a support's starts and inside a support size.
+    for inst in _golden_instances():
+        tensor = inst.tensor
+        default = _bits(solve_enumerate(inst))
+        monkeypatch.setattr(
+            solve_module, "_BATCH_ENTRIES", 12 * tensor.nnz * (tensor.order - 1)
+        )
+        assert solve_module._batch_rows(tensor) == 12
+        assert _bits(solve_enumerate(inst)) == default
+        monkeypatch.undo()
+
+
+def test_bad_tol_is_refused_before_any_newton_step(monkeypatch):
+    def no_newton(*args, **kwargs):
+        raise AssertionError("a Newton step ran before the tol check")
+
+    monkeypatch.setattr(solve_module, "jacobian_m1_batch", no_newton)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_enumerate(WORKED, SolveOptions(tol=tol))
+
+
+def test_enumerate_drops_singular_rows_of_several_sizes_in_one_batch(monkeypatch):
+    # w = (2 z1 - 2, z1 + 1, z3 + 1): no w_i depends on z2, so the Jacobian
+    # on every support holding 2, of sizes 1, 2 and 3, is singular.  All
+    # 56 rows run in one batch.
+    inst = TcpInstance(
+        DenseTensor(2, 3, {(1, 1): 2.0, (2, 1): 1.0, (3, 3): 1.0}),
+        np.array([-2.0, 1.0, 1.0]),
+    )
+    batches, singular_sizes = [], set()
+    newton, stacked = solve_module._newton_on_supports, solve_module._solve_stacked
+
+    def count_batches(inst, mask, starts):
+        batches.append(mask.shape[0])
+        return newton(inst, mask, starts)
+
+    def record_singular(jac, rhs):
+        out = stacked(jac, rhs)
+        if np.isnan(out).any():
+            singular_sizes.add(rhs.shape[1])
+        return out
+
+    monkeypatch.setattr(solve_module, "_newton_on_supports", count_batches)
+    monkeypatch.setattr(solve_module, "_solve_stacked", record_singular)
+    certs = solve_enumerate(inst)
+    assert batches == [56]
+    assert singular_sizes == {1, 2, 3}
+    assert len(certs) == 1
+    np.testing.assert_array_equal(certs[0].z, [1.0, 0.0, 0.0])
+    assert certs[0].support == (1,)

@@ -283,3 +283,17 @@ def test_construction_rejects_non_iterable_index(key):
     # not iterable
     with pytest.raises(ValueError, match=f"index {key!r} must be a sequence"):
         DenseTensor(2, 2, {key: 1.0})
+
+
+def test_inf_norm_is_computed_once(monkeypatch):
+    t = DenseTensor(4, 2, {(1, 1, 1, 1): 2.0, (1, 2, 2, 2): -3.0, (2, 2, 2, 2): 4.0})
+    zero = DenseTensor(2, 2, {})
+    first = tensor_inf_norm(t)
+    assert first == 5.0
+
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("the norm was recomputed")
+
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    assert tensor_inf_norm(t) == first
+    assert tensor_inf_norm(zero) == 0.0
