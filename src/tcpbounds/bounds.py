@@ -193,10 +193,12 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     short-circuits to a zero residual flagged EXACT_SOLUTION.  A tensor whose
     ``||A||_inf`` overflows, or a ``u`` so far from ``z`` that
     ``||u - z||_inf^{m-1}`` or ``||A||_inf ||u - z||_inf^m`` leaves the float
-    range, raises ``ValueError`` before anything is contracted.  The max-form
-    ``u - max(0, u - s)`` is evaluated by componentwise selection, which
-    resolves the outer subtraction exactly and makes the result bitwise equal
-    to ``min(u, s)``.
+    range, raises ``ValueError`` before anything is contracted; so does a
+    ``w = A z^{m-1} + q`` whose root added to that of ``A (u - z)^{m-1}``
+    can overflow.  The max-form ``u - max(0, u - s)`` is evaluated by
+    componentwise selection on ``u > s``, the sign of ``u - s`` without its
+    overflow, which resolves the outer subtraction exactly and makes the
+    result bitwise equal to ``min(u, s)``.
     """
     _require_even_order(tensor, "the rooted residual")
     inst = TcpInstance(tensor, q)
@@ -235,11 +237,19 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
             f"A (u - z)^{{m-1}} overflows (||u - z||_inf = {d_inf}, ||A||_inf = "
             f"{norm}); u is too far from z, rescale the problem"
         )
+    # s below is at most ||A||^{1/(m-1)} ||d|| + ||w||^{1/(m-1)} in modulus;
+    # a sum of Python floats overflows to inf without a warning.
+    w_inf = max(map(abs, cert.w.tolist()))
+    if norm ** (1.0 / r) * d_inf + w_inf ** (1.0 / r) == math.inf:
+        raise ValueError(
+            f"root(A (u - z)^{{m-1}}) + root(A z^{{m-1}} + q) overflows (||w||_inf = "
+            f"{w_inf}, ||A||_inf = {norm}); rescale the problem"
+        )
     d = u - z
     contracted = contract_m1(tensor, d)
     # cert.w is the equilibrium term A z^{m-1} + q, already computed from z.
     s = signed_root(contracted, r) + signed_root(cert.w, r)
-    v = np.where(u - s > 0.0, s, u)
+    v = np.where(u > s, s, u)
     objective = d * contracted
     t0 = int(np.argmax(objective))
     argmax_value = float(objective[t0])

@@ -11,13 +11,13 @@ contraction) and ``F`` (signed-rooted contraction).  ``alpha > 0`` certifies
 the P-property; the bound formulas consume ``alpha(F)``.
 
 The minimum is estimated deterministically: the boundary of the cube
-``[-1, 1]^n`` is swept face by face on a regular grid and the best point is
-polished with coordinate descent.  Grid chunks are built by index arithmetic
-and each polish sweep evaluates its remaining trial points in one batch; the
-accepted steps, and so the value, are those of the one-trial-at-a-time
-first-improvement search.  Grid estimates never undershoot the true minimum,
-so a positive estimate is evidence, not proof; only the diagonal closed form
-is certified.
+``[-1, 1]^n`` is swept face by face on a regular grid, each boundary grid
+point evaluated once, and the best point is polished with coordinate
+descent.  Grid chunks are built by index arithmetic and each polish sweep
+evaluates its remaining trial points in one batch; the accepted steps, and
+so the value, are those of the one-trial-at-a-time first-improvement
+search.  Grid estimates never undershoot the true minimum, so a positive
+estimate is evidence, not proof; only the diagonal closed form is certified.
 """
 
 from __future__ import annotations
@@ -145,20 +145,27 @@ def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.n
 
 
 def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
-    """Chunks of the grid on the cube face ``x[fixed] = sign``.
+    """Chunks of the grid on the face ``x[fixed] = sign`` that no earlier face holds.
 
-    Rows come in ``itertools.product(axis, repeat=n - 1)`` order, the last
-    free coordinate varying fastest, at most ``_CHUNK`` rows per chunk.
+    The coordinates before ``fixed`` take only the interior axis values (a
+    point with an earlier ``|x_j| = 1`` lies on face ``j``), the later ones
+    every value, so over ``fixed = 0 .. n-1`` each boundary grid point comes
+    once.  Rows come in ``itertools.product`` order of the free coordinates,
+    the last varying fastest, at most ``_CHUNK`` rows per chunk.
     """
     if n == 1:
         yield np.array([[sign]])
         return
     g = axis.size
-    total = g ** (n - 1)
-    place = g ** np.arange(n - 2, -1, -1)
+    total = (g - 2) ** fixed * g ** (n - 1 - fixed)
+    radix = np.full(n - 1, g)
+    radix[:fixed] = g - 2
+    place = np.cumprod(np.r_[1, radix[:0:-1]])[::-1]
+    # Digit d of an interior coordinate indexes axis[d + 1].
+    shift = np.arange(n - 1) < fixed
     for start in range(0, total, _CHUNK):
         flat = np.arange(start, min(start + _CHUNK, total))
-        free = axis[(flat[:, None] // place) % g]
+        free = axis[(flat[:, None] // place) % radix + shift]
         pts = np.empty((free.shape[0], n))
         pts[:, :fixed] = free[:, :fixed]
         pts[:, fixed] = sign
@@ -173,14 +180,16 @@ def estimate_alpha(
 
     The boundary of ``[-1, 1]^n`` is covered by the ``2 n`` faces; each face is
     sampled on a regular grid of ``points_per_axis`` values per free
-    coordinate.  Ties are broken toward the lexicographically smallest point,
-    so the result is independent of evaluation schedule.  The best point is
-    then polished with coordinate descent that keeps the face's pinned
-    coordinate at +-1 and clips the rest to ``[-1, 1]``, so every iterate
-    stays on the unit sphere.  Each sweep tries ``+step`` then ``-step`` per
-    free coordinate and accepts the first trial that improves; the trials
-    left in the sweep are evaluated together in one batch from the current
-    point, which accepts exactly the steps of a one-trial-at-a-time search.
+    coordinate, and a grid point on several faces is evaluated once, on the
+    first face ``x_j = +-1`` it lies on.  Ties are broken toward the
+    lexicographically smallest point, so the result is independent of
+    evaluation schedule.  The best point is then polished with coordinate
+    descent that keeps the face's pinned coordinate at +-1 and clips the rest
+    to ``[-1, 1]``, so every iterate stays on the unit sphere.  Each sweep
+    tries ``+step`` then ``-step`` per free coordinate and accepts the first
+    trial that improves; the trials left in the sweep are evaluated together
+    in one batch from the current point, which accepts exactly the steps of a
+    one-trial-at-a-time search.
     """
     if kind not in (ALPHA_T, ALPHA_F):
         raise ValueError(f"kind must be {ALPHA_T!r} or {ALPHA_F!r}, got {kind!r}")

@@ -280,10 +280,14 @@ def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
     right = np.ones_like(xs)
     np.cumprod(xs[:, :-1], axis=1, out=left[:, 1:])
     np.cumprod(xs[:, :0:-1], axis=1, out=right[:, -2::-1])
+    # Each (nnz, m - 1, k) array goes as soon as it is used, to keep the peak low.
+    del xs
+    left *= right
+    del right
     # One row per (entry, position) pair, then the zero row for the padding.
-    partials = np.zeros((xs.shape[0] * xs.shape[1] + 1, k))
+    partials = np.zeros((left.shape[0] * left.shape[1] + 1, k))
     np.multiply(
-        tensor._vals[:, None, None], left * right, out=partials[:-1].reshape(xs.shape)
+        tensor._vals[:, None, None], left, out=partials[:-1].reshape(left.shape)
     )
     return _sum_by_slots(partials, tensor._jac_slots).reshape(k, n, n)
 

@@ -671,3 +671,19 @@ def test_u_whose_difference_from_z_overflows_is_refused():
     q = -contract_m1(tensor, z)
     with pytest.raises(ValueError, match=r"overflows \(\|\|u - z\|\|_inf = inf"):
         residual(tensor, q, z, (-1e308,))
+
+
+def test_overflowing_root_sum_is_refused_before_contracting():
+    # ||A|| ||u - z||^2 = 1e308 is finite, but root(A (u - z)) + root(w) =
+    # 1e308 + 1e308 overflowed in numpy with a warning before any refusal
+    tensor = DenseTensor.from_diagonal([1e308, 1.0], order=2)
+    with pytest.raises(ValueError, match=r"\+ root\(A z\^\{m-1\} \+ q\) overflows"):
+        diagonal_bounds(tensor, (1e308, -1.0), (0.0, 1.0), (1.0, 1.0))
+
+
+def test_residual_selection_does_not_overflow():
+    # u - s = -1e308 - 1.5e308 overflowed in numpy; u > s selects the same
+    # component without forming the difference
+    tensor = DenseTensor.from_diagonal([1e-310], order=2)
+    res = residual(tensor, (1.5e308,), (0.0,), (-1e308,))
+    assert res.v.tolist() == [-1e308] and res.v_t == -1e308

@@ -617,12 +617,32 @@ z: [0.0, 1.0]
 """
 
 
-@pytest.mark.parametrize("text", [WORKED_YAML, ORDER_2_YAML], ids=["order4", "order2"])
-def test_cli_overflowing_u_is_refused_without_a_warning(tmp_path, capsys, text):
-    # A(u-z)^{m-1} overflowed in numpy first: under -W error the warning was
-    # raised as a traceback with exit 1, otherwise printed before the refusal
+# ||A|| ||u - z||^2 is finite here, but w = A z + q = (1e308, 0), so
+# root(A (u - z)) + root(w) overflows.
+HUGE_W_YAML = """\
+order: 2
+dim: 2
+entries:
+  - idx: [1, 1]
+    val: 1.0e+308
+  - idx: [2, 2]
+    val: 1.0
+q: [1.0e+308, -1.0]
+z: [0.0, 1.0]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, u",
+    [(WORKED_YAML, "1e160,1e160"), (ORDER_2_YAML, "1e160,1e160"), (HUGE_W_YAML, "1,1")],
+    ids=["order4", "order2", "huge_w"],
+)
+def test_cli_overflowing_u_is_refused_without_a_warning(tmp_path, capsys, text, u):
+    # A(u-z)^{m-1}, or the sum of its root and w's, overflowed in numpy first:
+    # under -W error the warning was raised as a traceback with exit 1,
+    # otherwise printed before the refusal
     path = write(tmp_path, text)
-    argv = ["bounds", "--file", path, "--u", "1e160,1e160"]
+    argv = ["bounds", "--file", path, "--u", u]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and "overflows" in err
     proc = subprocess.run(

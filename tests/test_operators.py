@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from families import random_sparse_tensor
+from families import manufactured_unique, random_sparse_tensor
 from tcpbounds import (
     ALPHA_F,
     ALPHA_T,
@@ -193,17 +193,58 @@ def _reference_alpha(tensor, kind, grid):
     return value
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("g", [2, 3, 7, 11])
 def test_face_chunks_follow_product_order(n, g):
-    # n=5, g=11 has 14,641 rows per face: three full chunks and a partial one
+    # Face (fixed, sign) holds the grid points with x[fixed] = sign and no
+    # earlier |x_j| = 1, in product order, so over all faces each boundary
+    # point of the g^n grid comes once.  n=6, g=11 has 161,051 rows on face 0.
     axis = np.linspace(-1.0, 1.0, g)
+    place = g ** np.arange(n - 1, -1, -1)
+    seen = []
     for fixed in range(n):
         for sign in (-1.0, 1.0):
             chunks = list(_iter_face_chunks(axis, n, fixed, sign))
             assert all(c.shape[0] <= _CHUNK for c in chunks)
-            expected = np.concatenate(list(_product_face_chunks(axis, n, fixed, sign)))
-            assert np.array_equal(np.concatenate(chunks), expected)
+            face = np.concatenate(chunks) if chunks else np.empty((0, n))
+            assert np.all(face[:, fixed] == sign)
+            assert np.all(np.abs(face[:, :fixed]) < 1.0)
+            digits = np.searchsorted(axis, face)
+            assert np.array_equal(axis[digits], face)
+            flat = digits @ place
+            # The pinned coordinate is constant, so grid order is product order.
+            assert np.all(np.diff(flat) > 0)
+            seen.append(flat)
+    seen = np.concatenate(seen)
+    assert seen.size == g**n - (g - 2) ** n
+    assert np.bincount(seen).max() == 1
+
+
+# estimate_alpha(...).value as float.hex() for one seeded instance per
+# alpha-sweep shape, frozen from the sweep over all 2n full faces; visiting
+# each boundary point once keeps the point set, so the value must not move.
+ALPHA_GOLDENS = [
+    (4, 3, 41, ALPHA_F, "0x1.0359b1d810bdbp+0"),
+    (4, 3, 41, ALPHA_T, "0x1.e7e6525e52b70p-2"),
+    (4, 4, 21, ALPHA_F, "0x1.13cc9768f8393p+0"),
+    (4, 4, 21, ALPHA_T, "0x1.b28b8bed4226ep-2"),
+    (4, 5, 11, ALPHA_F, "0x1.da4540da167c7p-1"),
+    (4, 5, 11, ALPHA_T, "0x1.0bba91ac800c3p-2"),
+    (2, 4, 21, ALPHA_F, "0x1.a4aeb4446382ep-1"),
+    (2, 5, 11, ALPHA_F, "0x1.95be4f9afc7f9p-1"),
+    (2, 6, 7, ALPHA_F, "0x1.8fd5721f1639ap-1"),
+]
+
+
+def test_estimate_alpha_goldens():
+    rng = np.random.default_rng(1212)
+    tensors = {}
+    for order, n, g, kind, golden in ALPHA_GOLDENS:
+        if (order, n) not in tensors:
+            family = "row_power" if order > 2 else "general"
+            tensors[order, n] = manufactured_unique(rng, family, order, n)[0].tensor
+        est = estimate_alpha(tensors[order, n], kind, GridSpec(points_per_axis=g))
+        assert est.value.hex() == golden, (order, n, g, kind)
 
 
 def test_estimate_alpha_bit_identical_to_one_trial_polish():
