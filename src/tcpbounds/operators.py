@@ -13,15 +13,19 @@ the P-property; the bound formulas consume ``alpha(F)``.
 The minimum is estimated deterministically: the boundary of the cube
 ``[-1, 1]^n`` is swept face by face on a regular grid, each boundary grid
 point evaluated once, and the best point is polished with coordinate
-descent.  Grid chunks are built by index arithmetic and each polish sweep
-evaluates its remaining trial points in one batch; the accepted steps, and
-so the value, are those of the one-trial-at-a-time first-improvement
-search.  Grid estimates never undershoot the true minimum, so a positive
-estimate is evidence, not proof; only the diagonal closed form is certified.
+descent.  Grid chunks are built by broadcasting a block of the trailing
+coordinates against the leading ones, row maxima are taken column by column,
+and each polish sweep evaluates its remaining trial points in one batch; the
+accepted steps, and so the value, are those of the one-trial-at-a-time
+first-improvement search.  Grid estimates never undershoot the true minimum,
+so a positive estimate is evidence, not proof; only the diagonal closed form
+is certified.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +84,14 @@ class GridSpec:
     refinement_steps: int = 50
 
     def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be at least 2")
-        if self.refinement_steps < 0:
-            raise ValueError("refinement_steps must be nonnegative")
+        _require_int(self.points_per_axis, "points_per_axis", 2)
+        _require_int(self.refinement_steps, "refinement_steps", 0)
+
+
+def _require_int(value, name: str, least: int) -> None:
+    """Refuse anything but an integer ``>= least``, a float or ``bool`` included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,20 @@ def _map_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray
 
 def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
     """``max_i x_i * (op x)_i`` for each row of ``points``."""
-    return (points * _map_batch(tensor, points, kind)).max(axis=1)
+    return _row_max(points * _map_batch(tensor, points, kind))
+
+
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """The maximum of each row of ``values``, taken column by column.
+
+    numpy reduces a short inner axis slowly; ``n - 1`` in-place
+    ``np.maximum`` calls over the columns are exact, so they give what
+    ``np.max`` over axis 1 gives, bit for bit, signed zeros and NaN included.
+    """
+    out = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        np.maximum(out, values[:, j], out=out)
+    return out
 
 
 def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
@@ -152,25 +173,41 @@ def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
     every value, so over ``fixed = 0 .. n-1`` each boundary grid point comes
     once.  Rows come in ``itertools.product`` order of the free coordinates,
     the last varying fastest, at most ``_CHUNK`` rows per chunk.
+
+    The trailing free coordinates, as many as fit in ``_CHUNK`` rows (at
+    least the last one), form a block built once by broadcasting; a last
+    coordinate with more than ``_CHUNK`` values is cut into pieces.  Each
+    chunk repeats the block, or one piece, against the next few values of
+    the leading coordinates, which are generated lazily, so no array holds
+    more than ``_CHUNK`` rows whatever the size of the face.
     """
-    if n == 1:
-        yield np.array([[sign]])
+    values = [axis[1:-1]] * fixed + [axis] * (n - 1 - fixed)
+    sizes = [v.size for v in values]
+    if 0 in sizes:
         return
-    g = axis.size
-    total = (g - 2) ** fixed * g ** (n - 1 - fixed)
-    radix = np.full(n - 1, g)
-    radix[:fixed] = g - 2
-    place = np.cumprod(np.r_[1, radix[:0:-1]])[::-1]
-    # Digit d of an interior coordinate indexes axis[d + 1].
-    shift = np.arange(n - 1) < fixed
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total))
-        free = axis[(flat[:, None] // place) % radix + shift]
-        pts = np.empty((free.shape[0], n))
-        pts[:, :fixed] = free[:, :fixed]
-        pts[:, fixed] = sign
-        pts[:, fixed + 1 :] = free[:, fixed:]
-        yield pts
+    # Free coordinate i sits in column i of a point, or i + 1 past ``fixed``.
+    cols = [i + (i >= fixed) for i in range(n - 1)]
+    # The block holds the trailing k free coordinates.
+    k = 1
+    while k < n - 1 and math.prod(sizes[-k - 1 :]) <= _CHUNK:
+        k += 1
+    block = np.empty((math.prod(sizes[-k:]), n))
+    grid = block.reshape(*sizes[-k:], n)
+    grid[..., fixed] = sign
+    for d, (col, v) in enumerate(zip(cols[-k:], values[-k:])):
+        grid[..., col] = v.reshape(-1, *[1] * (k - 1 - d))
+    pieces = [block[s : s + _CHUNK] for s in range(0, block.shape[0], _CHUNK)]
+    per_chunk = max(1, _CHUNK // block.shape[0])
+    leading = itertools.product(*values[:-k])
+    while lead := list(itertools.islice(leading, per_chunk)):
+        lead = np.array(lead)
+        for piece in pieces:
+            pts = np.empty((lead.shape[0] * piece.shape[0], n))
+            rows = pts.reshape(lead.shape[0], piece.shape[0], n)
+            rows[:] = piece
+            for c, col in enumerate(cols[:-k]):
+                rows[:, :, col] = lead[:, c, None]
+            yield pts
 
 
 def estimate_alpha(
@@ -311,8 +348,8 @@ def check_p_tensor_sampled(
     batch kernel equals ``contract_m1`` bit for bit.  A clean sweep only says
     LIKELY_P: sampling cannot certify the property.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    _require_int(sample_count, "sample_count", 1)
+    _require_int(seed, "seed", 0)
     n = tensor.dim
     units = np.vstack([np.eye(n), -np.eye(n)])
     rng = np.random.default_rng(seed)
@@ -323,7 +360,7 @@ def check_p_tensor_sampled(
     norms[degenerate] = 1.0
     points = np.vstack([units, raw / norms[:, None]])
 
-    values = (points * contract_m1_batch(tensor, points)).max(axis=1)
+    values = _row_max(points * contract_m1_batch(tensor, points))
     hits = np.flatnonzero(values <= 0.0)
     if hits.size:
         k = hits[0]

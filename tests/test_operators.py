@@ -1,6 +1,7 @@
 """Normalized operators, the alpha search, and the sampled P-property check."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from tcpbounds import (
     diagonal_alpha_estimate,
     estimate_alpha,
 )
-from tcpbounds.operators import _CHUNK, _INITIAL_STEP, _iter_face_chunks, _objective_batch
+from tcpbounds.operators import (
+    _CHUNK,
+    _INITIAL_STEP,
+    _iter_face_chunks,
+    _objective_batch,
+    _row_max,
+)
 
 HAND3 = DenseTensor(3, 2, {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0})
 
@@ -220,6 +227,46 @@ def test_face_chunks_follow_product_order(n, g):
     assert np.bincount(seen).max() == 1
 
 
+def test_face_chunks_cut_a_long_last_axis():
+    # More than _CHUNK values per axis: the last coordinate alone overflows a
+    # chunk, so it is cut into pieces, still in product order.
+    axis = np.linspace(-1.0, 1.0, _CHUNK + 3)
+    product = itertools.product(axis, repeat=2)
+    for chunk in itertools.islice(_iter_face_chunks(axis, 3, 0, -1.0), 5):
+        assert 0 < chunk.shape[0] <= _CHUNK
+        want = np.asarray(list(itertools.islice(product, chunk.shape[0])))
+        assert np.array_equal(chunk, np.insert(want, 0, -1.0, axis=1))
+
+
+def test_face_chunks_stay_small_on_a_huge_face():
+    # Face 0 of n=6, g=41 has 41**5 ~ 1.2e8 rows, about 5.5 GB as one array.
+    axis = np.linspace(-1.0, 1.0, 41)
+    tracemalloc.start()
+    try:
+        chunk = next(_iter_face_chunks(axis, 6, 0, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chunk.shape[0] <= _CHUNK
+    assert peak < 4 * _CHUNK * 6 * 8
+    want = np.asarray(list(itertools.islice(itertools.product(axis, repeat=5), chunk.shape[0])))
+    assert np.array_equal(chunk, np.insert(want, 0, 1.0, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_row_max_is_numpy_max_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    values = rng.choice([-0.0, 0.0, -1.5, 2.0, np.nan, -np.inf], size=(5000, n))
+    if n == 2:
+        edge = [[-0.0, 0.0], [0.0, -0.0], [np.nan, 1.0], [1.0, np.nan], [-0.0, -0.0]]
+        values = np.vstack([edge, values])
+    before = values.copy()
+    got, want = _row_max(values), values.max(axis=1)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(values, before, equal_nan=True)
+
+
 # estimate_alpha(...).value as float.hex() for one seeded instance per
 # alpha-sweep shape, frozen from the sweep over all 2n full faces; visiting
 # each boundary point once keeps the point set, so the value must not move.
@@ -289,6 +336,24 @@ def test_alpha_F_rejects_odd_order():
 def test_grid_spec_validation(kwargs):
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda t: GridSpec(points_per_axis=7.0), "points_per_axis"),
+        (lambda t: GridSpec(refinement_steps=2.5), "refinement_steps"),
+        (lambda t: GridSpec(refinement_steps=True), "refinement_steps"),
+        (lambda t: check_p_tensor_sampled(t, sample_count=3.5), "sample_count"),
+        (lambda t: check_p_tensor_sampled(t, sample_count=True), "sample_count"),
+        (lambda t: check_p_tensor_sampled(t, seed=0.5), "seed"),
+    ],
+)
+def test_non_integer_counts_are_refused_by_name(make, name):
+    # Each used to pass the constructor, or to fail later with a bare
+    # TypeError from np.linspace, range or the random generator.
+    with pytest.raises(ValueError, match=name):
+        make(HAND3)
 
 
 def test_check_p_likely_on_positive_diagonal():
