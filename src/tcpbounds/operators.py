@@ -35,6 +35,7 @@ from .tensor import (
     _as_vector,
     _require_even_order,
     _require_positive_diagonal,
+    _row_max,
     contract_m1_batch,
     signed_root,
 )
@@ -150,19 +151,6 @@ def _map_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray
 def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
     """``max_i x_i * (op x)_i`` for each row of ``points``."""
     return _row_max(points * _map_batch(tensor, points, kind))
-
-
-def _row_max(values: np.ndarray) -> np.ndarray:
-    """The maximum of each row of ``values``, taken column by column.
-
-    numpy reduces a short inner axis slowly; ``n - 1`` in-place
-    ``np.maximum`` calls over the columns are exact, so they give what
-    ``np.max`` over axis 1 gives, bit for bit, signed zeros and NaN included.
-    """
-    out = values[:, 0].copy()
-    for j in range(1, values.shape[1]):
-        np.maximum(out, values[:, j], out=out)
-    return out
 
 
 def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):

@@ -6,8 +6,11 @@ At desk scale the active set can be enumerated outright: for every support
 ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved from several
 seeded starts by batched damped Newton with an analytic Jacobian: the
 (support, start) pairs of every support size iterate together, each stopping
-on its own test, and only the linear solves are grouped by support size.
-Every root that satisfies the sign and complementarity conditions is kept.
+on its own test, and only the linear solves are grouped by support size, each
+size one slice of the rows.  Row maxima and finiteness tests are taken column
+by column, which is exact and avoids numpy's slow reduction over a short
+axis.  Every root that satisfies the sign and complementarity conditions is
+kept.
 Certificates always recompute ``w`` and the violation measure from ``z``;
 nothing is trusted from the caller.
 """
@@ -24,6 +27,7 @@ from .tensor import (
     DenseTensor,
     _as_vector,
     _require_positive_diagonal,
+    _row_max,
     contract_m1,
     contract_m1_batch,
     jacobian_m1_batch,
@@ -237,20 +241,26 @@ def _newton_on_supports(
     """Damped Newton for ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S``, per row.
 
     Row ``r`` solves on the support ``S = mask[r]`` from ``starts[r]`` (zero
-    off ``S``); all rows run together, whatever their support sizes, and each
-    stops on its own test.  Iterates stay in ``dim`` coordinates and residuals
-    are zero off ``S``.  An iteration solves the Jacobian system on ``S``, one
-    stacked solve per support size, then tries the damping factors
-    ``_DAMPING`` in order and takes the first whose residual max-norm is
-    finite and below the current one.  A row stops when its taken step is at
-    most ``_STEP_TOL`` or when no factor helps (keeping its iterate), and is
-    dropped when its residual at the start is not finite or its Jacobian is
-    singular or gives a non-finite step.  Returns the kept rows' final
-    iterates.
+    off ``S``); the rows come in ascending support size, all run together,
+    and each stops on its own test.  Iterates stay in ``dim`` coordinates and
+    residuals are zero off ``S``.  An iteration solves the Jacobian system on
+    ``S``, one stacked solve per support size, whose rows are one slice of
+    the active rows, then tries the damping factors ``_DAMPING`` in order and
+    takes the first whose residual max-norm is below the current one.  A row
+    stops when its taken step is at most ``_STEP_TOL`` or when no factor
+    helps (keeping its iterate), and is dropped when its residual at the
+    start is not finite or its Jacobian is singular or gives a non-finite
+    step.  Every max-norm is :func:`_row_max` of the absolute values, which is
+    NaN or inf exactly when the row has a NaN or inf entry; so "finite" is
+    "finite max-norm", and a trial's NaN or inf residual is never below the
+    current, finite, one.  Returns the kept rows' final iterates.
     """
     tensor, q = inst.tensor, inst.q
     n = tensor.dim
     size = mask.sum(axis=1)
+    # Row r's support columns, ascending, are support[r, :size[r]].
+    support = np.argsort(~mask, axis=1, kind="stable")
+    sizes = np.arange(1, n + 2)
 
     def residual(sel: np.ndarray, z: np.ndarray) -> np.ndarray:
         f = np.zeros(z.shape)
@@ -261,7 +271,7 @@ def _newton_on_supports(
 
     z = starts.copy()
     f = residual(np.arange(mask.shape[0]), z)
-    keep = np.isfinite(f).all(axis=1)
+    keep = np.isfinite(_row_max(np.abs(f)))
     active = keep.copy()
     for _ in range(_MAX_ITERATIONS):
         act = np.flatnonzero(active)
@@ -269,23 +279,26 @@ def _newton_on_supports(
             break
         jac = jacobian_m1_batch(tensor, z[act])
         step = np.zeros((act.size, n))
-        # The sizes present, ascending; np.unique would do, but its first
-        # call alone raises the resident memory by about 1 MB.
-        for s in np.flatnonzero(np.bincount(size[act])).tolist():
-            group = np.flatnonzero(size[act] == s)
-            sub = np.nonzero(mask[act[group]])[1].reshape(group.size, s)
-            step[group[:, None], sub] = _solve_stacked(
-                jac[group[:, None, None], sub[:, :, None], sub[:, None, :]],
-                -f[act[group][:, None], sub],
+        # The rows come in ascending support size, so each size present is
+        # one slice act[lo:hi].
+        edges = np.searchsorted(size[act], sizes).tolist()
+        for s, lo, hi in zip(sizes.tolist(), edges, edges[1:]):
+            if lo == hi:
+                continue
+            rows = np.arange(hi - lo)[:, None]
+            sub = support[act[lo:hi], :s]
+            step[lo:hi][rows, sub] = _solve_stacked(
+                jac[lo:hi][rows[:, :, None], sub[:, :, None], sub[:, None, :]],
+                -f[act[lo:hi, None], sub],
             )
-        bad = ~np.isfinite(step).all(axis=1)
+        bad = ~np.isfinite(_row_max(np.abs(step)))
         keep[act[bad]] = active[act[bad]] = False
         act, step = act[~bad], step[~bad]
 
         # Backtrack: the full step for every row, then the remaining factors
         # in blocks for the rows still waiting, first acceptable factor wins.
         # A block holds at most batch_rows trial points.
-        base = np.max(np.abs(f[act]), axis=1)
+        base = _row_max(np.abs(f[act]))
         taken = np.full(act.size, -1)
         f_new = np.empty((act.size, n))
         waiting = np.arange(act.size)
@@ -296,10 +309,12 @@ def _newton_on_supports(
             trial = z[act[waiting], None, :] + block[None, :, None] * step[waiting, None, :]
             f_trial = residual(
                 np.repeat(act[waiting], block.size), trial.reshape(-1, n)
-            ).reshape(waiting.size, block.size, n)
-            good = np.isfinite(f_trial).all(axis=2) & (
-                np.max(np.abs(f_trial), axis=2) < base[waiting, None]
             )
+            good = (
+                _row_max(np.abs(f_trial)).reshape(waiting.size, block.size)
+                < base[waiting, None]
+            )
+            f_trial = f_trial.reshape(waiting.size, block.size, n)
             hit = good.any(axis=1)
             first = np.argmax(good, axis=1)[hit]
             taken[waiting[hit]] = level + first
@@ -314,7 +329,7 @@ def _newton_on_supports(
         damped = _DAMPING[taken][:, None] * step
         z[act] = z[act] + damped
         f[act] = f_new[moved]
-        active[act[np.max(np.abs(damped), axis=1) <= _STEP_TOL]] = False
+        active[act[_row_max(np.abs(damped)) <= _STEP_TOL]] = False
     return z[keep]
 
 

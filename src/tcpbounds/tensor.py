@@ -227,6 +227,19 @@ def _sum_by_slots(values: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """The maximum of each row of the 2-d array ``values``, taken column by column.
+
+    numpy reduces a short inner axis slowly; ``n - 1`` in-place
+    ``np.maximum`` calls over the columns are exact, so they give what
+    ``np.max`` over axis 1 gives, bit for bit, signed zeros and NaN included.
+    """
+    out = values[:, 0].copy()
+    for j in range(1, values.shape[1]):
+        np.maximum(out, values[:, j], out=out)
+    return out
+
+
 def _as_points(tensor: DenseTensor, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != tensor.dim:
@@ -275,19 +288,28 @@ def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
     if tensor._jac_slots is None:
         keys = (tensor._rows[:, None] * n + tensor._cols).ravel()
         object.__setattr__(tensor, "_jac_slots", _slot_table(keys, n * n))
-    xs = np.ascontiguousarray(pts.T)[tensor._cols]  # (nnz, m - 1, k)
-    left = np.ones_like(xs)
-    right = np.ones_like(xs)
-    np.cumprod(xs[:, :-1], axis=1, out=left[:, 1:])
-    np.cumprod(xs[:, :0:-1], axis=1, out=right[:, -2::-1])
-    # Each (nnz, m - 1, k) array goes as soon as it is used, to keep the peak low.
+    nnz, m1 = tensor._cols.shape
+    # Position-major, so each position's (nnz, k) slice is contiguous.
+    xs = np.ascontiguousarray(pts.T)[tensor._cols.T]  # (m - 1, nnz, k)
+    left = np.empty_like(xs)
+    right = np.empty_like(xs)
+    left[0] = 1.0
+    right[-1] = 1.0
+    # left[p] multiplies the factors before position p from the first one on,
+    # right[p] those after it from the last one in: cumprod's order, so its bits.
+    for p in range(1, m1):
+        np.multiply(left[p - 1], xs[p - 1], out=left[p])
+        np.multiply(right[m1 - p], xs[m1 - p], out=right[m1 - p - 1])
+    # Each (m - 1, nnz, k) array goes as soon as it is used, to keep the peak low.
     del xs
     left *= right
     del right
     # One row per (entry, position) pair, then the zero row for the padding.
-    partials = np.zeros((left.shape[0] * left.shape[1] + 1, k))
+    partials = np.zeros((nnz * m1 + 1, k))
     np.multiply(
-        tensor._vals[:, None, None], left, out=partials[:-1].reshape(left.shape)
+        tensor._vals[:, None],
+        left,
+        out=partials[:-1].reshape(nnz, m1, k).transpose(1, 0, 2),
     )
     return _sum_by_slots(partials, tensor._jac_slots).reshape(k, n, n)
 

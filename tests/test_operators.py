@@ -31,8 +31,8 @@ from tcpbounds.operators import (
     _INITIAL_STEP,
     _iter_face_chunks,
     _objective_batch,
-    _row_max,
 )
+from tcpbounds.tensor import _row_max
 
 HAND3 = DenseTensor(3, 2, {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0})
 

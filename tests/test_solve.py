@@ -475,3 +475,61 @@ def test_enumerate_drops_singular_rows_of_several_sizes_in_one_batch(monkeypatch
     assert len(certs) == 1
     np.testing.assert_array_equal(certs[0].z, [1.0, 0.0, 0.0])
     assert certs[0].support == (1,)
+
+
+
+@pytest.mark.parametrize("batch_entries", [1, solve_module._BATCH_ENTRIES])
+def test_newton_acceptance_rule_is_finite_and_below_base(monkeypatch, batch_entries):
+    # Identity matrix and q = -0.0, so the residual is the contraction itself,
+    # the Jacobian is I and a row starting at (s, 3) with residual (2, 1)
+    # steps by (-2, -1): its trial at factor d has first coordinate s - 2 d.
+    # The fake contraction returns a chosen residual for each such trial;
+    # a factor not listed gets one whose maximum equals the base, 2.
+    d = solve_module._DAMPING
+    nan, inf = np.nan, np.inf
+    at_base = [2.0, 2.0]
+    ok_start = [2.0, 1.0]
+    scenarios = [
+        ([nan, 1.0], {}),  # dropped: NaN at the start
+        ([inf, 1.0], {}),  # dropped: +inf at the start
+        ([1.0, -inf], {}),  # dropped: -inf at the start
+        # NaN, +inf, -inf, |entry| equal to the base twice, then -0.0 entries
+        (ok_start, {0: [nan, 0.0], 1: [0.0, inf], 2: [-inf, 0.0], 3: [2.0, 0.0],
+                    4: [0.0, -2.0], 5: [-0.0, -0.0]}),
+        (ok_start, {0: [-0.0, 1.0]}),  # the full step, with a -0.0 entry
+        (ok_start, {0: [1.0, nan], 1: [1.999, 0.0]}),  # just below the base
+        # stopped: no factor is finite and below the base
+        (ok_start, {k: [[nan, 0.0], [-2.0, 0.0], [inf, 0.0]][k % 3] for k in range(27)}),
+    ]
+    starts = np.array([[4.0 * r + 3.0, 3.0] for r in range(len(scenarios))])
+    table = {}
+    for (s, _), (start_f, trials) in zip(starts, scenarios):
+        table[s] = start_f
+        for k in range(d.size):
+            table[s - 2.0 * d[k]] = trials.get(k, at_base)
+
+    def fake_contract(tensor, points):
+        return np.array([table[float(p[0])] for p in points])
+
+    monkeypatch.setattr(solve_module, "contract_m1_batch", fake_contract)
+    monkeypatch.setattr(solve_module, "_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(solve_module, "_BATCH_ENTRIES", batch_entries)
+    identity = DenseTensor(2, 2, {(1, 1): 1.0, (2, 2): 1.0})
+    inst = TcpInstance(identity, np.array([-0.0, -0.0]))
+    got = solve_module._newton_on_supports(inst, np.ones(starts.shape, dtype=bool), starts)
+
+    # The rule with whole-row reductions: finite, and max |f| below the base.
+    want = []
+    for start, (start_f, trials) in zip(starts, scenarios):
+        if not np.isfinite(start_f).all():
+            continue
+        base = np.max(np.abs(start_f))
+        accepted = [
+            k for k in range(d.size)
+            if np.isfinite(f := np.array(trials.get(k, at_base))).all()
+            and np.max(np.abs(f)) < base
+        ]
+        want.append(start - d[accepted[0]] * np.array(start_f) if accepted else start)
+    assert [list(z) for z in got] == [list(z) for z in want]
+    # Factors 1/32, 1 and 1/2, then a stopped row: the rule told them apart.
+    assert [float(z[0]) for z in got] == [15.0 - 2.0 / 32, 17.0, 22.0, 27.0]

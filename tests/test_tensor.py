@@ -211,6 +211,53 @@ def test_jacobian_repeated_columns_and_zeros():
     assert jacobian_m1_batch(DenseTensor(3, 2, {}), np.ones((3, 2))).shape == (3, 2, 2)
 
 
+def _jacobian_cumprod(tensor, points):
+    """The Jacobian with prefix and suffix products from ``np.cumprod``.
+
+    ``np.bincount`` sums each bin from +0.0 in stored-entry, then position,
+    order, the order the kernel promises.
+    """
+    pts = np.asarray(points, dtype=float)
+    k, n = pts.shape
+    cols = tensor._cols
+    xs = pts.T[cols]  # (nnz, m - 1, k)
+    left = np.ones_like(xs)
+    right = np.ones_like(xs)
+    np.cumprod(xs[:, :-1], axis=1, out=left[:, 1:])
+    np.cumprod(xs[:, :0:-1], axis=1, out=right[:, -2::-1])
+    partials = tensor._vals[:, None, None] * (left * right)
+    keys = (tensor._rows[:, None] * n + cols).ravel()
+    return np.stack(
+        [
+            np.bincount(keys, weights=partials[:, :, b].ravel(), minlength=n * n)
+            for b in range(k)
+        ]
+    ).reshape(k, n, n)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 6])
+def test_jacobian_equals_the_cumprod_formula_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for dim in (1, 2, 3):
+        # At dim <= 3 most entries of order >= 3 repeat a column index.
+        t = random_sparse_tensor(rng, order, dim, 12)
+        pts = rng.uniform(-2.0, 2.0, (40, dim))
+        # A third of the coordinates are signed zeros, infinities or NaN.
+        spots = rng.random(pts.shape) < 1 / 3
+        pts[spots] = rng.choice(special, size=int(spots.sum()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = jacobian_m1_batch(t, pts)
+            want = _jacobian_cumprod(t, pts)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (order, dim)
+    # Every position of one column index: a[1, 2, ..., 2].
+    t = DenseTensor(order, 2, {(1,) + (2,) * (order - 1): 3.0, (2,) * order: -1.0})
+    pts = np.array([[1.5, -0.0], [0.0, 2.0], [np.inf, 0.0], [1.0, np.nan], [-np.inf, 2.0]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = jacobian_m1_batch(t, pts), _jacobian_cumprod(t, pts)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_inf_norm_matches_oracle():
     rng = np.random.default_rng(3)
     for _ in range(60):
