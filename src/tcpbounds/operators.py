@@ -17,7 +17,11 @@ descent.  Grid chunks are built by broadcasting a block of the trailing
 coordinates against the leading ones, row maxima are taken column by column,
 and each polish sweep evaluates its remaining trial points in one batch; the
 accepted steps, and so the value, are those of the one-trial-at-a-time
-first-improvement search.  Grid estimates never undershoot the true minimum,
+first-improvement search.  Each estimate allocates one scratch buffer, sized
+for its largest chunk, and every batch contraction of the sweep and the
+polish runs in it; ``T`` or ``F``, the product with the points and the row
+maxima then work on the contraction's output in place, so no chunk allocates
+a large temporary.  Grid estimates never undershoot the true minimum,
 so a positive estimate is evidence, not proof; only the diagonal closed form
 is certified.
 """
@@ -36,6 +40,7 @@ from .tensor import (
     _require_even_order,
     _require_positive_diagonal,
     _row_max,
+    _work_rows,
     contract_m1_batch,
     signed_root,
 )
@@ -136,21 +141,39 @@ def apply_F(tensor: DenseTensor, x) -> np.ndarray:
     return _map_batch(tensor, _as_vector(x, tensor.dim, "x")[None, :], ALPHA_F)[0]
 
 
-def _map_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
-    """``T`` (``kind == ALPHA_T``) or ``F`` applied to each row of ``points``."""
-    contracted = contract_m1_batch(tensor, points)
+def _map_batch(
+    tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """``T``, ``F`` or, for ``kind=None``, the bare contraction of each row of ``points``.
+
+    The map is applied in place to the result of :func:`contract_m1_batch`,
+    a ``(k, n)`` view of ``work`` (or of the buffer the kernel allocates
+    without it) whose transpose is contiguous.
+    """
     if kind == ALPHA_T:
-        norms = np.sqrt((points * points).sum(axis=1))
+        # The squares go through the buffer before the kernel takes it over.
+        squares = points * points if work is None else np.multiply(
+            points, points, out=work[: points.size].reshape(points.shape)
+        )
+        norms = np.sqrt(squares.sum(axis=1))
         factors = np.zeros(points.shape[0])
         nz = norms > 0.0
         factors[nz] = norms[nz] ** (2 - tensor.order)
-        return contracted * factors[:, None]
-    return signed_root(contracted, tensor.order - 1)
+    mapped = contract_m1_batch(tensor, points, work)
+    if kind == ALPHA_T:
+        mapped *= factors[:, None]
+    elif kind == ALPHA_F:
+        signed_root(mapped, tensor.order - 1, out=mapped)
+    return mapped
 
 
-def _objective_batch(tensor: DenseTensor, points: np.ndarray, kind: str) -> np.ndarray:
-    """``max_i x_i * (op x)_i`` for each row of ``points``."""
-    return _row_max(points * _map_batch(tensor, points, kind))
+def _objective(
+    tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
+) -> np.ndarray:
+    """``max_i x_i * (op x)_i`` for each row of ``points``, ``op`` as in :func:`_map_batch`."""
+    mapped = _map_batch(tensor, points, kind, work)
+    # Column i of ``mapped`` is a contiguous row of the kernel's output.
+    return _row_max(np.multiply(points, mapped, out=mapped))
 
 
 def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
@@ -223,6 +246,10 @@ def estimate_alpha(
     grid = grid or GridSpec()
     n = tensor.dim
     axis = np.linspace(-1.0, 1.0, grid.points_per_axis)
+    # One buffer for every kernel call: the largest face chunk, or a polish
+    # sweep's 2 (n - 1) trials.
+    rows = min(_CHUNK, max(axis.size ** (n - 1), 2 * (n - 1)))
+    work = np.empty(rows * _work_rows(tensor))
 
     best_val = np.inf
     best_point: tuple | None = None
@@ -230,7 +257,7 @@ def estimate_alpha(
     for fixed in range(n):
         for sign in (-1.0, 1.0):
             for pts in _iter_face_chunks(axis, n, fixed, sign):
-                vals = _objective_batch(tensor, pts, kind)
+                vals = _objective(tensor, pts, kind, work)
                 local_min = float(vals.min())
                 if local_min > best_val:
                     continue
@@ -262,7 +289,7 @@ def estimate_alpha(
                 break
             trials = point[None, :].repeat(live.size, axis=0)
             trials[np.arange(live.size), js[live]] = moved[live]
-            vals = _objective_batch(tensor, trials, kind)
+            vals = _objective(tensor, trials, kind, work)
             better = (vals < value).nonzero()[0]
             if better.size == 0:
                 break
@@ -325,39 +352,49 @@ def alpha_for(
     return estimate_alpha(tensor, kind, grid)
 
 
+def _sample_chunks(n: int, sample_count: int, seed: int):
+    """The points :func:`check_p_tensor_sampled` evaluates, ``_CHUNK`` rows at a time.
+
+    First the ``2 n`` unit vectors ``+-e_i``, then ``sample_count`` uniform
+    draws from ``[-1, 1]^n`` scaled to max-norm 1 (an all-zero draw becomes
+    ``e_1``).  Drawing in chunks takes the same values as one large draw.
+    """
+    units = np.vstack([np.eye(n), -np.eye(n)])
+    for start in range(0, 2 * n, _CHUNK):
+        yield units[start : start + _CHUNK]
+    rng = np.random.default_rng(seed)
+    for start in range(0, sample_count, _CHUNK):
+        raw = rng.uniform(-1.0, 1.0, size=(min(_CHUNK, sample_count - start), n))
+        norms = _row_max(np.abs(raw))
+        degenerate = norms == 0.0
+        raw[degenerate] = np.eye(n)[0]
+        norms[degenerate] = 1.0
+        raw /= norms[:, None]
+        yield raw
+
+
 def check_p_tensor_sampled(
     tensor: DenseTensor, sample_count: int = 64, seed: int = 0
 ) -> PTensorCheck:
     """Sample ``max_i x_i (A x^{m-1})_i`` on the unit sphere, unit vectors first.
 
-    Every point is evaluated once, in one batch.  The first point with a
-    nonpositive value disproves the P-property and is returned as a witness
-    whose value reproduces exactly under ``max(x * contract_m1(A, x))``: the
-    batch kernel equals ``contract_m1`` bit for bit.  A clean sweep only says
-    LIKELY_P: sampling cannot certify the property.
+    Every point is evaluated once, ``_CHUNK`` points at a time through one
+    buffer, so memory does not grow with ``sample_count``.  The first point
+    with a nonpositive value disproves the P-property and is returned as a
+    witness whose value reproduces exactly under ``max(x * contract_m1(A,
+    x))``: the batch kernel equals ``contract_m1`` bit for bit.  A clean
+    sweep only says LIKELY_P: sampling cannot certify the property.
     """
     _require_int(sample_count, "sample_count", 1)
     _require_int(seed, "seed", 0)
     n = tensor.dim
-    units = np.vstack([np.eye(n), -np.eye(n)])
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-1.0, 1.0, size=(sample_count, n))
-    norms = np.max(np.abs(raw), axis=1)
-    degenerate = norms == 0.0
-    raw[degenerate] = np.eye(n)[0]
-    norms[degenerate] = 1.0
-    points = np.vstack([units, raw / norms[:, None]])
-
-    values = _row_max(points * contract_m1_batch(tensor, points))
-    hits = np.flatnonzero(values <= 0.0)
-    if hits.size:
-        k = hits[0]
-        return PTensorCheck(
-            verdict=NOT_P,
-            witness=points[k].copy(),
-            witness_value=float(values[k]),
-            points_checked=points.shape[0],
-        )
-    return PTensorCheck(
-        verdict=LIKELY_P, witness=None, witness_value=None, points_checked=points.shape[0]
-    )
+    work = np.empty(min(_CHUNK, max(2 * n, sample_count)) * _work_rows(tensor))
+    witness = witness_value = None
+    for points in _sample_chunks(n, sample_count, seed):
+        values = _objective(tensor, points, None, work)
+        hits = np.flatnonzero(values <= 0.0)
+        if witness is None and hits.size:
+            witness = points[hits[0]].copy()
+            witness_value = float(values[hits[0]])
+    verdict = LIKELY_P if witness is None else NOT_P
+    return PTensorCheck(verdict, witness, witness_value, 2 * n + sample_count)

@@ -7,7 +7,12 @@ number of nonzeros rather than ``n**m``.  All vector arguments may be anything
 ``np.asarray`` accepts; results are float64 arrays or floats.
 
 Every function here is a pure function of immutable inputs: ``DenseTensor``
-never mutates after construction and no operation writes to its arguments.
+never mutates after construction and no operation writes to its arguments,
+save the buffers handed over for it.  :func:`contract_m1_batch` takes an
+optional flat ``work`` buffer that holds all its temporaries and its result,
+so a caller that makes many batch calls, such as the alpha sweep, reuses one
+block of memory instead of allocating per call; :func:`signed_root` can write
+its roots to ``out``, the input itself included.
 """
 
 from __future__ import annotations
@@ -107,9 +112,12 @@ class DenseTensor:
         object.__setattr__(self, "_entries", clean)
         items = sorted(clean.items())
         rows = np.array([idx[0] - 1 for idx, _ in items], dtype=np.intp)
-        cols = np.array(
-            [[i - 1 for i in idx[1:]] for idx, _ in items], dtype=np.intp
-        ).reshape(len(items), order - 1)
+        # Fortran order, so each position's column is contiguous for the kernels.
+        cols = np.asfortranarray(
+            np.array([[i - 1 for i in idx[1:]] for idx, _ in items], dtype=np.intp).reshape(
+                len(items), order - 1
+            )
+        )
         vals = np.array([v for _, v in items], dtype=float)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
@@ -212,19 +220,23 @@ def _slot_table(keys: np.ndarray, bins: int) -> np.ndarray:
     return table
 
 
-def _sum_by_slots(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _sum_by_slots(
+    values: np.ndarray, table: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Sum the rows of ``values`` (shape ``(len(keys) + 1, k)``, last row zero) by bin.
 
-    Returns shape ``(k, bins)``.  Accumulating one slot at a time keeps the
-    temporaries at ``bins * k``.  The sums start from ``+0.0``, as
-    ``np.bincount``'s do, so a bin whose values are all ``-0.0`` sums to
-    ``+0.0`` there too.
+    Writes the ``(bins, k)`` sums to ``out`` and returns it; ``scratch``, of
+    the same shape, holds one gathered slot at a time.  The sums start from
+    ``+0.0``, as ``np.bincount``'s do, so a bin whose values are all ``-0.0``
+    sums to ``+0.0`` there too.
     """
-    out = values[table[0]]
+    # mode="clip" writes straight to ``out``; the default "raise" buffers it.
+    # The method skips np.take's Python wrapper, a large share at small k.
+    values.take(table[0], axis=0, out=out, mode="clip")
     out += 0.0
     for slot in table[1:]:
-        out += values[slot]
-    return np.ascontiguousarray(out.T)
+        out += values.take(slot, axis=0, out=scratch, mode="clip")
+    return out
 
 
 def _row_max(values: np.ndarray) -> np.ndarray:
@@ -249,25 +261,52 @@ def _as_points(tensor: DenseTensor, points) -> np.ndarray:
     return pts
 
 
-def contract_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
+def _work_rows(tensor: DenseTensor) -> int:
+    """Rows of ``k`` floats that :func:`contract_m1_batch` uses for ``k`` points."""
+    nnz, m1 = tensor._cols.shape
+    # The points, the result, the products with their zero row and, past
+    # order 2, the gathered factors.
+    return 2 * tensor.dim + nnz + 1 + (nnz if m1 > 1 else 0)
+
+
+def contract_m1_batch(tensor: DenseTensor, points, work=None) -> np.ndarray:
     """Row-wise :func:`contract_m1` for a ``(k, dim)`` array of vectors.
 
     Every result row equals :func:`contract_m1` of that point bit for bit: the
     products are formed in the same order and summed per output component in
     stored-entry order, whatever ``k`` is.
+
+    ``work``, a flat float64 array of at least ``k * _work_rows(tensor)``
+    entries, holds every temporary and the result, so a caller that passes
+    one buffer to many calls allocates nothing per call; without it the
+    kernel allocates one.  The result is a ``(k, dim)`` view of the buffer's
+    first ``k * dim`` entries whose transpose is contiguous; the next call on
+    the same buffer overwrites it.
     """
     pts = _as_points(tensor, points)
-    if tensor.nnz == 0:
-        return np.zeros(pts.shape)
-    xt = np.ascontiguousarray(pts.T)
-    cols = tensor._cols
-    prod = xt[cols[:, 0]]
-    for j in range(1, cols.shape[1]):
-        prod *= xt[cols[:, j]]
+    k, n = pts.shape
+    nnz = tensor.nnz
+    rows = _work_rows(tensor)
+    if work is None:
+        work = np.empty(rows * k)
+    elif work.size < rows * k:
+        raise ValueError(f"work holds {work.size} entries, {rows * k} needed for {k} points")
+    buf = work[: rows * k].reshape(rows, k)
+    xt = buf[n : 2 * n]
+    xt[...] = pts.T
     # One row per stored entry, then the zero row the slot padding points at.
-    prods = np.zeros((tensor.nnz + 1, pts.shape[0]))
-    np.multiply(tensor._vals[:, None], prod, out=prods[:-1])
-    return _sum_by_slots(prods, tensor._row_slots)
+    prods = buf[2 * n : 2 * n + nnz + 1]
+    prods[nnz] = 0.0
+    prod = prods[:nnz]
+    first, *rest = tensor._cols.T
+    xt.take(first, axis=0, out=prod, mode="clip")
+    if rest:
+        factor = buf[2 * n + nnz + 1 :]
+        for col in rest:
+            prod *= xt.take(col, axis=0, out=factor, mode="clip")
+    np.multiply(tensor._vals[:, None], prod, out=prod)
+    # The points are used up, so their rows hold the gathered slots.
+    return _sum_by_slots(prods, tensor._row_slots, buf[:n], xt).T
 
 
 def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
@@ -311,7 +350,8 @@ def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
         left,
         out=partials[:-1].reshape(nnz, m1, k).transpose(1, 0, 2),
     )
-    return _sum_by_slots(partials, tensor._jac_slots).reshape(k, n, n)
+    sums = _sum_by_slots(partials, tensor._jac_slots, np.empty((n * n, k)), np.empty((n * n, k)))
+    return np.ascontiguousarray(sums.T).reshape(k, n, n)
 
 
 def contract_full(tensor: DenseTensor, x) -> float:
@@ -336,13 +376,19 @@ def tensor_inf_norm(tensor: DenseTensor) -> float:
     return tensor._inf_norm
 
 
-def signed_root(x, r: int) -> np.ndarray:
+def signed_root(x, r: int, out=None) -> np.ndarray:
     """Componentwise signed ``r``-th root, ``sign(t) * |t|**(1/r)``.
 
     ``r`` must be an odd positive integer so the map is a bijection on the
-    reals; even roots are rejected rather than silently losing signs.
+    reals; even roots are rejected rather than silently losing signs.  With
+    ``out``, a float64 array of ``x``'s shape that may be ``x`` itself, the
+    roots are written there and ``out`` is returned.
     """
     if not isinstance(r, int) or isinstance(r, bool) or r < 1 or r % 2 == 0:
         raise ValueError(f"root order must be an odd positive integer, got {r!r}")
     arr = np.asarray(x, dtype=float)
-    return np.sign(arr) * np.abs(arr) ** (1.0 / r)
+    root = np.abs(arr)
+    root **= 1.0 / r
+    signed = np.sign(arr, out=out)
+    signed *= root
+    return signed

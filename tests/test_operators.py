@@ -30,9 +30,10 @@ from tcpbounds.operators import (
     _CHUNK,
     _INITIAL_STEP,
     _iter_face_chunks,
-    _objective_batch,
+    _objective,
+    _sample_chunks,
 )
-from tcpbounds.tensor import _row_max
+from tcpbounds.tensor import _row_max, _work_rows, contract_m1_batch
 
 HAND3 = DenseTensor(3, 2, {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0})
 
@@ -170,7 +171,7 @@ def _reference_alpha(tensor, kind, grid):
     for fixed in range(n):
         for sign in (-1.0, 1.0):
             for pts in _product_face_chunks(axis, n, fixed, sign):
-                vals = _objective_batch(tensor, pts, kind)
+                vals = _objective(tensor, pts, kind)
                 local_min = float(vals.min())
                 if local_min > best_val:
                     continue
@@ -189,7 +190,7 @@ def _reference_alpha(tensor, kind, grid):
                 trial[j] = min(1.0, max(-1.0, trial[j] + delta))
                 if trial[j] == point[j]:
                     continue
-                trial_val = float(_objective_batch(tensor, trial[None, :], kind)[0])
+                trial_val = float(_objective(tensor, trial[None, :], kind)[0])
                 if trial_val < value:
                     point, value = trial, trial_val
                     improved = True
@@ -393,14 +394,27 @@ def test_alpha_estimate_is_frozen():
 
 
 def test_apply_maps_are_rows_of_the_objective_map():
-    # apply_T and apply_F are one-row views of the map the alpha sweep uses
+    # apply_T and apply_F are one-row views of the map the alpha sweep uses.
+    # One NaN-filled buffer serves batches of several sizes, as in the sweep
+    # and the polish; each row is max(x * op(x)) of the public map, bit for
+    # bit, and kind None is the bare contraction of the sampled check.
     rng = np.random.default_rng(17)
-    for t, kinds in ((HAND3, (ALPHA_T,)), (random_sparse_tensor(rng, 4, 3, 7), (ALPHA_T, ALPHA_F))):
-        for _ in range(20):
-            x = rng.uniform(-1.0, 1.0, t.dim)
-            for kind in kinds:
-                mapped = apply_T(t, x) if kind == ALPHA_T else apply_F(t, x)
-                assert float(np.max(x * mapped)) == _objective_batch(t, x[None, :], kind)[0]
+    tensors = [HAND3] + [
+        random_sparse_tensor(rng, order, dim, nnz)
+        for order, dim, nnz in ((2, 5, 14), (4, 3, 7), (6, 2, 7))
+    ]
+    for t in tensors:
+        maps = {ALPHA_T: apply_T, None: contract_m1}
+        if t.order % 2 == 0:
+            maps[ALPHA_F] = apply_F
+        work = np.full(300 * _work_rows(t), np.nan)
+        for kind, apply in maps.items():
+            for k in (300, 5, 1):
+                pts = rng.uniform(-1.0, 1.0, (k, t.dim))
+                pts[0] = 0.0
+                vals = _objective(t, pts, kind, work)
+                want = [np.max(x * apply(t, x)) for x in pts]
+                assert np.array_equal(vals.view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_grid_spec_has_no_initial_step_option():
@@ -414,9 +428,9 @@ def test_check_p_evaluates_each_point_once(monkeypatch):
     rows = []
     batch = operators_module.contract_m1_batch
 
-    def counting(tensor, points):
+    def counting(tensor, points, work=None):
         rows.append(len(points))
-        return batch(tensor, points)
+        return batch(tensor, points, work)
 
     def single(tensor, x):
         rows.append(1)
@@ -431,3 +445,41 @@ def test_check_p_evaluates_each_point_once(monkeypatch):
         check = check_p_tensor_sampled(tensor, sample_count=128, seed=4)
         assert sum(rows) == check.points_checked
 
+
+@pytest.mark.parametrize("n, sample_count", [(1, 1), (3, 64), (2, 2 * _CHUNK + 5)])
+def test_sample_chunks_equal_one_draw(n, sample_count):
+    # Unit vectors first, then one uniform draw scaled to max-norm 1: drawing
+    # _CHUNK rows at a time takes the same numbers.
+    rng = np.random.default_rng(8)
+    raw = rng.uniform(-1.0, 1.0, size=(sample_count, n))
+    want = np.vstack([np.eye(n), -np.eye(n), raw / np.max(np.abs(raw), axis=1)[:, None]])
+    chunks = list(_sample_chunks(n, sample_count, 8))
+    assert all(chunk.shape[0] <= _CHUNK for chunk in chunks)
+    assert np.array_equal(np.vstack(chunks).view(np.uint64), want.view(np.uint64))
+
+
+def test_check_p_in_chunks_equals_one_batch():
+    t = DenseTensor(2, 2, {(1, 1): 1.0, (1, 2): -3.0, (2, 1): -3.0, (2, 2): 1.0})
+    count = 2 * _CHUNK + 5
+    points = np.vstack(list(_sample_chunks(2, count, 4)))
+    values = np.max(points * contract_m1_batch(t, points), axis=1)
+    first = np.flatnonzero(values <= 0.0)[0]
+    check = check_p_tensor_sampled(t, sample_count=count, seed=4)
+    assert check.verdict == NOT_P and check.points_checked == points.shape[0]
+    assert np.array_equal(check.witness, points[first])
+    assert check.witness_value == values[first]
+
+
+def test_check_p_memory_does_not_grow_with_sample_count():
+    # Points are drawn and evaluated _CHUNK at a time through one buffer, so
+    # the peak is a chunk's worth whatever sample_count is; one batch over
+    # all 200 006 points needs about 91 MB.
+    t = random_sparse_tensor(np.random.default_rng(5), 4, 3, 20)
+    tracemalloc.start()
+    try:
+        check = check_p_tensor_sampled(t, sample_count=200_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.points_checked == 200_006
+    assert peak < 8 * _CHUNK * (_work_rows(t) + 8 * t.dim)

@@ -15,6 +15,7 @@ from tcpbounds import (
     signed_root,
     tensor_inf_norm,
 )
+from tcpbounds.tensor import _work_rows
 
 # Hand-checked order-3 case: rows (1,1,2)->2, (1,2,1)->3, (2,2,2)->1, (2,1,1)->-1.
 HAND_ENTRIES = {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0}
@@ -173,6 +174,53 @@ def test_batch_contraction_keeps_the_signed_zeros_of_single_points():
         assert np.array_equal(np.signbit(batch[k]), np.signbit(single))
 
 
+def _special_tensors(rng):
+    """Orders 2-6 with repeated column indices, rows with no entries, and no entries at all."""
+    yield DenseTensor(3, 3, {})
+    for order in (2, 3, 4, 5, 6):
+        dim = 4 if order < 5 else 3
+        t = random_sparse_tensor(rng, order, dim, 3 * dim)
+        entries = {idx: v for idx, v in t.entries.items() if idx[0] != dim}
+        entries[(1,) + (2,) * (order - 1)] = -1.5
+        entries[(2,) + (1,) * (order - 2) + (dim,)] = 0.75
+        yield DenseTensor(order, dim, entries)
+
+
+def _special_points(rng, k, dim):
+    pts = rng.uniform(-1.5, 1.5, (k, dim))
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan])
+    mask = rng.random((k, dim)) < 0.1
+    pts[mask] = rng.choice(specials, size=int(mask.sum()))
+    return pts
+
+
+def test_batch_contraction_with_work_buffer_is_bit_identical():
+    # The buffer starts full of NaN and is reused across sizes, so a zero
+    # padding row or a temporary left over from an earlier call would show.
+    rng = np.random.default_rng(29)
+    for t in _special_tensors(rng):
+        buf = np.full(4096 * _work_rows(t), np.nan)
+        for k in (4096, 7, 1, 4096):
+            pts = _special_points(rng, k, t.dim)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = contract_m1_batch(t, pts)
+                got = contract_m1_batch(t, pts, work=buf)
+            assert got.shape == (k, t.dim)
+            assert got.T.flags.c_contiguous and np.shares_memory(got, buf)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # Rows of finite points equal the single-point contraction too.
+        finite = rng.uniform(-1.0, 1.0, (9, t.dim))
+        got = contract_m1_batch(t, finite, work=buf)
+        for row, x in zip(got, finite):
+            assert np.array_equal(row.view(np.uint64), contract_m1(t, x).view(np.uint64))
+
+
+def test_batch_contraction_refuses_a_short_work_buffer():
+    t = hand_tensor()
+    with pytest.raises(ValueError, match="work holds"):
+        contract_m1_batch(t, np.ones((5, 2)), work=np.empty(5 * _work_rows(t) - 1))
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(23)
     h = 1e-6
@@ -286,6 +334,19 @@ def test_signed_root_scalars():
     assert signed_root(0.125, 3) == 0.5
     assert signed_root(0.0, 3) == 0.0
     assert signed_root(5.0, 1) == 5.0
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_signed_root_in_place_is_bit_identical(r):
+    rng = np.random.default_rng(r)
+    x = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+    x[:6, 0] = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan]
+    with np.errstate(invalid="ignore"):
+        want = signed_root(x, r)
+        buf = np.asfortranarray(x)
+        got = signed_root(buf, r, out=buf)
+    assert got is buf
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_signed_root_rejects_even_or_nonpositive_order():
