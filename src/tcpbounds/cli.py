@@ -203,8 +203,9 @@ def _report_pairs(report: BoundReport) -> list[tuple[str, object]]:
 def _full_report(
     problem: ProblemFile, inst: TcpInstance, args
 ) -> tuple[BoundReport, list, tuple]:
-    z, source, extra = _resolve_z(problem, inst, args)
+    # u first: a missing test point is refused before any solve.
     u = _resolve_u(problem, args)
+    z, source, extra = _resolve_z(problem, inst, args)
     alpha = alpha_for(inst.tensor, ALPHA_F, _grid(args))
     report = build_report(inst.tensor, inst.q, z, u, alpha, _tol(args))
     header = [("z", z), ("z_source", source), ("u", u)]

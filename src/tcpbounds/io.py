@@ -56,7 +56,8 @@ class ProblemFile:
     """Validated contents of a problem file.
 
     ``entries`` is canonicalized to index-sorted order at construction, so
-    two files describing the same tensor compare and emit identically.
+    two files describing the same tensor emit identically.  Equality is
+    identity (``eq=False``).
     """
 
     order: int

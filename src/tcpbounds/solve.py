@@ -6,11 +6,11 @@ At desk scale the active set can be enumerated outright: for every support
 ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved from several
 seeded starts by batched damped Newton with an analytic Jacobian: the
 (support, start) pairs of every support size iterate together, each stopping
-on its own test, and only the linear solves are grouped by support size, each
-size one slice of the rows.  Row maxima and finiteness tests are taken column
-by column, which is exact and avoids numpy's slow reduction over a short
-axis.  Every root that satisfies the sign and complementarity conditions is
-kept.
+on its own test, and each iteration is one stacked ``dim x dim`` solve whose
+matrices are the identity off each row's support.  Row maxima and finiteness
+tests are taken column by column, which is exact and avoids numpy's slow
+reduction over a short axis.  Every root that satisfies the sign and
+complementarity conditions is kept.
 Certificates always recompute ``w`` and the violation measure from ``z``;
 nothing is trusted from the caller.
 """
@@ -241,26 +241,27 @@ def _newton_on_supports(
     """Damped Newton for ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S``, per row.
 
     Row ``r`` solves on the support ``S = mask[r]`` from ``starts[r]`` (zero
-    off ``S``); the rows come in ascending support size, all run together,
-    and each stops on its own test.  Iterates stay in ``dim`` coordinates and
-    residuals are zero off ``S``.  An iteration solves the Jacobian system on
-    ``S``, one stacked solve per support size, whose rows are one slice of
-    the active rows, then tries the damping factors ``_DAMPING`` in order and
-    takes the first whose residual max-norm is below the current one.  A row
-    stops when its taken step is at most ``_STEP_TOL`` or when no factor
-    helps (keeping its iterate), and is dropped when its residual at the
-    start is not finite or its Jacobian is singular or gives a non-finite
-    step.  Every max-norm is :func:`_row_max` of the absolute values, which is
-    NaN or inf exactly when the row has a NaN or inf entry; so "finite" is
-    "finite max-norm", and a trial's NaN or inf residual is never below the
-    current, finite, one.  Returns the kept rows' final iterates.
+    off ``S``); all rows run together, and each stops on its own test.
+    Iterates stay in ``dim`` coordinates and residuals are zero off ``S``.
+    An iteration solves the Jacobian system on ``S`` for every active row in
+    one stacked solve, the Jacobian padded with the identity off ``S``, which
+    is singular exactly when its ``S x S`` block is; it then tries the
+    damping factors ``_DAMPING`` in order and takes the first whose residual
+    max-norm is below the current one.  A row stops when its taken step is
+    at most ``_STEP_TOL`` or when no factor helps (keeping its iterate), and
+    is dropped when its residual at the start is not finite or its Jacobian
+    is singular or gives a non-finite step.  Every max-norm is
+    :func:`_row_max` of the absolute values, which is NaN or inf exactly when
+    the row has a NaN or inf entry; so "finite" is "finite max-norm", and a
+    trial's NaN or inf residual is never below the current, finite, one.
+    Returns the kept rows' final iterates.
     """
     tensor, q = inst.tensor, inst.q
     n = tensor.dim
-    size = mask.sum(axis=1)
-    # Row r's support columns, ascending, are support[r, :size[r]].
-    support = np.argsort(~mask, axis=1, kind="stable")
-    sizes = np.arange(1, n + 2)
+    # Off its support a row's Jacobian is replaced by the identity; the
+    # right side -f is zero there, so the step is zero there too.
+    off = ~(mask[:, :, None] & mask[:, None, :])
+    eye = np.eye(n)
 
     def residual(sel: np.ndarray, z: np.ndarray) -> np.ndarray:
         f = np.zeros(z.shape)
@@ -278,19 +279,8 @@ def _newton_on_supports(
         if act.size == 0:
             break
         jac = jacobian_m1_batch(tensor, z[act])
-        step = np.zeros((act.size, n))
-        # The rows come in ascending support size, so each size present is
-        # one slice act[lo:hi].
-        edges = np.searchsorted(size[act], sizes).tolist()
-        for s, lo, hi in zip(sizes.tolist(), edges, edges[1:]):
-            if lo == hi:
-                continue
-            rows = np.arange(hi - lo)[:, None]
-            sub = support[act[lo:hi], :s]
-            step[lo:hi][rows, sub] = _solve_stacked(
-                jac[lo:hi][rows[:, :, None], sub[:, :, None], sub[:, None, :]],
-                -f[act[lo:hi, None], sub],
-            )
+        np.copyto(jac, eye, where=off[act])
+        step = _solve_stacked(jac, -f[act])
         bad = ~np.isfinite(_row_max(np.abs(step)))
         keep[act[bad]] = active[act[bad]] = False
         act, step = act[~bad], step[~bad]

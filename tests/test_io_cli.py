@@ -209,6 +209,20 @@ def test_numeric_strings_are_accepted(tmp_path):
             "duplicate index",
         ),
         ("order: 2\ndim: 2\nq: [0.0, 0.0]\nz: [1.0]\n", "list of 2 reals"),
+        (
+            "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [1, 1]\n    val: {a: 1}\n",
+            "entries[1].val must be a number, got dict",
+        ),
+        (
+            "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [1, 1]\n    val: [1.0]\n",
+            "entries[1].val must be a number, got list",
+        ),
+        (
+            "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [1, 1]\n    val: null\n",
+            "entries[1].val must be a number, got NoneType",
+        ),
+        ("order: 2\ndim: 2\nq: 1.0\n", "q must be a list of reals"),
+        ("order: 2\ndim: 2\nq: [0.0, 0.0]\nu: {a: 1}\n", "u must be a list of reals"),
         ("- just\n- a\n- list\n", "must be a mapping"),
         ("q: [1.0\n", "not valid YAML"),
     ],
@@ -226,6 +240,10 @@ def test_problem_file_validates_directly():
         ProblemFile(
             order=4, dim=2, entries=(((1, 1, 1, 1), float("nan")),), q=np.zeros(2)
         )
+    with pytest.raises(ProblemFormatError, match="'q' is required"):
+        ProblemFile(order=4, dim=2, entries=(), q=None)
+    with pytest.raises(ProblemFormatError, match="'z' must contain finite reals"):
+        ProblemFile(order=4, dim=2, entries=(), q=np.zeros(2), z=np.array([0.0, np.inf]))
 
 
 @pytest.mark.parametrize(
@@ -508,14 +526,41 @@ def test_cli_solve_single_and_multiple(tmp_path, worked_file, capsys):
     assert data["support_1"] == "none"
 
 
+# A = (-1) and q = (-1): w = -z - 1 < 0 for every z >= 0, so no solution.
+NO_SOLUTION_YAML = (
+    "order: 2\ndim: 1\nentries:\n  - idx: [1, 1]\n    val: -1.0\nq: [-1.0]\n"
+)
+
+
 def test_cli_solve_reports_nothing_found(tmp_path, capsys):
-    none = write(
-        tmp_path,
-        "order: 2\ndim: 1\nentries:\n  - idx: [1, 1]\n    val: -1.0\nq: [-1.0]\n",
-    )
+    none = write(tmp_path, NO_SOLUTION_YAML)
     code, out, _ = run_cli(capsys, "solve", "--file", none, "--format", "machine")
     assert code == 1
     assert machine(out)["solutions"] == "0"
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["bounds", "--u", "1"]])
+def test_cli_without_z_exits_one_when_no_solution_is_found(tmp_path, capsys, argv):
+    none = write(tmp_path, NO_SOLUTION_YAML)
+    code, out, err = run_cli(capsys, *argv, "--file", none)
+    assert code == 1 and out == ""
+    assert "no solution found by support enumeration; supply --z" in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "rel-bounds", "compare"])
+def test_cli_missing_u_is_refused_before_solving(tmp_path, capsys, monkeypatch, command):
+    # Neither z nor u in the file or the flags: the missing test point is
+    # refused without running the support enumeration for z.
+    text = WORKED_YAML.replace("z: [0.0, 0.5]\n", "").replace("u: [0.5, 0.3]\n", "")
+    path = write(tmp_path, text)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran before u was resolved")
+
+    monkeypatch.setattr(cli, "solve_enumerate", no_solve)
+    code, out, err = run_cli(capsys, command, "--file", path)
+    assert code == 2 and out == ""
+    assert "a test point is required: pass --u or put u in the file" in err
 
 
 def test_cli_verify(worked_file, capsys):

@@ -454,28 +454,36 @@ def test_enumerate_drops_singular_rows_of_several_sizes_in_one_batch(monkeypatch
         DenseTensor(2, 3, {(1, 1): 2.0, (2, 1): 1.0, (3, 3): 1.0}),
         np.array([-2.0, 1.0, 1.0]),
     )
-    batches, singular_sizes = [], set()
+    masks, first_steps = [], []
     newton, stacked = solve_module._newton_on_supports, solve_module._solve_stacked
 
-    def count_batches(inst, mask, starts):
-        batches.append(mask.shape[0])
+    def record_batches(inst, mask, starts):
+        masks.append(mask)
         return newton(inst, mask, starts)
 
-    def record_singular(jac, rhs):
+    def record_first_step(jac, rhs):
         out = stacked(jac, rhs)
-        if np.isnan(out).any():
-            singular_sizes.add(rhs.shape[1])
+        if not first_steps:
+            first_steps.append(out)
         return out
 
-    monkeypatch.setattr(solve_module, "_newton_on_supports", count_batches)
-    monkeypatch.setattr(solve_module, "_solve_stacked", record_singular)
+    monkeypatch.setattr(solve_module, "_newton_on_supports", record_batches)
+    monkeypatch.setattr(solve_module, "_solve_stacked", record_first_step)
     certs = solve_enumerate(inst)
-    assert batches == [56]
-    assert singular_sizes == {1, 2, 3}
+    assert [mask.shape[0] for mask in masks] == [56]
+    # Every row is active in the first solve, so its rows are the mask's.
+    (mask,), (step,) = masks, first_steps
+    assert step.shape == mask.shape
+    singular = np.isnan(step).all(axis=1)
+    np.testing.assert_array_equal(singular, mask[:, 1])
+    assert set(mask[singular].sum(axis=1).tolist()) == {1, 2, 3}
+    # The other rows' steps are finite on the support and exactly +-0 off it.
+    solved = step[~singular]
+    assert np.isfinite(solved).all()
+    assert (solved[~mask[~singular]] == 0.0).all()
     assert len(certs) == 1
     np.testing.assert_array_equal(certs[0].z, [1.0, 0.0, 0.0])
     assert certs[0].support == (1,)
-
 
 
 @pytest.mark.parametrize("batch_entries", [1, solve_module._BATCH_ENTRIES])
