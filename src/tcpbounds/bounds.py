@@ -27,6 +27,16 @@ leaves them undefined.  The views take no ``tol``: they verify ``z`` at the
 report's default, 1e-8.  ``solution_norm_bounds`` shares the report's
 ``||(-q)+||_inf`` helper and needs no residual.
 
+The contraction ``A (u - z)^{m-1}`` and the signed roots run in numpy; every
+reduction, comparison and selection over the length-``n`` vectors (the
+``u == z`` test, ``min(u, s)``, the argmax ``t``, ``||v||_inf``, the
+NEGATIVE_ARGMAX scale and the DEGENERATE_Z test) runs on Python floats from
+one ``tolist()`` per vector, since at desk-scale ``n`` one numpy call costs
+more than the whole loop.  The results are bit for bit numpy's: the guards
+before them have refused NaN and inf, ``max`` keeps the first of equal values
+as ``np.argmax`` does, ``-0.0 == 0.0`` in both, and ``abs``, comparison and
+selection are exact.
+
 Everything here consumes ``alpha(F)`` estimates.  ``D`` is nonnegative under
 the P hypothesis; round-off slightly below zero is clamped, anything material
 is reported as an invariant violation rather than patched over.
@@ -211,10 +221,10 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     z = cert.z
     u = _as_vector(u, tensor.dim, "u")
     u_list = u.tolist()
-    # A Python scan beats a numpy reduction on vectors this short.
     if not all(map(math.isfinite, u_list)):
         raise ValueError("u must be finite, got NaN or inf")
-    if np.array_equal(u, z):
+    z_list = z.tolist()
+    if u_list == z_list:
         return ResidualData(
             v=np.zeros(tensor.dim),
             v_inf=0.0,
@@ -227,7 +237,7 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     # Every product contract_m1 forms is at most ||d||^{m-1} in modulus, and
     # |d_i (A d^{m-1})_i| <= ||A|| ||d||^m.  Compared in logs, and with d_inf
     # from Python floats, the test overflows nowhere itself.
-    d_inf = max(abs(a - b) for a, b in zip(u_list, z.tolist()))
+    d_inf = max(abs(a - b) for a, b in zip(u_list, z_list))
     norm = _inf_norm(tensor)
     log_d = math.log(d_inf)
     if r * log_d > _LOG_MAX or (
@@ -247,20 +257,23 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
         )
     d = u - z
     contracted = contract_m1(tensor, d)
-    # cert.w is the equilibrium term A z^{m-1} + q, already computed from z.
-    s = signed_root(contracted, r) + signed_root(cert.w, r)
-    v = np.where(u > s, s, u)
-    objective = d * contracted
-    t0 = int(np.argmax(objective))
-    argmax_value = float(objective[t0])
+    # cert.w is the equilibrium term A z^{m-1} + q, already computed from z;
+    # both are rooted in one call.
+    root_d, root_w = signed_root(np.array((contracted, cert.w)), r)
+    s = root_d + root_w
+    v_list = [b if a > b else a for a, b in zip(u_list, s.tolist())]
+    objective = (d * contracted).tolist()
+    # max keeps the first of equal values, so t is the smallest maximizer.
+    argmax_value = max(objective)
+    t0 = objective.index(argmax_value)
     flags: tuple[str, ...] = ()
-    if argmax_value < -1e-12 * max(1.0, float(np.max(np.abs(objective)))):
+    if argmax_value < -1e-12 * max(1.0, max(map(abs, objective))):
         flags = (FLAG_NEGATIVE_ARGMAX,)
     return ResidualData(
-        v=v,
-        v_inf=float(np.max(np.abs(v))),
+        v=np.array(v_list),
+        v_inf=max(map(abs, v_list)),
         t=t0 + 1,
-        v_t=float(v[t0]),
+        v_t=v_list[t0],
         argmax_value=argmax_value,
         flags=flags,
     )
@@ -382,7 +395,7 @@ def build_report(
     if q_root == 0.0:
         flags.append(FLAG_DEGENERATE_Q)
         rel_lb = rel_ub = None
-    elif not np.any(_as_vector(z, tensor.dim, "z")):
+    elif not any(_as_vector(z, tensor.dim, "z").tolist()):
         flags.append(FLAG_DEGENERATE_Z)
         rel_lb = rel_ub = None
     elif exact:
@@ -453,7 +466,10 @@ def relative_error_bounds(
 def solution_norm_bounds(
     tensor: DenseTensor, q, alpha: AlphaEstimate
 ) -> tuple[float, float]:
-    """Bounds on ``||z||_inf`` valid for every solution, from ``q`` alone."""
+    """Bounds on ``||z||_inf`` valid for every solution, from ``q`` alone.
+
+    A NaN or infinite ``q`` raises ``ValueError``.
+    """
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")
     _require_even_order(tensor, "solution-norm bounds")

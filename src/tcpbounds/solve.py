@@ -18,6 +18,7 @@ nothing is trusted from the caller.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,9 @@ class SolutionCertificate:
         )
 
 
+# A z or q out of range makes w or a product z_i w_i inf or NaN, which the
+# violation measure reports as inf; numpy's warnings about it are not wanted.
+@np.errstate(over="ignore", invalid="ignore")
 def verify_solution(inst: TcpInstance, z, tol: float = 1e-8) -> SolutionCertificate:
     """Recompute ``w`` and the violation measure for a claimed solution."""
     z = _as_vector(z, inst.tensor.dim, "z").copy()
@@ -165,8 +169,7 @@ def solve_enumerate(
     """
     opts = opts or SolveOptions()
     tensor, q = inst.tensor, inst.q
-    if not np.isfinite(q).all():
-        raise ValueError("q must be finite, got NaN or inf")
+    scale = 1.0 + _q_root(tensor, q)
     n = tensor.dim
     if n > opts.max_dim:
         raise DimensionLimitError(
@@ -174,7 +177,6 @@ def solve_enumerate(
             f"{opts.max_dim}"
         )
     rng = np.random.default_rng(opts.seed)
-    scale = 1.0 + _q_root(tensor, q)
 
     # Per support, in size then combinations order, _STARTS starts, zero off
     # the support.
@@ -221,9 +223,16 @@ def solve_enumerate(
 
 
 def _q_root(tensor: DenseTensor, q: np.ndarray) -> float:
-    """``||(-q)+||_inf^{1/(m-1)}``, the scale of every solution's max-norm."""
-    # Adding +0.0 turns a -0.0 maximum (from q_i = +0.0) into +0.0.
-    return (float(np.max(-q, initial=0.0)) + 0.0) ** (1.0 / (tensor.order - 1))
+    """``||(-q)+||_inf^{1/(m-1)}``, the scale of every solution's max-norm.
+
+    A NaN or infinite ``q`` raises ``ValueError``.
+    """
+    q_list = q.tolist()
+    if not all(map(math.isfinite, q_list)):
+        raise ValueError("q must be finite, got NaN or inf")
+    # max keeps its first argument on ties, so a -0.0 (from q_i = +0.0)
+    # never replaces the +0.0.
+    return max(0.0, -min(q_list)) ** (1.0 / (tensor.order - 1))
 
 
 # Rows times stored entries times (order - 1) that one batched contraction or

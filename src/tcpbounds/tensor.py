@@ -199,7 +199,7 @@ def contract_m1(tensor: DenseTensor, x) -> np.ndarray:
     x = _as_vector(x, tensor.dim, "x")
     if tensor.nnz == 0:
         return np.zeros(tensor.dim)
-    prods = tensor._vals * np.prod(x[tensor._cols], axis=1)
+    prods = tensor._vals * np.multiply.reduce(x[tensor._cols], axis=1)
     return np.bincount(tensor._rows, weights=prods, minlength=tensor.dim)
 
 

@@ -324,10 +324,28 @@ def test_non_finite_q_or_u_is_refused():
     with pytest.raises(SolutionVerificationError):
         diagonal_bounds(tensor, np.array([np.nan, -1.0, -2.0]), z, u)
     for bad in (np.nan, np.inf, -np.inf):
+        # solution_norm_bounds returned (nan, nan) and (inf, inf) here
+        with pytest.raises(ValueError, match="q must be finite"):
+            solution_norm_bounds(
+                tensor, np.array([bad, -1.0, -2.0]), diagonal_alpha_estimate(tensor)
+            )
         u_bad = u.copy()
         u_bad[1] = bad
         with pytest.raises(ValueError, match="u must be finite"):
             diagonal_bounds(tensor, q, z, u_bad)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_lower_bound_holds_for_a_solver_rounded_z():
+    # z carries w_3 = -4.4e-16 and still verifies; the cube root of that
+    # leftover makes lb_base = 2.54e-6 against a true error of 1e-9
+    tensor = DenseTensor.from_diagonal([1.0, 8.0, 3.0], order=4)
+    q = np.array([1.0, -1.0, -2.0])
+    z = solve_diagonal(TcpInstance(tensor, q)).z
+    u = z + np.array([0.0, 1e-9, 0.0])
+    z_star = np.array([0.0, 0.5, (2.0 / 3.0) ** (1.0 / 3.0)])
+    rep = diagonal_bounds(tensor, q, z, u)
+    assert rep.lb_base <= float(np.max(np.abs(u - z_star)))
 
 
 def test_residual_rejects_odd_order_and_bad_shapes():

@@ -578,6 +578,20 @@ def test_cli_verify(worked_file, capsys):
     assert float(data["max_violation"]) == pytest.approx(0.4368, rel=1e-12)
 
 
+def test_cli_verify_overflowing_z_fails_without_a_warning(worked_file):
+    # (1e200)^3 overflowed in numpy's product first: the warning was printed
+    # before the certificate, and under -W error it exited 1 with a traceback
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tcpbounds", "verify", "--file",
+         worked_file, "--z", "1e200,0.5", "--format", "machine"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    data = machine(proc.stdout)
+    assert data["passed"] == "false" and data["max_violation"] == "inf"
+
+
 def test_cli_text_format(worked_file, capsys):
     code, out, _ = run_cli(capsys, "bounds", "--file", worked_file)
     assert code == 0

@@ -1,6 +1,7 @@
 """Solution certificates, the diagonal closed form, and support enumeration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,12 +72,17 @@ def test_verify_solution_flags_negative_components():
         ([np.nan, 0.5], [1.0, -1.0]),
         ([0.0, 0.5], [np.nan, -1.0]),
         ([0.0, 0.5], [np.inf, -1.0]),
+        ([1e200, 0.5], [1.0, -1.0]),  # (1e200)^3 overflows in the contraction
+        ([1e100, 0.5], [1.0, -1.0]),  # a finite w whose product with z overflows
     ],
 )
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
 def test_verify_solution_fails_non_finite_z_or_w(z, q):
-    # each of these once passed with max_violation == 0.0: max() dropped the NaN
-    cert = verify_solution(TcpInstance(WORKED.tensor, np.array(q)), np.array(z))
+    # the first three once passed with max_violation == 0.0 (max() dropped the
+    # NaN); the 0 * inf and the overflows leaked numpy RuntimeWarnings, which
+    # -W error turned into tracebacks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = verify_solution(TcpInstance(WORKED.tensor, np.array(q)), np.array(z))
     assert cert.max_violation == math.inf
     assert not cert.passed
 
@@ -87,6 +93,11 @@ def test_enumerate_refuses_non_finite_q(bad):
     tensor = DenseTensor.from_diagonal([1.0, 8.0, 3.0], order=4)
     with pytest.raises(ValueError, match="q must be finite"):
         solve_enumerate(TcpInstance(tensor, np.array([bad, -1.0, -2.0])))
+    # refused before the dimension check
+    with pytest.raises(ValueError, match="q must be finite"):
+        solve_enumerate(
+            TcpInstance(tensor, np.array([bad, -1.0, -2.0])), SolveOptions(max_dim=2)
+        )
 
 
 def test_solve_diagonal_golden():
