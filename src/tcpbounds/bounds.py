@@ -27,6 +27,14 @@ leaves them undefined.  The views take no ``tol``: they verify ``z`` at the
 report's default, 1e-8.  ``solution_norm_bounds`` shares the report's
 ``||(-q)+||_inf`` helper and needs no residual.
 
+``z`` is verified once per ``(tensor, q, z, tol)``, not once per report: the
+tensor keeps the certificate of the last ``(q, z, tol)`` it was verified
+against, keyed by the bytes of both vectors and ``tol``, so the many test
+points of one solution share one verification.  That is exact, because the
+tensor is immutable and the key holds every bit :func:`verify_solution`
+reads; a failing ``z`` is refused on every call, and the kept certificate's
+``z`` and ``w`` reach no caller.
+
 The contraction ``A (u - z)^{m-1}`` and the signed roots run in numpy; every
 reduction, comparison and selection over the length-``n`` vectors (the
 ``u == z`` test, ``min(u, s)``, the argmax ``t``, ``||v||_inf``, the
@@ -59,7 +67,7 @@ from .errors import (
     SolutionVerificationError,
 )
 from .operators import ALPHA_F, AlphaEstimate, diagonal_alpha_estimate
-from .solve import TcpInstance, _q_root, verify_solution
+from .solve import SolutionCertificate, TcpInstance, _q_root, verify_solution
 from .tensor import (
     DenseTensor,
     _as_vector,
@@ -198,9 +206,10 @@ class BoundReport:
 def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     """Build the natural residual of ``u`` against the verified solution ``z``.
 
-    ``z`` is re-verified first (tolerance ``tol``) and rejected if it is not a
-    solution; a NaN or infinite ``u`` raises ``ValueError``.  ``u == z``
-    short-circuits to a zero residual flagged EXACT_SOLUTION.  A tensor whose
+    ``z`` is verified first (tolerance ``tol``), once per ``(tensor, q, z,
+    tol)`` as the module notes say, and rejected if it is not a solution; a
+    NaN or infinite ``u`` raises ``ValueError``.  ``u == z`` short-circuits
+    to a zero residual flagged EXACT_SOLUTION.  A tensor whose
     ``||A||_inf`` overflows, or a ``u`` so far from ``z`` that
     ``||u - z||_inf^{m-1}`` or ``||A||_inf ||u - z||_inf^m`` leaves the float
     range, raises ``ValueError`` before anything is contracted; so does a
@@ -211,14 +220,14 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     result bitwise equal to ``min(u, s)``.
     """
     _require_even_order(tensor, "the rooted residual")
-    inst = TcpInstance(tensor, q)
-    cert = verify_solution(inst, z, tol)
+    q = _as_vector(q, tensor.dim, "q")
+    z = _as_vector(z, tensor.dim, "z")
+    cert = _certificate(tensor, q, z, tol)
     if not cert.passed:
         raise SolutionVerificationError(
             f"z does not solve the problem within {tol}: max violation "
             f"{cert.max_violation}"
         )
-    z = cert.z
     u = _as_vector(u, tensor.dim, "u")
     u_list = u.tolist()
     if not all(map(math.isfinite, u_list)):
@@ -277,6 +286,25 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
         argmax_value=argmax_value,
         flags=flags,
     )
+
+
+def _certificate(
+    tensor: DenseTensor, q: np.ndarray, z: np.ndarray, tol: float
+) -> SolutionCertificate:
+    """:func:`verify_solution`'s certificate, kept on the tensor for the next call.
+
+    ``q`` and ``z`` are already float vectors, so their bytes and ``tol`` are
+    every input bit the check reads; ``-0.0`` and ``0.0`` differ in bytes, so
+    they only miss.  A failing certificate is kept too; a bad ``tol`` raises
+    before anything is kept.
+    """
+    key = (q.tobytes(), z.tobytes(), tol)
+    kept = tensor._verified
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    cert = verify_solution(TcpInstance(tensor, q), z, tol)
+    object.__setattr__(tensor, "_verified", (key, cert))
+    return cert
 
 
 def _require_alpha_f(alpha: AlphaEstimate) -> None:

@@ -321,7 +321,9 @@ def alpha_F_diagonal(tensor: DenseTensor) -> float:
     """
     _require_positive_diagonal(tensor, "closed-form alpha")
     r = 1.0 / (tensor.order - 1)
-    return min(float(a) ** r for a in tensor.diagonal())
+    # The guard leaves only the diagonal among the stored entries, as floats;
+    # their order does not change the minimum of positive values.
+    return min(a ** r for a in tensor.entries.values())
 
 
 def diagonal_alpha_estimate(tensor: DenseTensor) -> AlphaEstimate:

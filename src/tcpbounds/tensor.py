@@ -76,11 +76,17 @@ class DenseTensor:
         Zero values are dropped so that the stored entry count is the number
         of structural nonzeros; a value ``float`` cannot convert, or a NaN or
         infinite one, raises ``ValueError`` naming its index.
+
+    Besides the storage, a tensor keeps what is computed once and then read
+    many times: the Jacobian's slot table (``_jac_slots``), ``||A||_inf``
+    (``_inf_norm``) and, in ``_verified``, the certificate of the last
+    ``(q, z, tol)`` a bound report verified against it, so a stream of reports
+    on one solution verifies it once.  None of these changes a result.
     """
 
     __slots__ = (
         "order", "dim", "_entries", "_rows", "_cols", "_vals", "_row_slots",
-        "_jac_slots", "_inf_norm",
+        "_jac_slots", "_inf_norm", "_verified",
     )
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, float]):
@@ -127,6 +133,9 @@ class DenseTensor:
         object.__setattr__(self, "_jac_slots", None)
         # Set by the first tensor_inf_norm call.
         object.__setattr__(self, "_inf_norm", None)
+        # (key, certificate) of the last z a bound report verified; see
+        # bounds._certificate.
+        object.__setattr__(self, "_verified", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards immutability
         raise AttributeError("DenseTensor is immutable")
@@ -163,10 +172,12 @@ class DenseTensor:
 
     def is_positive_diagonal(self) -> bool:
         """True when the tensor is diagonal with all ``dim`` diagonal entries > 0."""
-        if not self.is_diagonal():
-            return False
+        # Diagonal entries differ in their first index, so ``dim`` stored
+        # entries that are all diagonal are the whole diagonal.
         m = self.order
-        return all(self._entries.get((i,) * m, 0.0) > 0.0 for i in range(1, self.dim + 1))
+        return len(self._entries) == self.dim and all(
+            val > 0.0 and idx.count(idx[0]) == m for idx, val in self._entries.items()
+        )
 
     def __repr__(self) -> str:
         return f"DenseTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"

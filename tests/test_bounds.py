@@ -705,3 +705,99 @@ def test_residual_selection_does_not_overflow():
     tensor = DenseTensor.from_diagonal([1e-310], order=2)
     res = residual(tensor, (1.5e308,), (0.0,), (-1e308,))
     assert res.v.tolist() == [-1e308] and res.v_t == -1e308
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """The ``tol`` of each verification the bound reports make, in call order."""
+    import tcpbounds.bounds as bounds_module
+
+    calls = []
+    verify = bounds_module.verify_solution
+
+    def counting(inst, z, tol):
+        calls.append(tol)
+        return verify(inst, z, tol)
+
+    monkeypatch.setattr(bounds_module, "verify_solution", counting)
+    return calls
+
+
+def _worked_tensor():
+    # a tensor of its own, so no other test's report has verified against it
+    return DenseTensor.from_diagonal([1.0, 8.0], order=4)
+
+
+def test_reports_on_one_solution_verify_it_once(verify_calls):
+    tensor = _worked_tensor()
+    report = build_report(tensor, Q, Z, U, ALPHA)
+    # the key is taken after conversion, so a list q with the same bits hits
+    again = build_report(tensor, Q.tolist(), Z.copy(), U, ALPHA)
+    residual(tensor, Q, Z, np.array([0.4, 0.6]))
+    diagonal_bounds(tensor, Q, Z, U)
+    error_bounds_zheng(tensor, Q, Z, U, ALPHA)
+    relative_error_bounds(tensor, Q, Z, U, ALPHA)
+    assert verify_calls == [1e-8]
+    for rep in (report, again):
+        assert (rep.lb_new, rep.ub_new, rep.D) == (WANT_LB_NEW, WANT_UB_NEW, WANT_D)
+        assert (rep.lb_base, rep.ub_base) == (WANT_LB_BASE, WANT_UB_BASE)
+        assert (rep.rel_lb, rep.rel_ub) == (WANT_REL_LB, WANT_REL_UB)
+
+
+def _one_bit_changed(change, tensor):
+    q, z, tol = Q.copy(), Z.copy(), 1e-8
+    if change == "q":
+        q[0] = np.nextafter(1.0, 2.0)
+    elif change == "z":
+        z[1] = np.nextafter(0.5, 1.0)
+    elif change == "signed-zero-z":
+        z[0] = -0.0
+    elif change == "tol":
+        tol = 1e-9
+    else:
+        tensor = _worked_tensor()
+    return tensor, q, z, tol
+
+
+@pytest.mark.parametrize("change", ["q", "z", "signed-zero-z", "tol", "tensor"])
+def test_one_changed_bit_verifies_again(verify_calls, change):
+    tensor = _worked_tensor()
+    build_report(tensor, Q, Z, U, ALPHA)
+    other, q, z, tol = _one_bit_changed(change, tensor)
+    build_report(other, q, z, U, ALPHA, tol)
+    assert verify_calls == [1e-8, tol]
+    build_report(other, q, z, U, ALPHA, tol)
+    assert len(verify_calls) == 2
+
+
+def test_failing_z_is_refused_on_every_call(verify_calls):
+    tensor = _worked_tensor()
+    z = np.array([5.0, 5.0])
+    messages = []
+    for _ in range(3):
+        with pytest.raises(SolutionVerificationError) as err:
+            build_report(tensor, Q, z, U, ALPHA)
+        messages.append(str(err.value))
+    assert messages == [messages[0]] * 3
+    assert verify_calls == [1e-8]
+    # a passing z after it is verified and reported as before
+    assert build_report(tensor, Q, Z, U, ALPHA).lb_new == WANT_LB_NEW
+
+
+# [[0.0, 0.5]] has Z's bytes, but it is 2-d
+@pytest.mark.parametrize("z", [[0.0, 0.5, 0.0], [0.0], [[0.0, 0.5]]])
+def test_wrong_length_z_is_refused_after_a_report(z):
+    tensor = _worked_tensor()
+    build_report(tensor, Q, Z, U, ALPHA)
+    with pytest.raises(DimensionMismatchError):
+        build_report(tensor, Q, np.array(z), U, ALPHA)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_bad_tol_is_refused_after_a_report(tol):
+    tensor = _worked_tensor()
+    build_report(tensor, Q, Z, U, ALPHA)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        build_report(tensor, Q, Z, U, ALPHA, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        residual(tensor, Q, Z, U, tol=tol)

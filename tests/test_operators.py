@@ -89,6 +89,18 @@ def test_alpha_F_diagonal_goldens():
     assert got == 2.5198420997897464
 
 
+def test_alpha_F_diagonal_is_the_minimum_over_the_diagonal_bit_for_bit():
+    rng = np.random.default_rng(62)
+    for order in (2, 4, 6):
+        for n in (1, 3, 6):
+            diag = rng.uniform(0.5, 10.0, n)
+            # stored in reverse index order, so storage order is not index order
+            t = DenseTensor(order, n, {(i + 1,) * order: diag[i] for i in reversed(range(n))})
+            r = 1.0 / (order - 1)
+            want = min(float(a) ** r for a in t.diagonal())
+            assert float.hex(alpha_F_diagonal(t)) == float.hex(want)
+
+
 def test_alpha_F_diagonal_rejects_nondiagonal_and_nonpositive():
     with pytest.raises(ValueError):
         alpha_F_diagonal(DenseTensor(4, 2, {(1, 2, 1, 1): 1.0, (1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0}))

@@ -114,6 +114,27 @@ def test_diagonal_predicates():
     assert not s.is_positive_diagonal()
 
 
+@pytest.mark.parametrize(
+    "order,dim,entries",
+    [
+        (4, 2, {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 8.0}),
+        (4, 2, {(2, 2, 2, 2): 8.0, (1, 1, 1, 1): 1.0}),
+        (4, 2, {(1, 1, 1, 1): 2.0}),
+        (4, 2, {(1, 1, 1, 1): 2.0, (2, 2, 2, 2): -1.0}),
+        # as many entries as the dimension, one of them off the diagonal
+        (4, 2, {(1, 1, 1, 1): 1.0, (1, 2, 2, 2): 1.0}),
+        (2, 2, {(1, 1): 1.0, (2, 1): 1.0}),
+        (4, 2, {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0, (2, 1, 1, 1): 1e-9}),
+        (3, 1, {(1, 1, 1): 0.5}),
+        (2, 3, {}),
+    ],
+)
+def test_positive_diagonal_predicate_matches_its_definition(order, dim, entries):
+    t = DenseTensor(order, dim, entries)
+    want = t.is_diagonal() and all(a > 0.0 for a in t.diagonal())
+    assert t.is_positive_diagonal() is want
+
+
 def test_hand_contraction_values():
     t = hand_tensor()
     x = np.array([2.0, 5.0])
