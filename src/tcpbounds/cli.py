@@ -21,7 +21,7 @@ from .bounds import (
     solution_norm_bounds,
 )
 from .errors import ProblemFormatError, SolutionVerificationError, TcpBoundsError
-from .io import ProblemFile, parse_problem
+from .io import ProblemFile, _as_number, parse_problem
 from .operators import (
     ALPHA_F,
     ALPHA_T,
@@ -59,12 +59,8 @@ def _render(pairs: list[tuple[str, object]], fmt: str) -> str:
 
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.split(",")])
-    except ValueError:
-        raise ProblemFormatError(
-            f"--{what} must be comma-separated reals, got {text!r}"
-        ) from None
+    tokens = enumerate(text.split(","), 1)
+    return np.array([_as_number(tok, f"--{what}[{k}]") for k, tok in tokens])
 
 
 def _grid(args) -> GridSpec | None:

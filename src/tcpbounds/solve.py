@@ -9,10 +9,10 @@ seeded starts by batched damped Newton with an analytic Jacobian: the
 on its own test, and each iteration is one stacked ``dim x dim`` solve whose
 matrices are the identity off each row's support.  Row maxima and finiteness
 tests are taken column by column, which is exact and avoids numpy's slow
-reduction over a short axis.  Every root that satisfies the sign and
-complementarity conditions is kept.
-Certificates always recompute ``w`` and the violation measure from ``z``;
-nothing is trusted from the caller.
+reduction over a short axis.  A batched screen of each Newton batch only
+proposes roots: :func:`verify_solution` builds every certificate, so each one
+recomputes ``w`` and the violation measure from ``z`` and nothing is trusted
+from the caller or from the screen.
 """
 
 from __future__ import annotations
@@ -116,19 +116,6 @@ class SolutionCertificate:
     tol: float
     passed: bool
 
-    @classmethod
-    def _from_row(
-        cls, z: np.ndarray, w: np.ndarray, max_violation: float, tol: float
-    ) -> "SolutionCertificate":
-        return cls(
-            z=z,
-            w=w,
-            support=tuple(int(i) + 1 for i in np.flatnonzero(z > tol)),
-            max_violation=max_violation,
-            tol=tol,
-            passed=max_violation <= tol,
-        )
-
 
 # A z or q out of range makes w or a product z_i w_i inf or NaN, which the
 # violation measure reports as inf; numpy's warnings about it are not wanted.
@@ -138,7 +125,14 @@ def verify_solution(inst: TcpInstance, z, tol: float = 1e-8) -> SolutionCertific
     z = _as_vector(z, inst.tensor.dim, "z").copy()
     w = contract_m1(inst.tensor, z) + inst.q
     violation = float(_violations(z[None], w[None], tol)[0])
-    return SolutionCertificate._from_row(z, w, violation, tol)
+    return SolutionCertificate(
+        z=z,
+        w=w,
+        support=tuple(int(i) + 1 for i in np.flatnonzero(z > tol)),
+        max_violation=violation,
+        tol=tol,
+        passed=violation <= tol,
+    )
 
 
 def solve_diagonal(inst: TcpInstance) -> SolutionCertificate:
@@ -188,9 +182,7 @@ def solve_enumerate(
         mask[k, support] = True
     mask = np.repeat(mask, _STARTS, axis=0)
     starts = np.zeros(mask.shape)
-    starts[mask] = scale * np.concatenate(
-        [rng.uniform(0.05, 1.0, size=_STARTS * len(s)) for s in supports]
-    )
+    starts[mask] = scale * rng.uniform(0.05, 1.0, size=int(mask.sum()))
 
     batch_rows = _batch_rows(tensor)
     # The zero support is screened first and the Newton batches are made
@@ -206,18 +198,20 @@ def solve_enumerate(
     )
     kept: list[SolutionCertificate] = []
     for candidates in batches:
-        # The certificate's own check, batched: the batch kernel equals
-        # contract_m1 bit for bit, so w is still computed from z.
+        # A screen only: the batch kernel equals contract_m1 bit for bit, so
+        # it drops exactly the rows verify_solution would fail, and
+        # verify_solution certifies each distinct root that is left.
         w = contract_m1_batch(tensor, candidates) + q
-        violation = _violations(candidates, w, opts.tol)
-        ok = violation <= opts.tol
-        for z, w_z, v in zip(candidates[ok], w[ok], violation[ok].tolist()):
+        ok = _violations(candidates, w, opts.tol) <= opts.tol
+        for z in candidates[ok]:
             if any(
                 float(np.max(np.abs(z - other.z))) <= 10.0 * opts.tol
                 for other in kept
             ):
                 continue
-            kept.append(SolutionCertificate._from_row(z, w_z, v, opts.tol))
+            cert = verify_solution(inst, z, opts.tol)
+            if cert.passed:
+                kept.append(cert)
     kept.sort(key=lambda c: (len(c.support), tuple(c.z)))
     return kept
 

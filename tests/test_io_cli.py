@@ -592,6 +592,23 @@ def test_cli_verify_overflowing_z_fails_without_a_warning(worked_file):
     assert data["passed"] == "false" and data["max_violation"] == "inf"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--z", "nan,0.5"], "--z[1] must be finite, got nan"),
+        (["bounds", "--z", "1e400,0.5"], "--z[1] must be finite, got inf"),
+        (["bounds", "--u", "1,inf"], "--u[2] must be finite, got inf"),
+        (["bounds", "--u", "1,,2"], "--u[2] must be a number, got ''"),
+    ],
+    ids=["verify-z-nan", "bounds-z-overflow", "bounds-u-inf", "bounds-u-empty"],
+)
+def test_cli_vector_flags_follow_the_file_number_rules(worked_file, capsys, argv, message):
+    # verify --z nan,0.5 used to print passed=false and exit 1, and bounds
+    # --z 1e400,0.5 failed as an unverified z; in a file both exit 2
+    code, out, err = run_cli(capsys, *argv, "--file", worked_file)
+    assert code == 2 and out == "" and message in err
+
+
 def test_cli_text_format(worked_file, capsys):
     code, out, _ = run_cli(capsys, "bounds", "--file", worked_file)
     assert code == 0

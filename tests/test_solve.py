@@ -342,6 +342,42 @@ def test_enumerated_certificates_equal_from_candidate_bit_for_bit():
     assert not np.signbit(solve_enumerate(signed)[0].w[0])
 
 
+@pytest.mark.parametrize(
+    "inst, count",
+    [
+        (WORKED, 1),
+        (TcpInstance(DenseTensor(2, 1, {(1, 1): -1.0}), np.array([1.0])), 2),
+        (TcpInstance(DenseTensor(2, 1, {(1, 1): -1.0}), np.array([-1.0])), 0),
+    ],
+)
+def test_enumerate_returns_the_certificates_verify_solution_built(monkeypatch, inst, count):
+    # The batched screen only proposes roots; every certificate returned is
+    # one verify_solution built, one call per distinct root.
+    checker, built = solve_module.verify_solution, []
+
+    def recording(*args):
+        built.append(checker(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solve_module, "verify_solution", recording)
+    certs = solve_enumerate(inst)
+    assert len(certs) == len(built) == count
+    assert sorted(map(id, certs)) == sorted(map(id, built))
+
+
+def test_enumerate_keeps_only_roots_verify_solution_passes(monkeypatch):
+    # The screen cannot admit a root on its own: a certificate that fails
+    # is not returned, even when the screen passed its z.
+    checker = solve_module.verify_solution
+
+    def failing(inst, z, tol):
+        cert = checker(inst, z, tol)
+        return SolutionCertificate(cert.z, cert.w, cert.support, math.inf, tol, False)
+
+    monkeypatch.setattr(solve_module, "verify_solution", failing)
+    assert solve_enumerate(WORKED) == []
+
+
 @pytest.mark.parametrize("knob", ["starts", "max_iterations", "step_tol", "damping"])
 def test_fixed_newton_schedule_is_not_an_option(knob):
     with pytest.raises(TypeError):
@@ -359,6 +395,7 @@ def test_infinite_tol_is_refused():
 
 def test_verify_solution_is_the_one_certificate_entry_point():
     assert not hasattr(SolutionCertificate, "from_candidate")
+    assert not hasattr(SolutionCertificate, "_from_row")
     cert = solve_diagonal(WORKED)
     assert cert.tol == SolveOptions.tol
     with pytest.raises(TypeError):
