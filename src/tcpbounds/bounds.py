@@ -209,10 +209,10 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     ``z`` is verified first (tolerance ``tol``), once per ``(tensor, q, z,
     tol)`` as the module notes say, and rejected if it is not a solution; a
     NaN or infinite ``u`` raises ``ValueError``.  ``u == z`` short-circuits
-    to a zero residual flagged EXACT_SOLUTION.  A tensor whose
-    ``||A||_inf`` overflows, or a ``u`` so far from ``z`` that
+    to a zero residual flagged EXACT_SOLUTION.  ``||A||_inf`` is finite, as
+    :class:`DenseTensor` guarantees; a ``u`` so far from ``z`` that
     ``||u - z||_inf^{m-1}`` or ``||A||_inf ||u - z||_inf^m`` leaves the float
-    range, raises ``ValueError`` before anything is contracted; so does a
+    range raises ``ValueError`` before anything is contracted; so does a
     ``w = A z^{m-1} + q`` whose root added to that of ``A (u - z)^{m-1}``
     can overflow.  The max-form ``u - max(0, u - s)`` is evaluated by
     componentwise selection on ``u > s``, the sign of ``u - s`` without its
@@ -247,7 +247,7 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     # |d_i (A d^{m-1})_i| <= ||A|| ||d||^m.  Compared in logs, and with d_inf
     # from Python floats, the test overflows nowhere itself.
     d_inf = max(abs(a - b) for a, b in zip(u_list, z_list))
-    norm = _inf_norm(tensor)
+    norm = tensor_inf_norm(tensor)
     log_d = math.log(d_inf)
     if r * log_d > _LOG_MAX or (
         norm > 0.0 and math.log(norm) + (r + 1) * log_d > _LOG_MAX
@@ -319,18 +319,8 @@ def _require_alpha_f(alpha: AlphaEstimate) -> None:
         )
 
 
-def _inf_norm(tensor: DenseTensor) -> float:
-    norm = tensor_inf_norm(tensor)
-    if not math.isfinite(norm):
-        raise ValueError(
-            f"||A||_inf overflows to {norm} although every entry is finite; "
-            "rescale the tensor"
-        )
-    return norm
-
-
 def _norm_root(tensor: DenseTensor) -> float:
-    return _inf_norm(tensor) ** (1.0 / (tensor.order - 1))
+    return tensor_inf_norm(tensor) ** (1.0 / (tensor.order - 1))
 
 
 def _solution_norm_pair(
@@ -383,10 +373,9 @@ def build_report(
     """Assemble every bound for ``(A, q, z, u)`` from one residual and ``alpha``.
 
     The single-purpose bound functions below read their fields from this
-    report.  A tensor whose ``||A||_inf`` overflows to inf is refused with
-    ``ValueError``, here and in :func:`solution_norm_bounds`, and so is a
-    ``u`` whose contraction (see :func:`residual`) or discriminant ``D``
-    overflows.
+    report.  A ``u`` whose contraction (see :func:`residual`) or
+    discriminant ``D`` overflows is refused with ``ValueError``; an
+    overflowing ``||A||_inf`` is refused earlier, by :class:`DenseTensor`.
     """
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")
@@ -496,7 +485,8 @@ def solution_norm_bounds(
 ) -> tuple[float, float]:
     """Bounds on ``||z||_inf`` valid for every solution, from ``q`` alone.
 
-    A NaN or infinite ``q`` raises ``ValueError``.
+    A NaN or infinite ``q`` raises ``ValueError``; ``||A||_inf`` is finite,
+    as :class:`DenseTensor` guarantees.
     """
     _require_alpha_f(alpha)
     q = _as_vector(q, tensor.dim, "q")

@@ -38,6 +38,7 @@ from .tensor import (
     DenseTensor,
     _as_vector,
     _require_even_order,
+    _require_int,
     _require_positive_diagonal,
     _row_max,
     _work_rows,
@@ -92,12 +93,6 @@ class GridSpec:
     def __post_init__(self):
         _require_int(self.points_per_axis, "points_per_axis", 2)
         _require_int(self.refinement_steps, "refinement_steps", 0)
-
-
-def _require_int(value, name: str, least: int) -> None:
-    """Refuse anything but an integer ``>= least``, a float or ``bool`` included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

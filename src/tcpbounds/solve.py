@@ -27,6 +27,7 @@ from .errors import DimensionLimitError
 from .tensor import (
     DenseTensor,
     _as_vector,
+    _require_int,
     _require_positive_diagonal,
     _row_max,
     contract_m1,
@@ -72,15 +73,20 @@ class SolveOptions:
     """Settings of :func:`solve_enumerate`.
 
     ``max_dim`` caps the dimension, since the enumeration is exponential, and
-    ``seed`` fixes the Newton starts.  ``tol`` is the acceptance tolerance
-    and must be positive and finite: roots are kept when no component of
-    ``z`` or ``w`` is below ``-tol`` and no product ``|z_i w_i|`` exceeds it.
-    Roots closer than ``10 * tol`` in the max-norm are considered duplicates.
+    ``seed`` fixes the Newton starts; both must be integers, at least 1 and
+    0.  ``tol`` is the acceptance tolerance and must be positive and finite:
+    roots are kept when no component of ``z`` or ``w`` is below ``-tol`` and
+    no product ``|z_i w_i|`` exceeds it.  Roots closer than ``10 * tol`` in
+    the max-norm are considered duplicates.
     """
 
     max_dim: int = 6
     seed: int = 0
     tol: float = 1e-9
+
+    def __post_init__(self):
+        _require_int(self.max_dim, "max_dim", 1)
+        _require_int(self.seed, "seed", 0)
 
 
 def _violations(z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
@@ -149,6 +155,9 @@ def solve_diagonal(inst: TcpInstance) -> SolutionCertificate:
     return verify_solution(inst, z, SolveOptions.tol)
 
 
+# A large |q| can overflow the screen's z_i w_i or a Newton contraction; both
+# drop the rows that are not finite, so numpy's warnings are not wanted.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_enumerate(
     inst: TcpInstance, opts: SolveOptions | None = None
 ) -> list[SolutionCertificate]:

@@ -60,6 +60,12 @@ def _as_index(raw_idx) -> tuple[int, ...]:
     return tuple(int(i) for i in idx)
 
 
+def _require_int(value, name: str, least: int) -> None:
+    """Refuse anything but an integer ``>= least``, a float or ``bool`` included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 class DenseTensor:
     """Order-``m``, dimension-``n`` real tensor in coordinate storage.
 
@@ -75,13 +81,15 @@ class DenseTensor:
         bool component, raises ``ValueError`` rather than being truncated.
         Zero values are dropped so that the stored entry count is the number
         of structural nonzeros; a value ``float`` cannot convert, or a NaN or
-        infinite one, raises ``ValueError`` naming its index.
+        infinite one, raises ``ValueError`` naming its index, and so do
+        finite entries whose ``||A||_inf`` overflows to inf.
 
     Besides the storage, a tensor keeps what is computed once and then read
-    many times: the Jacobian's slot table (``_jac_slots``), ``||A||_inf``
-    (``_inf_norm``) and, in ``_verified``, the certificate of the last
-    ``(q, z, tol)`` a bound report verified against it, so a stream of reports
-    on one solution verifies it once.  None of these changes a result.
+    many times: ``||A||_inf`` (``_inf_norm``, set when it is built), the
+    Jacobian's slot table (``_jac_slots``) and, in ``_verified``, the
+    certificate of the last ``(q, z, tol)`` a bound report verified against
+    it, so a stream of reports on one solution verifies it once.  None of
+    these changes a result.
     """
 
     __slots__ = (
@@ -125,14 +133,19 @@ class DenseTensor:
             )
         )
         vals = np.array([v for _, v in items], dtype=float)
+        norm = float(np.bincount(rows, weights=np.abs(vals), minlength=dim).max())
+        if not math.isfinite(norm):
+            raise ValueError(
+                "||A||_inf overflows to inf although every entry is finite; "
+                "rescale the tensor"
+            )
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_cols", cols)
         object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_row_slots", _slot_table(rows, dim))
+        object.__setattr__(self, "_inf_norm", norm)
         # Built on the first Jacobian call: only the solver needs it.
         object.__setattr__(self, "_jac_slots", None)
-        # Set by the first tensor_inf_norm call.
-        object.__setattr__(self, "_inf_norm", None)
         # (key, certificate) of the last z a bound report verified; see
         # bounds._certificate.
         object.__setattr__(self, "_verified", None)
@@ -333,8 +346,6 @@ def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
     """
     pts = _as_points(tensor, points)
     k, n = pts.shape
-    if tensor.nnz == 0:
-        return np.zeros((k, n, n))
     if tensor._jac_slots is None:
         keys = (tensor._rows[:, None] * n + tensor._cols).ravel()
         object.__setattr__(tensor, "_jac_slots", _slot_table(keys, n * n))
@@ -373,17 +384,8 @@ def contract_full(tensor: DenseTensor, x) -> float:
 def tensor_inf_norm(tensor: DenseTensor) -> float:
     """Maximum over rows of the sum of absolute entries sharing that first index.
 
-    Computed on the first call and kept on the tensor, which never changes.
+    Computed when the tensor is built, which refuses one that overflows.
     """
-    if tensor._inf_norm is None:
-        norm = 0.0
-        if tensor.nnz:
-            norm = float(
-                np.bincount(
-                    tensor._rows, weights=np.abs(tensor._vals), minlength=tensor.dim
-                ).max()
-            )
-        object.__setattr__(tensor, "_inf_norm", norm)
     return tensor._inf_norm
 
 

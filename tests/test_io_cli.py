@@ -646,6 +646,59 @@ def test_cli_validation_errors_exit_two(tmp_path, capsys):
     assert code == 2 and out == "" and "overflows" in err
 
 
+# Every entry is finite, but row 1 of the tensor sums to 1 + 1e308 + 1e308.
+OVERFLOWING_NORM_YAML = """\
+order: 2
+dim: 3
+entries:
+  - {idx: [1, 1], val: 1.0}
+  - {idx: [2, 2], val: 1.0}
+  - {idx: [3, 3], val: 1.0}
+  - {idx: [1, 2], val: 1.0e+308}
+  - {idx: [1, 3], val: 1.0e+308}
+q: [-1.0, 1.0, 1.0]
+z: [1.0, 0.0, 0.0]
+u: [0.5, 0.0, 0.0]
+"""
+NORM_MESSAGE = (
+    "||A||_inf overflows to inf although every entry is finite; rescale the tensor"
+)
+
+
+def test_overflowing_norm_file_is_a_format_error(tmp_path):
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(write(tmp_path, OVERFLOWING_NORM_YAML))
+    assert str(info.value) == NORM_MESSAGE
+    entries = (((1, 1), 1.0), ((1, 2), 1e308), ((1, 3), 1e308))
+    with pytest.raises(ProblemFormatError) as info:
+        ProblemFile(order=2, dim=3, entries=entries, q=np.zeros(3))
+    assert str(info.value) == NORM_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["alpha", "check-p", "solve", "verify", "sol-bounds", "bounds", "rel-bounds", "compare"],
+)
+def test_cli_refuses_an_overflowing_norm_without_a_warning(tmp_path, command):
+    # alpha and the report commands used to exit 2 with "min() arg is an
+    # empty sequence", check-p to exit 0 with LIKELY_P built on NaN, and
+    # solve and verify to exit 1, each after numpy RuntimeWarnings
+    path = write(tmp_path, OVERFLOWING_NORM_YAML)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tcpbounds", command, "--file", path],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {NORM_MESSAGE}\n")
+
+
+def test_cli_negative_seed_is_refused_by_name(worked_file, capsys):
+    # used to exit 2 with numpy's "expected non-negative integer"
+    code, out, err = run_cli(capsys, "solve", "--file", worked_file, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("tol", ["-1", "0"])
 def test_cli_non_positive_tol_exits_two(worked_file, capsys, command, tol):

@@ -384,6 +384,36 @@ def test_fixed_newton_schedule_is_not_an_option(knob):
         SolveOptions(**{knob: 1})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", True), ("seed", 1.5), ("seed", -1),
+     ("max_dim", 2.5), ("max_dim", True), ("max_dim", 0)],
+)
+def test_solve_options_refuse_a_bad_integer_by_name(field, value):
+    # seed=True used to run as seed 1 and seed=1.5 or -1 to fail inside numpy
+    # without a name; max_dim=2.5 was accepted
+    least = 0 if field == "seed" else 1
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {least}, got "):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_numpy_integers():
+    certs = solve_enumerate(WORKED, SolveOptions(max_dim=np.int64(2), seed=np.int32(0)))
+    assert [c.z.tolist() for c in certs] == [[0.0, 0.5]]
+
+
+def test_enumerate_large_q_warns_nothing():
+    # z = (1e100, 0) is an exact root, but the screen's z_i w_i and some
+    # Newton contractions overflow on the way: under -W error the call used
+    # to raise a RuntimeWarning instead of returning it
+    inst = TcpInstance(DenseTensor.from_diagonal([1.0, 2.0], order=4), np.array([-1e300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certs = solve_enumerate(inst)
+    assert [c.z.tolist() for c in certs] == [[1e100, 0.0]]
+    assert certs[0].passed and certs[0].support == (1,)
+
+
 def test_infinite_tol_is_refused():
     # verify_solution used to pass z = (5, 5) under tol = inf, with a
     # max_violation of 4995

@@ -1,5 +1,7 @@
 """Tensor storage and contraction kernels against brute-force references."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,10 @@ def test_jacobian_repeated_columns_and_zeros():
         jacobian_m1_batch(m, np.zeros((1, 2)))[0], [[2.0, -1.0], [4.0, 0.0]]
     )
     assert jacobian_m1_batch(DenseTensor(3, 2, {}), np.ones((3, 2))).shape == (3, 2, 2)
+    # a tensor with no entries takes the general path: +0.0 everywhere, bit for bit
+    for order in (2, 3, 4):
+        jac = jacobian_m1_batch(DenseTensor(order, 2, {}), [[-1.0, 2.0], [0.0, -0.0]])
+        assert jac.shape == (2, 2, 2) and jac.tobytes() == np.zeros((2, 2, 2)).tobytes()
 
 
 def _jacobian_cumprod(tensor, points):
@@ -412,6 +418,28 @@ def test_construction_rejects_non_iterable_index(key):
     # not iterable
     with pytest.raises(ValueError, match=f"index {key!r} must be a sequence"):
         DenseTensor(2, 2, {key: 1.0})
+
+
+def test_overflowing_inf_norm_is_refused_when_built():
+    # every entry is finite, but row 1 sums to 1 + 1e308 + 1e308; the tensor
+    # used to be built, and the alpha sweep, check-p and the solver ran on a
+    # norm of inf (only the bound reports refused it)
+    entries = {(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (1, 2): 1e308, (1, 3): 1e308}
+    with pytest.raises(ValueError) as info:
+        DenseTensor(2, 3, entries)
+    assert str(info.value) == (
+        "||A||_inf overflows to inf although every entry is finite; rescale the tensor"
+    )
+    # the signs do not matter: the norm sums absolute values
+    with pytest.raises(ValueError, match=r"\|\|A\|\|_inf overflows to inf"):
+        DenseTensor(4, 2, {(2, 1, 1, 1): -1e308, (2, 2, 2, 2): 1e308})
+
+
+def test_largest_finite_inf_norm_is_accepted():
+    big = sys.float_info.max
+    t = DenseTensor(2, 2, {(1, 1): big / 2, (1, 2): -big / 2, (2, 2): 1.0})
+    assert tensor_inf_norm(t) == big
+    assert tensor_inf_norm(DenseTensor(3, 2, {(2, 2, 1): big})) == big
 
 
 def test_inf_norm_is_computed_once(monkeypatch):
