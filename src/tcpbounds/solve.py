@@ -13,6 +13,13 @@ reduction over a short axis.  A batched screen of each Newton batch only
 proposes roots: :func:`verify_solution` builds every certificate, so each one
 recomputes ``w`` and the violation measure from ``z`` and nothing is trusted
 from the caller or from the screen.
+
+For order 2 and even-order row-power tensors ``A z^{m-1} = M z^{[m-1]}``, so
+TCP(q, A) is LCP(q, M): an LCP screen solves ``M_SS y_S = -q_S`` for every
+support at once and skips the Newton starts of each support whose root is
+clearly infeasible, starts whose iterates :func:`verify_solution` would fail.
+The starts are drawn for every support and Newton rows are independent, so
+every certificate is bit-identical to an unscreened run's.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .errors import DimensionLimitError
 from .tensor import (
     DenseTensor,
     _as_vector,
+    _lcp_matrix,
     _require_int,
     _require_positive_diagonal,
     _row_max,
@@ -186,12 +194,18 @@ def solve_enumerate(
     supports = [
         s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)
     ]
-    mask = np.zeros((len(supports), n), dtype=bool)
+    on_support = np.zeros((len(supports), n), dtype=bool)
     for k, support in enumerate(supports):
-        mask[k, support] = True
-    mask = np.repeat(mask, _STARTS, axis=0)
+        on_support[k, support] = True
+    mask = np.repeat(on_support, _STARTS, axis=0)
     starts = np.zeros(mask.shape)
     starts[mask] = scale * rng.uniform(0.05, 1.0, size=int(mask.sum()))
+    # The starts are drawn for every support, so the kept rows, and their
+    # iterates, are the ones an unscreened run makes.
+    matrix = _lcp_matrix(tensor)
+    if matrix is not None:
+        rows = np.repeat(_lcp_screen(matrix, q, on_support, opts.tol, tensor.order), _STARTS)
+        mask, starts = mask[rows], starts[rows]
 
     batch_rows = _batch_rows(tensor)
     # The zero support is screened first and the Newton batches are made
@@ -245,6 +259,53 @@ _BATCH_ENTRIES = 1 << 16
 
 def _batch_rows(tensor: DenseTensor) -> int:
     return max(1, _BATCH_ENTRIES // max(1, tensor.nnz * (tensor.order - 1)))
+
+
+# The LCP screen drops a support only when its linear root misses
+# feasibility by more than max(tol, tol^{m-1}) (z_i >= -tol is y_i >=
+# -tol^{m-1}) plus _SCREEN_SLACK of the scale of q, y and M y.  It trusts only
+# blocks whose condition number is at most _SCREEN_MAX_COND, where the float
+# error of y and w is about 1e-9 of that scale, a thousandth of the slack.
+_SCREEN_SLACK = 1e-6
+_SCREEN_MAX_COND = 1e6
+
+
+def _lcp_screen(
+    matrix: np.ndarray, q: np.ndarray, on_support: np.ndarray, tol: float, order: int
+) -> np.ndarray:
+    """Whether each support of ``on_support`` may give a root of LCP(q, M).
+
+    On a support ``S`` the Newton system is ``M_SS y_S = -q_S`` with
+    ``y = z^{[m-1]}``, zero off ``S``; its root is solved for every support
+    at once, the blocks padded off ``S`` with ``||M||_inf`` times the
+    identity.  A support is refused only when that root is clearly
+    infeasible: some ``y_i`` on ``S`` or ``w_j = (M y + q)_j`` off ``S`` is
+    below ``-eta``.  An ill-conditioned block, or a non-finite ``y`` or
+    ``w``, keeps its support, and a singular block keeps every support.  The
+    screen only removes Newton rows whose iterates ``verify_solution`` would
+    fail; it builds no certificate.
+    """
+    norm = float(np.abs(matrix).sum(axis=1).max())
+    blocks = np.where(
+        on_support[:, :, None] & on_support[:, None, :], matrix, norm * np.eye(matrix.shape[0])
+    )
+    try:
+        inverse = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        return np.ones(on_support.shape[0], dtype=bool)
+    # Every row of a block sums to at most ||M||_inf in modulus, so this is at
+    # least the block's condition number in the max-norm.
+    cond = norm * _row_max(np.abs(inverse).sum(axis=2))
+    # Zero off the support, where the right side is zero.
+    y = (inverse @ np.where(on_support, -q, 0.0)[:, :, None])[:, :, 0]
+    w = y @ matrix.T + q
+    # A tol^{m-1} that overflows makes eta inf, which keeps every support.
+    eta = max(tol, np.float64(tol) ** (order - 1)) + _SCREEN_SLACK * (
+        1.0 + float(np.max(np.abs(q))) + (1.0 + norm) * _row_max(np.abs(y))
+    )[:, None]
+    infeasible = ((y < -eta) | (np.where(on_support, 0.0, w) < -eta)).any(axis=1)
+    trusted = (cond <= _SCREEN_MAX_COND) & np.isfinite(_row_max(np.abs(w)))
+    return ~(trusted & infeasible)
 
 
 def _newton_on_supports(

@@ -376,6 +376,22 @@ def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:
     return np.ascontiguousarray(sums.T).reshape(k, n, n)
 
 
+def _lcp_matrix(tensor: DenseTensor) -> np.ndarray | None:
+    """The matrix ``M`` with ``A x^{m-1} = M x^{[m-1]}``, or ``None``.
+
+    The class is order 2, or even order with every stored entry's trailing
+    indices equal (row-power, the diagonal included): ``M[i, j]`` is the entry
+    at ``(i, j, ..., j)``.  There ``x -> x^{[m-1]}`` is a bijection, so
+    TCP(q, A) is the linear complementarity problem LCP(q, M).
+    """
+    cols = tensor._cols
+    if tensor.order % 2 or (cols != cols[:, :1]).any():
+        return None
+    matrix = np.zeros((tensor.dim, tensor.dim))
+    matrix[tensor._rows, cols[:, 0]] = tensor._vals
+    return matrix
+
+
 def contract_full(tensor: DenseTensor, x) -> float:
     """Full contraction against ``m`` copies of ``x``, ``x . A x^{m-1}``."""
     return float(np.dot(x, contract_m1(tensor, x)))

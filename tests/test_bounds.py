@@ -46,6 +46,7 @@ from tcpbounds import (
     solve_enumerate,
     solution_norm_bounds,
     tensor_inf_norm,
+    verify_solution,
 )
 from families import random_sparse_tensor
 
@@ -346,6 +347,33 @@ def test_lower_bound_holds_for_a_solver_rounded_z():
     z_star = np.array([0.0, 0.5, (2.0 / 3.0) ** (1.0 / 3.0)])
     rep = diagonal_bounds(tensor, q, z, u)
     assert rep.lb_base <= float(np.max(np.abs(u - z_star)))
+
+
+# The sol-bounds files of the cli-mix benchmark at seeds 3023 and 88, with
+# the manufactured solution each file records.
+GRID_ALPHA_MISSES = [
+    (4, {(1, 1, 1, 1): 3.983719950535439, (1, 2, 2, 2): -2.3015149471949647,
+         (2, 1, 1, 1): -1.000658982338513, (2, 2, 2, 2): 2.3277362051382315},
+     [-0.3792783814238756, -0.9139067800841603], [0.7538700107887377, 0.8324165409722675]),
+    (2, {(1, 1): 3.2503463334968767, (1, 2): -1.9064615733997738,
+         (2, 1): -0.8183796289388306, (2, 2): 2.0740007805507954},
+     [-0.8026719106766094, -0.9401009582732791], [0.6672458668579058, 0.7165674174957342]),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the grid alpha overestimates")
+@pytest.mark.parametrize(
+    "order, entries, q, z_star", GRID_ALPHA_MISSES, ids=["cli-mix-3023", "cli-mix-88"]
+)
+def test_solution_norm_upper_bound_holds_at_grid_seven(order, entries, q, z_star):
+    # The grid-7 alpha is above the true one (1.18930 against about 1.11393
+    # on the first), so sol_ub is 0.81597 against ||z*||_inf = 0.83242, and
+    # 0.69954 against 0.71657 on the second.
+    tensor, q = DenseTensor(order, 2, entries), np.array(q)
+    assert verify_solution(TcpInstance(tensor, q), z_star).passed
+    alpha = alpha_for(tensor, ALPHA_F, GridSpec(points_per_axis=7))
+    _, sol_ub = solution_norm_bounds(tensor, q, alpha)
+    assert sol_ub >= max(z_star)
 
 
 def test_residual_rejects_odd_order_and_bad_shapes():

@@ -1,5 +1,6 @@
 """Solution certificates, the diagonal closed form, and support enumeration."""
 
+import itertools
 import math
 import warnings
 
@@ -497,7 +498,7 @@ def test_enumerate_goldens_bit_for_bit():
 
 
 def _bits(certs):
-    return [(_hex(c.z), _hex(c.w), c.max_violation, c.support) for c in certs]
+    return [(_hex(c.z), _hex(c.w), float(c.max_violation).hex(), c.support) for c in certs]
 
 
 def test_enumerate_batches_that_split_a_support_size_change_no_bit(monkeypatch):
@@ -619,3 +620,110 @@ def test_newton_acceptance_rule_is_finite_and_below_base(monkeypatch, batch_entr
     assert [list(z) for z in got] == [list(z) for z in want]
     # Factors 1/32, 1 and 1/2, then a stopped row: the rule told them apart.
     assert [float(z[0]) for z in got] == [15.0 - 2.0 / 32, 17.0, 22.0, 27.0]
+
+
+def _keep_every_support(matrix, q, on_support, tol, order):
+    return np.ones(on_support.shape[0], dtype=bool)
+
+
+# ROADMAP item 15's instances, where the absolute tol and 10 * tol dedupe
+# miscount at a large or small |q|: (tensor, q, the one solution).
+_DIAG = DenseTensor.from_diagonal([1.0, 2.0], order=4)
+SCALE_CASES = [
+    (DenseTensor(2, 2, {(1, 1): 2.0, (1, 2): -1.0, (2, 1): 1.0, (2, 2): 3.0}),
+     np.full(2, -1e300), np.array([4.0, 1.0]) / 7.0 * 1e300),
+    *((_DIAG, np.full(2, -c), (np.array([1.0, 0.5]) * c) ** (1.0 / 3.0))
+      for c in (1e305, 1e-12, 1e-30)),
+]
+
+
+def _screen_probes():
+    """(instance, tol) pairs in the LCP class: every family, n = 1..6, varied q."""
+    rng = np.random.default_rng(2110)
+    shapes = [("diagonal", 4), ("row_power", 4), ("general", 2), ("row_power", 2)]
+    probes = []
+    for (family, order), dim in itertools.product(shapes, range(1, 7)):
+        inst, _ = manufactured_unique(rng, family, order, dim)
+        zeroed = inst.q.copy()
+        zeroed[rng.uniform(size=dim) < 0.5] = 0.0
+        for q in (zeroed, inst.q * 10.0 ** rng.uniform(-14.0, 8.0), np.abs(inst.q),
+                  rng.uniform(-5.0, 5.0, dim)):
+            probes.append((TcpInstance(inst.tensor, q), (1e-9, 1e-6, 1e-3)[len(probes) % 3]))
+    probes += [(inst, SolveOptions.tol) for inst in _golden_instances()]
+    probes += [(TcpInstance(t, q), SolveOptions.tol) for t, q, _ in SCALE_CASES]
+    return probes
+
+
+def test_lcp_screen_changes_no_certificate_bit(monkeypatch):
+    # The screen drops only Newton rows whose iterates verify_solution fails,
+    # and the kept rows' iterates do not depend on the others, so every
+    # certificate matches an unscreened run in every bit.
+    probes = _screen_probes()
+    screened = [_bits(solve_enumerate(inst, SolveOptions(tol=tol))) for inst, tol in probes]
+    monkeypatch.setattr(solve_module, "_lcp_screen", _keep_every_support)
+    for (inst, tol), bits in zip(probes, screened):
+        assert _bits(solve_enumerate(inst, SolveOptions(tol=tol))) == bits, (inst.q, tol)
+    assert sum(len(bits) == 1 for bits in screened) >= 0.9 * len(probes)
+
+
+def _newton_rows(monkeypatch, inst):
+    """Rows that reach the Newton kernel in one enumeration, and its certificates."""
+    rows, newton = [], solve_module._newton_on_supports
+
+    def recording(inst, mask, starts):
+        rows.append(mask.shape[0])
+        return newton(inst, mask, starts)
+
+    monkeypatch.setattr(solve_module, "_newton_on_supports", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certs = solve_enumerate(inst)
+    monkeypatch.undo()
+    return sum(rows), certs
+
+
+def test_lcp_screen_sends_only_the_feasible_support_to_newton(monkeypatch):
+    # A P-matrix problem with a nondegenerate solution has one support whose
+    # linear root is feasible; the other 62 supports' 8 starts never run.
+    inst, z_star = manufactured_unique(np.random.default_rng(5), "row_power", 4, 6)
+    rows, certs = _newton_rows(monkeypatch, inst)
+    assert rows == solve_module._STARTS < 63 * solve_module._STARTS
+    assert len(certs) == 1
+    np.testing.assert_allclose(certs[0].z, z_star, rtol=0, atol=1e-10)
+
+
+def test_lcp_screen_keeps_every_row_outside_the_class_or_on_a_singular_block(monkeypatch):
+    rng = np.random.default_rng(6)
+    inst, _ = manufactured_unique(rng, "row_power", 4, 6)
+    # one entry whose trailing indices differ: a general order-4 tensor
+    general = DenseTensor(4, 6, {**inst.tensor.entries, (1, 2, 3, 4): 0.01})
+    # an order-2 matrix whose (1, 1) entry is zero: its 1 x 1 block is singular
+    matrix = manufactured_unique(rng, "general", 2, 6)[0].tensor.entries
+    del matrix[(1, 1)]
+    for tensor in (general, DenseTensor(2, 6, matrix)):
+        rows, _ = _newton_rows(monkeypatch, TcpInstance(tensor, inst.q))
+        assert rows == 63 * solve_module._STARTS
+
+
+def test_lcp_screen_trusts_only_a_well_conditioned_block():
+    # q = (-1, 0).  On support {2}, w_1 = -1; on the full support the root
+    # has y_2 = -1 for M = [[1, 1], [1, 2]], but y_2 = -1e9 with a condition
+    # number of about 4e9 for the nearly singular [[1, 1], [1, 1 + 1e-9]],
+    # whose float root the screen does not trust.
+    on_support = np.array([[True, False], [False, True], [True, True]])
+    q = np.array([-1.0, 0.0])
+    for corner, kept in ((2.0, [True, False, False]), (1.0 + 1e-9, [True, False, True])):
+        matrix = np.array([[1.0, 1.0], [1.0, corner]])
+        assert solve_module._lcp_screen(matrix, q, on_support, 1e-9, 2).tolist() == kept
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 15: tol and the dedupe are absolute")
+@pytest.mark.parametrize(
+    "tensor, q, z_star", SCALE_CASES, ids=["o2-1e300", "o4-1e305", "o4-1e-12", "o4-1e-30"]
+)
+def test_enumerate_finds_the_one_root_at_any_scale(tensor, q, z_star):
+    # The solver returns 3 roots, none, 4 and only z = 0; the bit-identity
+    # test above shows the LCP screen leaves each result as it is.
+    certs = solve_enumerate(TcpInstance(tensor, q))
+    assert len(certs) == 1
+    np.testing.assert_allclose(certs[0].z, z_star, rtol=1e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from families import random_sparse_tensor
+from families import manufactured_unique, random_sparse_tensor
 from tcpbounds import (
     DenseTensor,
     DimensionMismatchError,
@@ -17,7 +17,7 @@ from tcpbounds import (
     signed_root,
     tensor_inf_norm,
 )
-from tcpbounds.tensor import _work_rows
+from tcpbounds.tensor import _lcp_matrix, _work_rows
 
 # Hand-checked order-3 case: rows (1,1,2)->2, (1,2,1)->3, (2,2,2)->1, (2,1,1)->-1.
 HAND_ENTRIES = {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0}
@@ -454,3 +454,26 @@ def test_inf_norm_is_computed_once(monkeypatch):
     monkeypatch.setattr(np, "bincount", no_bincount)
     assert tensor_inf_norm(t) == first
     assert tensor_inf_norm(zero) == 0.0
+
+
+def test_lcp_matrix_of_order_two_and_even_row_power_tensors():
+    rng = np.random.default_rng(21)
+    for family, order in (("general", 2), ("row_power", 2), ("row_power", 4), ("diagonal", 6)):
+        tensor = manufactured_unique(rng, family, order, 4)[0].tensor
+        matrix = _lcp_matrix(tensor)
+        expected = np.zeros((4, 4))
+        for idx, val in tensor.entries.items():
+            expected[idx[0] - 1, idx[1] - 1] = val
+        assert np.array_equal(matrix, expected)
+        x = rng.uniform(-1.0, 1.0, 4)
+        np.testing.assert_allclose(contract_m1(tensor, x), matrix @ x ** (order - 1), rtol=1e-13)
+    assert np.array_equal(_lcp_matrix(DenseTensor(4, 2, {})), np.zeros((2, 2)))
+
+
+def test_lcp_matrix_is_none_outside_the_class():
+    # trailing indices that differ, or an odd order, where x -> x^{m-1} is
+    # not a bijection
+    general = DenseTensor(4, 2, {(1, 1, 1, 1): 2.0, (2, 2, 2, 2): 2.0, (1, 1, 2, 2): 0.5})
+    assert _lcp_matrix(general) is None
+    assert _lcp_matrix(DenseTensor.from_diagonal([1.0, 2.0], order=3)) is None
+    assert _lcp_matrix(hand_tensor()) is None
