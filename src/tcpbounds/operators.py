@@ -12,16 +12,24 @@ the P-property; the bound formulas consume ``alpha(F)``.
 
 The minimum is estimated deterministically: the boundary of the cube
 ``[-1, 1]^n`` is swept face by face on a regular grid, each boundary grid
-point evaluated once, and the best point is polished with coordinate
-descent.  Grid chunks are built by broadcasting a block of the trailing
-coordinates against the leading ones, row maxima are taken column by column,
-and each polish sweep evaluates its remaining trial points in one batch; the
+point visited once, and the best point is polished with coordinate
+descent.  On the face ``x_f = s`` the objective is at least its pinned term
+``s * (op x)_f``, so once a best value exists each chunk is first bounded
+with that one component of the map, and only the rows whose term does not
+exceed the best value are evaluated in full.  The term is the objective's
+own column ``f``, bit for bit, so a pruned row's value is strictly above the
+best one and could neither lower nor tie it: the value and its tie-break
+point are those of the full sweep.
+
+Grid chunks are built by broadcasting a block of the trailing coordinates
+against the leading ones, row maxima are taken column by column, and each
+polish sweep evaluates its remaining trial points in one batch; the
 accepted steps, and so the value, are those of the one-trial-at-a-time
 first-improvement search.  Each estimate allocates one scratch buffer, sized
-for its largest chunk, and every batch contraction of the sweep and the
-polish runs in it; ``T`` or ``F``, the product with the points and the row
-maxima then work on the contraction's output in place, so no chunk allocates
-a large temporary.  Grid estimates never undershoot the true minimum,
+for its largest chunk, and every batch contraction of the sweep, its bounds
+and the polish runs in it; ``T`` or ``F``, the product with the points and
+the row maxima then work on the contraction's output in place, so no chunk
+allocates a large temporary.  Grid estimates never undershoot the true minimum,
 so a positive estimate is evidence, not proof; only the diagonal closed form
 is certified.
 """
@@ -137,13 +145,20 @@ def apply_F(tensor: DenseTensor, x) -> np.ndarray:
 
 
 def _map_batch(
-    tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
+    tensor: DenseTensor,
+    points: np.ndarray,
+    kind: str | None,
+    work: np.ndarray | None = None,
+    component: int | None = None,
 ) -> np.ndarray:
     """``T``, ``F`` or, for ``kind=None``, the bare contraction of each row of ``points``.
 
     The map is applied in place to the result of :func:`contract_m1_batch`,
     a ``(k, n)`` view of ``work`` (or of the buffer the kernel allocates
-    without it) whose transpose is contiguous.
+    without it) whose transpose is contiguous.  With ``component=i`` only
+    column ``i`` of that result is formed and mapped, a length-``k`` view
+    equal to the full map's column bit for bit: the kernel's column is, and
+    the root or ``T``'s factors act on each entry alone.
     """
     if kind == ALPHA_T:
         # The squares go through the buffer before the kernel takes it over.
@@ -154,9 +169,10 @@ def _map_batch(
         factors = np.zeros(points.shape[0])
         nz = norms > 0.0
         factors[nz] = norms[nz] ** (2 - tensor.order)
-    mapped = contract_m1_batch(tensor, points, work)
+    mapped = contract_m1_batch(tensor, points, work, component=component)
     if kind == ALPHA_T:
-        mapped *= factors[:, None]
+        # Transposed, a row's factor meets every entry of it, full or one column.
+        np.multiply(mapped.T, factors, out=mapped.T)
     elif kind == ALPHA_F:
         signed_root(mapped, tensor.order - 1, out=mapped)
     return mapped
@@ -223,15 +239,25 @@ def estimate_alpha(
 
     The boundary of ``[-1, 1]^n`` is covered by the ``2 n`` faces; each face is
     sampled on a regular grid of ``points_per_axis`` values per free
-    coordinate, and a grid point on several faces is evaluated once, on the
+    coordinate, and a grid point on several faces is visited once, on the
     first face ``x_j = +-1`` it lies on.  Ties are broken toward the
     lexicographically smallest point, so the result is independent of
-    evaluation schedule.  The best point is then polished with coordinate
-    descent that keeps the face's pinned coordinate at +-1 and clips the rest
-    to ``[-1, 1]``, so every iterate stays on the unit sphere.  Each sweep
-    tries ``+step`` then ``-step`` per free coordinate and accepts the first
-    trial that improves; the trials left in the sweep are evaluated together
-    in one batch from the current point, which accepts exactly the steps of a
+    evaluation schedule.
+
+    Each chunk after the first is bounded by its pinned term ``sign * (op
+    x)[fixed]``, one component of the map, and only the rows whose term is
+    not above the best value so far get the full objective.  The objective is
+    the maximum of terms that include this one, bit for bit, so a skipped
+    row could neither beat nor tie the best value.  When a pruned chunk's
+    minimum is a zero, its sign is taken from the whole chunk, since
+    ``np.min`` picks between ``+0.0`` and ``-0.0`` by position.
+
+    The best point is then polished with coordinate descent that keeps the
+    face's pinned coordinate at +-1 and clips the rest to ``[-1, 1]``, so
+    every iterate stays on the unit sphere.  Each sweep tries ``+step`` then
+    ``-step`` per free coordinate and accepts the first trial that improves;
+    the trials left in the sweep are evaluated together in one batch from
+    the current point, which accepts exactly the steps of a
     one-trial-at-a-time search.
     """
     if kind not in (ALPHA_T, ALPHA_F):
@@ -251,7 +277,17 @@ def estimate_alpha(
     best_face = 0
     for fixed in range(n):
         for sign in (-1.0, 1.0):
-            for pts in _iter_face_chunks(axis, n, fixed, sign):
+            for chunk in _iter_face_chunks(axis, n, fixed, sign):
+                pts = chunk
+                if best_val < np.inf:
+                    # The objective maximizes this term among others, so a
+                    # row whose term exceeds best_val can neither beat nor tie it.
+                    term = _map_batch(tensor, chunk, kind, work, component=fixed)
+                    term *= sign
+                    keep = ~(term > best_val)
+                    if not keep.any():
+                        continue
+                    pts = chunk[keep]
                 vals = _objective(tensor, pts, kind, work)
                 local_min = float(vals.min())
                 if local_min > best_val:
@@ -261,6 +297,10 @@ def estimate_alpha(
                 if local_min < best_val or (
                     best_point is not None and local_point < best_point
                 ):
+                    if local_min == 0.0 and pts is not chunk:
+                        # Which of +0.0 and -0.0 np.min returns depends on
+                        # where the zeros sit among all the chunk's rows.
+                        local_min = float(_objective(tensor, chunk, kind, work).min())
                     best_val = local_min
                     best_point = local_point
                     best_face = fixed

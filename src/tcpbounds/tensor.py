@@ -11,8 +11,9 @@ never mutates after construction and no operation writes to its arguments,
 save the buffers handed over for it.  :func:`contract_m1_batch` takes an
 optional flat ``work`` buffer that holds all its temporaries and its result,
 so a caller that makes many batch calls, such as the alpha sweep, reuses one
-block of memory instead of allocating per call; :func:`signed_root` can write
-its roots to ``out``, the input itself included.
+block of memory instead of allocating per call, and can ask for a single
+output component; :func:`signed_root` can write its roots to ``out``, the
+input itself included.
 """
 
 from __future__ import annotations
@@ -286,14 +287,20 @@ def _as_points(tensor: DenseTensor, points) -> np.ndarray:
 
 
 def _work_rows(tensor: DenseTensor) -> int:
-    """Rows of ``k`` floats that :func:`contract_m1_batch` uses for ``k`` points."""
+    """Rows of ``k`` floats that :func:`contract_m1_batch` uses for ``k`` points.
+
+    A ``component`` call uses no more: its result takes one row in place of
+    ``dim``, its gathered factors one row's entries in place of all ``nnz``.
+    """
     nnz, m1 = tensor._cols.shape
     # The points, the result, the products with their zero row and, past
     # order 2, the gathered factors.
     return 2 * tensor.dim + nnz + 1 + (nnz if m1 > 1 else 0)
 
 
-def contract_m1_batch(tensor: DenseTensor, points, work=None) -> np.ndarray:
+def contract_m1_batch(
+    tensor: DenseTensor, points, work=None, *, component: int | None = None
+) -> np.ndarray:
     """Row-wise :func:`contract_m1` for a ``(k, dim)`` array of vectors.
 
     Every result row equals :func:`contract_m1` of that point bit for bit: the
@@ -306,31 +313,53 @@ def contract_m1_batch(tensor: DenseTensor, points, work=None) -> np.ndarray:
     kernel allocates one.  The result is a ``(k, dim)`` view of the buffer's
     first ``k * dim`` entries whose transpose is contiguous; the next call on
     the same buffer overwrites it.
+
+    With ``component=i`` (``0 <= i < dim``) only output component ``i`` is
+    computed, as a contiguous length-``k`` view of ``work``: the kernel forms
+    the products of row ``i``'s stored entries alone (a contiguous range,
+    since storage is index-sorted) and sums them through column ``i`` of the
+    same slot table, so the result equals ``contract_m1_batch(tensor,
+    points)[:, i]`` bit for bit, signed zeros included, for that row's share
+    of the products and sums.  The alpha sweep bounds its face chunks this
+    way.
     """
     pts = _as_points(tensor, points)
     k, n = pts.shape
-    nnz = tensor.nnz
     rows = _work_rows(tensor)
     if work is None:
         work = np.empty(rows * k)
     elif work.size < rows * k:
         raise ValueError(f"work holds {work.size} entries, {rows * k} needed for {k} points")
+    nnz = tensor.nnz
+    if component is None:
+        lo, hi, slots = 0, nnz, tensor._row_slots
+    else:
+        if isinstance(component, bool) or not isinstance(component, (int, np.integer)) or not (
+            0 <= component < n
+        ):
+            raise ValueError(f"component must be an integer in 0..{n - 1}, got {component!r}")
+        lo, hi = (int(tensor._rows.searchsorted(i)) for i in (component, component + 1))
+        slots = tensor._row_slots[:, component : component + 1]
+    bins = slots.shape[1]
     buf = work[: rows * k].reshape(rows, k)
-    xt = buf[n : 2 * n]
+    xt = buf[bins : bins + n]
     xt[...] = pts.T
     # One row per stored entry, then the zero row the slot padding points at.
-    prods = buf[2 * n : 2 * n + nnz + 1]
+    # A component call forms only its row's products, the only rows its
+    # slot column reads.
+    prods = buf[bins + n : bins + n + nnz + 1]
     prods[nnz] = 0.0
-    prod = prods[:nnz]
-    first, *rest = tensor._cols.T
+    prod = prods[lo:hi]
+    first, *rest = tensor._cols[lo:hi].T
     xt.take(first, axis=0, out=prod, mode="clip")
     if rest:
-        factor = buf[2 * n + nnz + 1 :]
+        factor = buf[bins + n + nnz + 1 : bins + n + nnz + 1 + hi - lo]
         for col in rest:
             prod *= xt.take(col, axis=0, out=factor, mode="clip")
-    np.multiply(tensor._vals[:, None], prod, out=prod)
+    np.multiply(tensor._vals[lo:hi, None], prod, out=prod)
     # The points are used up, so their rows hold the gathered slots.
-    return _sum_by_slots(prods, tensor._row_slots, buf[:n], xt).T
+    sums = _sum_by_slots(prods, slots, buf[:bins], xt[:bins])
+    return sums.T if component is None else sums[0]
 
 
 def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:

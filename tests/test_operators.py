@@ -320,7 +320,85 @@ def test_estimate_alpha_bit_identical_to_one_trial_polish():
         for kind in (ALPHA_T, ALPHA_F) if order % 2 == 0 else (ALPHA_T,):
             cases.append((t, kind, spec))
     for t, kind, spec in cases:
-        assert estimate_alpha(t, kind, spec).value == _reference_alpha(t, kind, spec)
+        assert estimate_alpha(t, kind, spec).value.hex() == _reference_alpha(t, kind, spec).hex()
+
+
+def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
+    import tcpbounds.operators as operators_module
+
+    calls = []
+    batch = operators_module.contract_m1_batch
+
+    def recording(tensor, points, work=None, **kwargs):
+        calls.append((len(points), kwargs.get("component")))
+        return batch(tensor, points, work, **kwargs)
+
+    monkeypatch.setattr(operators_module, "contract_m1_batch", recording)
+    t = manufactured_unique(np.random.default_rng(2231), "row_power", 4, 5)[0].tensor
+    g, n = 11, 5
+    for kind in (ALPHA_F, ALPHA_T):
+        # No polish, so every call belongs to the sweep.
+        spec = GridSpec(points_per_axis=g, refinement_steps=0)
+        want = _reference_alpha(t, kind, spec)
+        calls.clear()
+        assert estimate_alpha(t, kind, spec).value.hex() == want.hex()
+        # The first chunk has no best value to bound against; every other
+        # boundary point is bounded once, and only the rows its pinned term
+        # cannot rule out are evaluated in full, after their chunk's bound.
+        (first, none), *rest = calls
+        assert none is None
+        bounded = sum(rows for rows, component in rest if component is not None)
+        assert first + bounded == g**n - (g - 2) ** n
+        full = first
+        for (prev_rows, prev_component), (rows, component) in zip(rest, rest[1:]):
+            if component is None:
+                assert prev_component is not None and rows <= prev_rows
+                full += rows
+        assert full < 0.25 * (g**n - (g - 2) ** n)
+
+
+# A zero alpha: the objective is +-0.0 at several points of a chunk, and
+# np.min picks the zero's sign by where the zeros sit among all its rows.
+ZERO_ALPHA = DenseTensor(
+    2, 4, {(3, 1): 1.7400020656041257, (1, 1): 0.2904806817346346, (2, 3): 1.7376551588391367}
+)
+
+
+@pytest.mark.parametrize(
+    "tensor, kind, spec",
+    [
+        # Corners only.
+        (random_sparse_tensor(np.random.default_rng(7), 4, 4, 12), ALPHA_F, GridSpec(2, 20)),
+        (random_sparse_tensor(np.random.default_rng(8), 2, 3, 7), ALPHA_T, GridSpec(2, 20)),
+        # One coordinate, so no free one to bound.
+        (DenseTensor(4, 1, {(1, 1, 1, 1): 2.0}), ALPHA_F, GridSpec(5, 10)),
+        (DenseTensor(3, 1, {(1, 1, 1): -3.0}), ALPHA_T, GridSpec(5, 10)),
+        # Odd order, where only T is defined.
+        (
+            manufactured_unique(np.random.default_rng(9), "row_power", 3, 4)[0].tensor,
+            ALPHA_T,
+            GridSpec(9, 30),
+        ),
+        (random_sparse_tensor(np.random.default_rng(10), 3, 4, 14), ALPHA_T, GridSpec(9, 30)),
+        # Not P, so the best value is negative; on face 3 the pinned term,
+        # from 0.5 x_1, is +-0.0 wherever x_1 = 0, and the whole face is pruned.
+        (DenseTensor(2, 3, {(1, 1): -1.0, (2, 2): -1.0, (3, 1): 0.5}), ALPHA_F, GridSpec(9, 30)),
+        (
+            DenseTensor(4, 3, {(1, 1, 1, 1): -1.0, (2, 2, 2, 2): -1.0, (3, 1, 1, 1): 0.5}),
+            ALPHA_T,
+            GridSpec(9, 30),
+        ),
+        # Row 4 is empty, so its term is +-0.0 everywhere, the objective is
+        # never below it and the best value is a zero: on face 4 every bound
+        # ties the best value, so no row there may be pruned, whatever the
+        # signs of the zeros.
+        (ZERO_ALPHA, ALPHA_T, GridSpec(11, 51)),
+        (ZERO_ALPHA, ALPHA_F, GridSpec(11, 51)),
+    ],
+)
+def test_face_sweep_pruning_keeps_the_reference_bits(tensor, kind, spec):
+    got = estimate_alpha(tensor, kind, spec).value
+    assert got.hex() == _reference_alpha(tensor, kind, spec).hex()
 
 
 def test_estimate_alpha_dimension_one():
@@ -440,9 +518,9 @@ def test_check_p_evaluates_each_point_once(monkeypatch):
     rows = []
     batch = operators_module.contract_m1_batch
 
-    def counting(tensor, points, work=None):
+    def counting(tensor, points, work=None, **kwargs):
         rows.append(len(points))
-        return batch(tensor, points, work)
+        return batch(tensor, points, work, **kwargs)
 
     def single(tensor, x):
         rows.append(1)

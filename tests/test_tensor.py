@@ -244,6 +244,50 @@ def test_batch_contraction_refuses_a_short_work_buffer():
         contract_m1_batch(t, np.ones((5, 2)), work=np.empty(5 * _work_rows(t) - 1))
 
 
+def _component_tensors(rng):
+    """Orders 2-4 with an empty row, -0.0 products and a row whose terms cancel."""
+    for order in (2, 3, 4):
+        t = random_sparse_tensor(rng, order, 4, 12)
+        # Row 4 holds nothing; row 1's terms 1e16, 1, -1e16, 1 at x = 1 sum
+        # to 1 only when added in stored-entry order.
+        entries = {idx: v for idx, v in t.entries.items() if idx[0] not in (1, 4)}
+        for j, v in zip((1, 2, 3, 4), (1e16, 1.0, -1e16, 1.0)):
+            entries[(1,) + (j,) * (order - 1)] = v
+        # A negative entry times a zero coordinate is -0.0.
+        entries[(2,) + (3,) * (order - 1)] = -2.5
+        yield DenseTensor(order, 4, entries)
+    yield DenseTensor(3, 3, {})
+
+
+def test_batch_contraction_component_is_its_column_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for t in _component_tensors(rng):
+        pts = rng.uniform(-1.5, 1.5, (300, t.dim))
+        pts[rng.random(pts.shape) < 0.25] = 0.0
+        pts[rng.random(pts.shape) < 0.1] = -0.0
+        pts[:3] = [[1.0] * t.dim, [0.0] * t.dim, [-0.0] * t.dim]
+        full = contract_m1_batch(t, pts).copy()
+        buf = np.full(pts.shape[0] * _work_rows(t), np.nan)
+        for i in range(t.dim):
+            for work in (None, buf):
+                got = contract_m1_batch(t, pts, work, component=i)
+                assert got.shape == (pts.shape[0],) and got.flags.c_contiguous
+                assert [v.hex() for v in got] == [v.hex() for v in full[:, i]], (t, i)
+        if t.nnz:
+            # The cancelling row at x = 1, and the empty row's +0.0.
+            assert full[0, 0] == 1.0 and full[0, 3].hex() == "0x0.0p+0"
+            assert np.signbit(full[:, 3]).sum() == 0
+
+
+def test_batch_component_refuses_a_short_work_buffer_and_a_bad_index():
+    t = hand_tensor()
+    with pytest.raises(ValueError, match="work holds"):
+        contract_m1_batch(t, np.ones((5, 2)), work=np.empty(5 * _work_rows(t) - 1), component=0)
+    for bad in (-1, 2, 1.0, True, "0"):
+        with pytest.raises(ValueError, match="component"):
+            contract_m1_batch(t, np.ones((5, 2)), component=bad)
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(23)
     h = 1e-6
