@@ -22,16 +22,18 @@ best one and could neither lower nor tie it: the value and its tie-break
 point are those of the full sweep.
 
 Grid chunks are built by broadcasting a block of the trailing coordinates
-against the leading ones, row maxima are taken column by column, and each
-polish sweep evaluates its remaining trial points in one batch; the
-accepted steps, and so the value, are those of the one-trial-at-a-time
-first-improvement search.  Each estimate allocates one scratch buffer, sized
-for its largest chunk, and every batch contraction of the sweep, its bounds
-and the polish runs in it; ``T`` or ``F``, the product with the points and
-the row maxima then work on the contraction's output in place, so no chunk
-allocates a large temporary.  Grid estimates never undershoot the true minimum,
-so a positive estimate is evidence, not proof; only the diagonal closed form
-is certified.
+against the leading ones, and row maxima are taken column by column.  Each
+polish batch evaluates, from the current point, the rest of the current
+sweep and the next few whole sweeps, each at the step it takes if the
+sweeps before it stall; the first improving trial is the one a
+one-trial-at-a-time first-improvement search accepts, so the accepted steps,
+and so the value, are that search's.  Each estimate allocates one scratch
+buffer, sized for its largest chunk or polish batch, and every batch
+contraction of the sweep, its bounds and the polish runs in it; ``T`` or
+``F``, the product with the points and the row maxima then work on the
+contraction's output in place, so no chunk allocates a large temporary.
+Grid estimates never undershoot the true minimum, so a positive estimate is
+evidence, not proof; only the diagonal closed form is certified.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ NOT_P = "NOT_P"
 _CHUNK = 4096
 # Step of the first polish sweep; it halves whenever a sweep stalls.
 _INITIAL_STEP = 0.1
+# Whole polish sweeps evaluated ahead, in case the ones before them stall.
+_SPECULATE = 4
 
 
 @dataclass(frozen=True)
@@ -256,9 +260,20 @@ def estimate_alpha(
     face's pinned coordinate at +-1 and clips the rest to ``[-1, 1]``, so
     every iterate stays on the unit sphere.  Each sweep tries ``+step`` then
     ``-step`` per free coordinate and accepts the first trial that improves;
-    the trials left in the sweep are evaluated together in one batch from
-    the current point, which accepts exactly the steps of a
-    one-trial-at-a-time search.
+    the step halves after a sweep that improves nothing, and the polish stops
+    after ``refinement_steps`` sweeps or once the step falls below 1e-12.
+
+    One batch, evaluated from the current point, holds the untried rest of
+    the current sweep and then up to ``_SPECULATE`` whole sweeps, each a
+    segment at the step it takes if every sweep before it stalls (halved
+    after a stalled sweep that improved nothing, kept after an improving
+    one), none past the budget or the step floor.  Trials that clip to the
+    current coordinate are dropped.  A stalled sweep leaves the point where
+    it was, so every segment before the first improving row is exactly the
+    stalled sweep the one-trial-at-a-time search runs, and that row is the
+    trial it accepts; the trials after it start from the new point in the
+    next batch.  The kernel computes each row on its own, so the accepted
+    steps, and the value, are that search's bit for bit.
     """
     if kind not in (ALPHA_T, ALPHA_F):
         raise ValueError(f"kind must be {ALPHA_T!r} or {ALPHA_F!r}, got {kind!r}")
@@ -268,8 +283,8 @@ def estimate_alpha(
     n = tensor.dim
     axis = np.linspace(-1.0, 1.0, grid.points_per_axis)
     # One buffer for every kernel call: the largest face chunk, or a polish
-    # sweep's 2 (n - 1) trials.
-    rows = min(_CHUNK, max(axis.size ** (n - 1), 2 * (n - 1)))
+    # batch of the current sweep and _SPECULATE more, 2 (n - 1) trials each.
+    rows = max(min(_CHUNK, axis.size ** (n - 1)), (_SPECULATE + 1) * 2 * (n - 1))
     work = np.empty(rows * _work_rows(tensor))
 
     best_val = np.inf
@@ -307,36 +322,46 @@ def estimate_alpha(
 
     point = np.array(best_point)
     value = best_val
-    # Trial order of a sweep: (j, +step), (j, -step) for each free j.
+    # Trial order of a sweep: (j, +step), (j, -step) for each free j; a batch
+    # holds up to _SPECULATE + 1 sweeps back to back.
     free = np.delete(np.arange(n), best_face)
-    coords = np.repeat(free, 2)
+    per_sweep = 2 * free.size
+    coords = np.tile(np.repeat(free, 2), _SPECULATE + 1)
     signs = np.tile([1.0, -1.0], free.size)
-    step = _INITIAL_STEP
-    for _ in range(grid.refinement_steps):
-        improved = False
-        deltas = signs * step
-        start = 0
-        while start < coords.size:
-            js = coords[start:]
-            moved = np.minimum(np.maximum(point[js] + deltas[start:], -1.0), 1.0)
-            live = (moved != point[js]).nonzero()[0]
-            if live.size == 0:
+    sweeps_left = grid.refinement_steps
+    step, start, improved = _INITIAL_STEP, 0, False
+    while sweeps_left > 0 and step >= 1e-12:
+        # Segment i of the batch is a sweep with steps[i], the step it takes
+        # if every sweep before it stalls; steps[-1] follows the last one.
+        steps = [step]
+        for i in range(min(_SPECULATE + 1, sweeps_left)):
+            steps.append(steps[-1] if improved and i == 0 else 0.5 * steps[-1])
+            if steps[-1] < 1e-12:
                 break
+        segments = len(steps) - 1
+        # The current sweep's first ``start`` trials are already done.
+        js = coords[start : segments * per_sweep]
+        deltas = np.multiply.outer(steps[:-1], signs).ravel()[start:]
+        here = point[js]
+        moved = np.minimum(np.maximum(here + deltas, -1.0), 1.0)
+        live = (moved != here).nonzero()[0]
+        better = live[:0]
+        if live.size:
             trials = point[None, :].repeat(live.size, axis=0)
             trials[np.arange(live.size), js[live]] = moved[live]
             vals = _objective(tensor, trials, kind, work)
             better = (vals < value).nonzero()[0]
-            if better.size == 0:
-                break
-            k = int(better[0])
-            point, value = trials[k], float(vals[k])
-            improved = True
-            # Trials after the accepted one start from the new point.
-            start += int(live[k]) + 1
-        if not improved:
-            step *= 0.5
-            if step < 1e-12:
-                break
+        if better.size == 0:
+            sweeps_left -= segments
+            step, start, improved = steps[-1], 0, False
+            continue
+        # The segments before the accepted trial's are stalled sweeps; the
+        # trials after it start from the new point in the next batch.
+        k = int(better[0])
+        stalled, done = divmod(start + int(live[k]), per_sweep)
+        point, value = trials[k], float(vals[k])
+        sweeps_left -= stalled
+        step, start, improved = steps[stalled], done + 1, True
 
     return AlphaEstimate(
         value=value,

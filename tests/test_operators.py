@@ -29,6 +29,7 @@ from tcpbounds import (
 from tcpbounds.operators import (
     _CHUNK,
     _INITIAL_STEP,
+    _SPECULATE,
     _iter_face_chunks,
     _objective,
     _sample_chunks,
@@ -319,8 +320,68 @@ def test_estimate_alpha_bit_identical_to_one_trial_polish():
         spec = GridSpec(points_per_axis=points, refinement_steps=int(rng.integers(0, 61)))
         for kind in (ALPHA_T, ALPHA_F) if order % 2 == 0 else (ALPHA_T,):
             cases.append((t, kind, spec))
+    # The sweep's minimizer (-1, 1, 0.5) lies on the edge x_0 = -1, x_1 = 1 of
+    # the cube, so the polish's +step trials on x_1 clip out.
+    edge = random_sparse_tensor(np.random.default_rng(831274), 4, 3, 9)
+    corner_value = _objective(edge, np.array([[-1.0, 1.0, 0.5]]), ALPHA_F)[0]
+    assert estimate_alpha(edge, ALPHA_F, GridSpec(5, 0)).value == corner_value
+    # The grid holds this diagonal minimizer, so every polish sweep stalls and
+    # the step reaches the 1e-12 floor after 37 of them.
+    stalls = DenseTensor.from_diagonal([2.0, 5.0, 3.0], order=4)
+    # Budgets that end inside a batch of speculated sweeps, or at the floor.
+    for steps in (0, 1, 2, 4, 5, 6, 37, 38, 60):
+        cases += [
+            (HAND3, ALPHA_T, GridSpec(7, steps)),
+            (edge, ALPHA_F, GridSpec(5, steps)),
+            (stalls, ALPHA_F, GridSpec(5, steps)),
+            (DenseTensor(4, 1, {(1, 1, 1, 1): 2.0}), ALPHA_T, GridSpec(3, steps)),
+        ]
+    # Face chunks smaller than a polish batch, which the work buffer must hold.
+    for n, grids in ((2, range(2, 10)), (3, (2, 3))):
+        t = random_sparse_tensor(rng, 4, n, 2 * n + 1)
+        cases += [(t, kind, GridSpec(g)) for g in grids for kind in (ALPHA_T, ALPHA_F)]
     for t, kind, spec in cases:
         assert estimate_alpha(t, kind, spec).value.hex() == _reference_alpha(t, kind, spec).hex()
+
+
+def test_polish_batches_the_sweeps_after_the_current_one(monkeypatch):
+    import tcpbounds.operators as operators_module
+
+    sizes = []
+    objective = operators_module._objective
+
+    def recording(tensor, points, kind, work=None):
+        sizes.append(len(points))
+        return objective(tensor, points, kind, work)
+
+    monkeypatch.setattr(operators_module, "_objective", recording)
+
+    def polish_sizes(tensor, kind, spec):
+        # The sweep does not depend on the budget, so it makes the first calls.
+        sizes.clear()
+        estimate_alpha(tensor, kind, GridSpec(spec.points_per_axis, 0))
+        sweep_calls = len(sizes)
+        sizes.clear()
+        estimate_alpha(tensor, kind, spec)
+        return sizes[sweep_calls:]
+
+    # The last number is the polish's calls when a batch held only the rest
+    # of the current sweep.
+    for seed, family, order, n, g, kind, one_sweep_calls in [
+        (2301, "general", 2, 4, 21, ALPHA_F, 79),
+        (2302, "row_power", 4, 4, 21, ALPHA_T, 83),
+    ]:
+        t = manufactured_unique(np.random.default_rng(seed), family, order, n)[0].tensor
+        polish = polish_sizes(t, kind, GridSpec(g))
+        assert 0 < 2 * len(polish) < one_sweep_calls
+        assert max(polish) <= (_SPECULATE + 1) * 2 * (n - 1)
+    # The grid holds the minimizer -e_1 and no trial from it clips, so every
+    # sweep stalls: 37 sweeps of 4 trials reach the 1e-12 step floor,
+    # _SPECULATE + 1 sweeps to a batch.
+    stalls = DenseTensor.from_diagonal([2.0, 5.0, 3.0], order=4)
+    polish = polish_sizes(stalls, ALPHA_F, GridSpec(5, 60))
+    assert sum(polish) == 37 * 4
+    assert len(polish) == -(-37 // (_SPECULATE + 1))
 
 
 def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
