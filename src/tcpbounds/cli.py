@@ -25,10 +25,12 @@ from .io import ProblemFile, _as_number, parse_problem
 from .operators import (
     ALPHA_F,
     ALPHA_T,
+    DOMINANCE_BOUND,
     GridSpec,
     LIKELY_P,
     alpha_for,
     check_p_tensor_sampled,
+    estimate_alpha,
 )
 from .solve import SolveOptions, TcpInstance, solve_enumerate, verify_solution
 
@@ -116,7 +118,12 @@ def _solve(inst: TcpInstance, args) -> list:
 def _cmd_alpha(problem: ProblemFile, inst: TcpInstance, args):
     kind = ALPHA_T if args.kind == "T" else ALPHA_F
     alpha = alpha_for(inst.tensor, kind, _grid(args))
-    return [("command", "alpha")] + _alpha_pairs(alpha), 0
+    extra = []
+    if alpha.method == DOMINANCE_BOUND:
+        # The subcommand reports the grid estimate, and the certified bound below it.
+        extra = [("alpha_lo", alpha.value)]
+        alpha = estimate_alpha(inst.tensor, kind, _grid(args))
+    return [("command", "alpha")] + _alpha_pairs(alpha) + extra, 0
 
 
 def _cmd_check_p(problem: ProblemFile, inst: TcpInstance, args):

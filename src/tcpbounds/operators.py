@@ -33,7 +33,9 @@ contraction of the sweep, its bounds and the polish runs in it; ``T`` or
 ``F``, the product with the points and the row maxima then work on the
 contraction's output in place, so no chunk allocates a large temporary.
 Grid estimates never undershoot the true minimum, so a positive estimate is
-evidence, not proof; only the diagonal closed form is certified.
+evidence, not proof.  Two values are certified: the closed form of a positive
+diagonal tensor, and the dominance bound of an even-order tensor whose every
+diagonal entry exceeds the absolute sum of its row's other entries.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ __all__ = [
     "ALPHA_T",
     "ALPHA_F",
     "CLOSED_FORM_DIAGONAL",
+    "DOMINANCE_BOUND",
     "GRID_REFINED",
     "LIKELY_P",
     "NOT_P",
@@ -78,6 +81,7 @@ __all__ = [
 ALPHA_T = "alpha_T"
 ALPHA_F = "alpha_F"
 CLOSED_FORM_DIAGONAL = "closed_form_diagonal"
+DOMINANCE_BOUND = "dominance_bound"
 GRID_REFINED = "grid_refined"
 LIKELY_P = "LIKELY_P"
 NOT_P = "NOT_P"
@@ -111,9 +115,10 @@ class GridSpec:
 class AlphaEstimate:
     """An alpha value plus enough provenance to judge what it certifies.
 
-    ``certified`` is True only for the diagonal closed form; grid estimates
-    are upper bounds on the true minimum (the search samples a subset of the
-    sphere), so a positive uncertified value is not a proof of the P-property.
+    ``certified`` is True for the diagonal closed form and the dominance
+    bound, which are at most the true minimum; grid estimates are upper bounds
+    on it (the search samples a subset of the sphere), so a positive
+    uncertified value is not a proof of the P-property.
     """
 
     value: float
@@ -252,9 +257,7 @@ def estimate_alpha(
     x)[fixed]``, one component of the map, and only the rows whose term is
     not above the best value so far get the full objective.  The objective is
     the maximum of terms that include this one, bit for bit, so a skipped
-    row could neither beat nor tie the best value.  When a pruned chunk's
-    minimum is a zero, its sign is taken from the whole chunk, since
-    ``np.min`` picks between ``+0.0`` and ``-0.0`` by position.
+    row could neither beat nor tie the best value.
 
     The best point is then polished with coordinate descent that keeps the
     face's pinned coordinate at +-1 and clips the rest to ``[-1, 1]``, so
@@ -267,13 +270,18 @@ def estimate_alpha(
     the current sweep and then up to ``_SPECULATE`` whole sweeps, each a
     segment at the step it takes if every sweep before it stalls (halved
     after a stalled sweep that improved nothing, kept after an improving
-    one), none past the budget or the step floor.  Trials that clip to the
-    current coordinate are dropped.  A stalled sweep leaves the point where
-    it was, so every segment before the first improving row is exactly the
-    stalled sweep the one-trial-at-a-time search runs, and that row is the
-    trial it accepts; the trials after it start from the new point in the
-    next batch.  The kernel computes each row on its own, so the accepted
-    steps, and the value, are that search's bit for bit.
+    one), none past the budget or the step floor.  A stalled sweep leaves the
+    point where it was, so every segment before the first improving row is
+    exactly the stalled sweep the one-trial-at-a-time search runs, and that
+    row is the trial it accepts; the trials after it start from the new point
+    in the next batch.  The kernel computes each row on its own, so the
+    accepted steps, and the value, are that search's bit for bit, and a trial
+    that clips to the current coordinate is the current point, scores the
+    current value and is never accepted.
+
+    A zero alpha is returned as ``+0.0``: every comparison above treats
+    ``-0.0`` and ``+0.0`` as equal, and which one ``np.min`` returns depends
+    on where the zeros sit in a chunk.
     """
     if kind not in (ALPHA_T, ALPHA_F):
         raise ValueError(f"kind must be {ALPHA_T!r} or {ALPHA_F!r}, got {kind!r}")
@@ -312,10 +320,6 @@ def estimate_alpha(
                 if local_min < best_val or (
                     best_point is not None and local_point < best_point
                 ):
-                    if local_min == 0.0 and pts is not chunk:
-                        # Which of +0.0 and -0.0 np.min returns depends on
-                        # where the zeros sit among all the chunk's rows.
-                        local_min = float(_objective(tensor, chunk, kind, work).min())
                     best_val = local_min
                     best_point = local_point
                     best_face = fixed
@@ -330,7 +334,8 @@ def estimate_alpha(
     signs = np.tile([1.0, -1.0], free.size)
     sweeps_left = grid.refinement_steps
     step, start, improved = _INITIAL_STEP, 0, False
-    while sweeps_left > 0 and step >= 1e-12:
+    # With no free coordinate (n = 1) a batch would be empty.
+    while per_sweep and sweeps_left > 0 and step >= 1e-12:
         # Segment i of the batch is a sweep with steps[i], the step it takes
         # if every sweep before it stalls; steps[-1] follows the last one.
         steps = [step]
@@ -342,15 +347,10 @@ def estimate_alpha(
         # The current sweep's first ``start`` trials are already done.
         js = coords[start : segments * per_sweep]
         deltas = np.multiply.outer(steps[:-1], signs).ravel()[start:]
-        here = point[js]
-        moved = np.minimum(np.maximum(here + deltas, -1.0), 1.0)
-        live = (moved != here).nonzero()[0]
-        better = live[:0]
-        if live.size:
-            trials = point[None, :].repeat(live.size, axis=0)
-            trials[np.arange(live.size), js[live]] = moved[live]
-            vals = _objective(tensor, trials, kind, work)
-            better = (vals < value).nonzero()[0]
+        trials = point[None, :].repeat(js.size, axis=0)
+        trials[np.arange(js.size), js] = np.minimum(np.maximum(point[js] + deltas, -1.0), 1.0)
+        vals = _objective(tensor, trials, kind, work)
+        better = (vals < value).nonzero()[0]
         if better.size == 0:
             sweeps_left -= segments
             step, start, improved = steps[-1], 0, False
@@ -358,13 +358,13 @@ def estimate_alpha(
         # The segments before the accepted trial's are stalled sweeps; the
         # trials after it start from the new point in the next batch.
         k = int(better[0])
-        stalled, done = divmod(start + int(live[k]), per_sweep)
+        stalled, done = divmod(start + k, per_sweep)
         point, value = trials[k], float(vals[k])
         sweeps_left -= stalled
         step, start, improved = steps[stalled], done + 1, True
 
     return AlphaEstimate(
-        value=value,
+        value=value + 0.0,  # -0.0 + 0.0 is +0.0
         kind=kind,
         method=GRID_REFINED,
         grid_points_per_axis=grid.points_per_axis,
@@ -398,19 +398,47 @@ def diagonal_alpha_estimate(tensor: DenseTensor) -> AlphaEstimate:
     )
 
 
+def _dominance_alpha(tensor: DenseTensor) -> float | None:
+    """``min_i (a_i - r_i)^{1/(m-1)}``, or ``None`` unless every ``a_i > r_i``.
+
+    ``a_i`` is row ``i``'s diagonal entry and ``r_i`` the absolute sum of the
+    row's other entries.  Where ``|x_j| = 1`` is the largest coordinate, the
+    other entries move ``(A x^{m-1})_j`` at most ``r_j`` from ``a_j
+    x_j^{m-1}``, so for even ``m`` the term ``x_j F_j(x)`` is at least ``(a_j
+    - r_j)^{1/(m-1)}`` on the whole boundary of the cube.  On a positive
+    diagonal every ``r_i`` is 0 and this is :func:`alpha_F_diagonal` bit for bit.
+    """
+    m = tensor.order
+    diag, off = [0.0] * tensor.dim, [0.0] * tensor.dim
+    for idx, val in tensor.entries.items():
+        if idx.count(idx[0]) == m:
+            diag[idx[0] - 1] = val
+        else:
+            off[idx[0] - 1] += abs(val)
+    if not all(a > r for a, r in zip(diag, off)):
+        return None
+    root = 1.0 / (m - 1)
+    return min((a - r) ** root for a, r in zip(diag, off))
+
+
 def alpha_for(
     tensor: DenseTensor, kind: str = ALPHA_F, grid: GridSpec | None = None
 ) -> AlphaEstimate:
     """The alpha estimate every bound and CLI subcommand uses.
 
-    ``alpha(F)`` of an even-order positive diagonal tensor comes from the
-    certified closed form (``grid`` is then unused); anything else from the
-    grid sweep of :func:`estimate_alpha`.
+    ``alpha(F)`` of an even-order tensor comes from the certified closed form
+    when it is a positive diagonal, else from the certified dominance bound
+    when every diagonal entry exceeds the absolute sum of its row's other
+    entries (``grid`` is then unused); anything else from the grid sweep of
+    :func:`estimate_alpha`.
     """
     if kind == ALPHA_F:
         _require_even_order(tensor, "alpha_F")
         if tensor.is_positive_diagonal():
             return diagonal_alpha_estimate(tensor)
+        bound = _dominance_alpha(tensor)
+        if bound is not None:
+            return AlphaEstimate(bound, ALPHA_F, DOMINANCE_BOUND, 0, 0, True)
     return estimate_alpha(tensor, kind, grid)
 
 

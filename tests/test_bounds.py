@@ -10,6 +10,7 @@ from families import manufactured_diagonal
 from tcpbounds import (
     ALPHA_F,
     ALPHA_T,
+    DOMINANCE_BOUND,
     FLAG_CLAMPED_DISCRIMINANT,
     FLAG_DEGENERATE_Q,
     FLAG_DEGENERATE_Z,
@@ -39,6 +40,7 @@ from tcpbounds import (
     diagonal_bounds,
     error_bounds_new,
     error_bounds_zheng,
+    estimate_alpha,
     relative_error_bounds,
     residual,
     signed_root,
@@ -349,8 +351,8 @@ def test_lower_bound_holds_for_a_solver_rounded_z():
     assert rep.lb_base <= float(np.max(np.abs(u - z_star)))
 
 
-# The sol-bounds files of the cli-mix benchmark at seeds 3023 and 88, with
-# the manufactured solution each file records.
+# The sol-bounds files of the cli-mix benchmark at seeds 3023, 88, 178, 191
+# and 264, with the manufactured solution each file records.
 GRID_ALPHA_MISSES = [
     (4, {(1, 1, 1, 1): 3.983719950535439, (1, 2, 2, 2): -2.3015149471949647,
          (2, 1, 1, 1): -1.000658982338513, (2, 2, 2, 2): 2.3277362051382315},
@@ -358,20 +360,37 @@ GRID_ALPHA_MISSES = [
     (2, {(1, 1): 3.2503463334968767, (1, 2): -1.9064615733997738,
          (2, 1): -0.8183796289388306, (2, 2): 2.0740007805507954},
      [-0.8026719106766094, -0.9401009582732791], [0.6672458668579058, 0.7165674174957342]),
+    (4, {(1, 1, 1, 1): 3.817999480650663, (1, 2, 2, 2): -2.3104827991983736,
+         (2, 1, 1, 1): -1.4092216670397193, (2, 2, 2, 2): 2.038234477487868},
+     [0.049345260815032654, -0.8497805487721116], [0.7438511856425809, 0.8885319137871477]),
+    (4, {(1, 1, 1, 1): 3.8786902620403887, (1, 2, 2, 2): -1.1672557879902292,
+         (2, 1, 1, 1): -1.5990697313248587, (2, 2, 2, 2): 3.3982602455459885},
+     [-0.6191421961942105, -2.2150323279829154], [0.7455905794034796, 0.9460960295118774]),
+    (4, {(1, 1, 1, 1): 2.601077194924815, (1, 2, 2, 2): -0.5462210192317496,
+         (1, 3, 3, 3): -0.48046418881532016, (2, 1, 1, 1): -0.3339433894466026,
+         (2, 2, 2, 2): 1.4515952961401466, (2, 3, 3, 3): -0.2651321828419799,
+         (3, 1, 1, 1): 0.5866882005147988, (3, 2, 2, 2): -0.47617003974838806,
+         (3, 3, 3, 3): 1.725849070384053},
+     [1.3305802247799374, -0.6395915813270332, -0.6258390258370288],
+     [0.0, 0.8111681230190129, 0.7988990816272308]),
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the grid alpha overestimates")
 @pytest.mark.parametrize(
-    "order, entries, q, z_star", GRID_ALPHA_MISSES, ids=["cli-mix-3023", "cli-mix-88"]
+    "order, entries, q, z_star",
+    GRID_ALPHA_MISSES,
+    ids=["cli-mix-3023", "cli-mix-88", "cli-mix-178", "cli-mix-191", "cli-mix-264"],
 )
 def test_solution_norm_upper_bound_holds_at_grid_seven(order, entries, q, z_star):
     # The grid-7 alpha is above the true one (1.18930 against about 1.11393
-    # on the first), so sol_ub is 0.81597 against ||z*||_inf = 0.83242, and
-    # 0.69954 against 0.71657 on the second.
-    tensor, q = DenseTensor(order, 2, entries), np.array(q)
+    # on the first), so sol_ub from it was 0.81597 against ||z*||_inf =
+    # 0.83242, and 0.69954 against 0.71657 on the second.  Each tensor is
+    # dominant, so alpha_for returns the certified dominance bound instead.
+    tensor, q = DenseTensor(order, len(q), entries), np.array(q)
     assert verify_solution(TcpInstance(tensor, q), z_star).passed
     alpha = alpha_for(tensor, ALPHA_F, GridSpec(points_per_axis=7))
+    assert alpha.method == DOMINANCE_BOUND and alpha.certified
+    assert alpha.value <= estimate_alpha(tensor, ALPHA_F, GridSpec(points_per_axis=7)).value
     _, sol_ub = solution_norm_bounds(tensor, q, alpha)
     assert sol_ub >= max(z_star)
 

@@ -415,8 +415,10 @@ def test_cli_rel_bounds_prints_flags(tmp_path, worked_file, capsys):
     code, out, _ = run_cli(capsys, "rel-bounds", "--file", worked_file, "--format", "machine")
     assert code == 0
     assert machine(out)["flags"] == "none"
+    # M = [[1, 2], [0, 8]] is a P-matrix whose row 1 is not dominant, so
+    # alpha comes from the grid, uncertified; the file's z still solves.
     coupled = WORKED_YAML.replace(
-        "q: [1.0, -1.0]", "  - idx: [1, 2, 2, 2]\n    val: 0.25\nq: [1.0, -1.0]"
+        "q: [1.0, -1.0]", "  - idx: [1, 2, 2, 2]\n    val: 2.0\nq: [1.0, -1.0]"
     )
     code, out, _ = run_cli(
         capsys, "rel-bounds", "--file", write(tmp_path, coupled), "--grid", "7",
@@ -429,7 +431,8 @@ def test_cli_rel_bounds_prints_flags(tmp_path, worked_file, capsys):
     assert code == 0
     data = machine(out)
     assert data["z_source"].startswith("solver(2 found")
-    assert data["flags"] == "UNCERTIFIED_ALPHA,AMBIGUOUS_SOLUTION"
+    # Dominant, so alpha is the certified dominance bound.
+    assert data["flags"] == "AMBIGUOUS_SOLUTION"
     code, out, _ = run_cli(capsys, "compare", "--file", path, "--format", "machine")
     assert machine(out)["flags"] == data["flags"]
 
@@ -484,6 +487,47 @@ def test_cli_alpha_grid_kind_t(tmp_path, capsys):
     assert float(data["alpha"]) == 2.0
     assert data["alpha_kind"] == "alpha_T"
     assert data["alpha_certified"] == "false"
+
+
+def test_cli_alpha_prints_a_zero_as_zero(tmp_path, capsys):
+    # The grid minimum is a zero that np.min returns as -0.0; "alpha=-0"
+    # would make the output depend on where the zeros sit in a chunk.
+    text = (
+        "order: 2\ndim: 3\nentries:\n  - idx: [2, 2]\n    val: -0.08146018725967341\n"
+        "  - idx: [2, 3]\n    val: 0.056946241876765225\nq: [1.0, 1.0, 1.0]\n"
+    )
+    path = write(tmp_path, text)
+    code, out, _ = run_cli(
+        capsys, "alpha", "--file", path, "--kind", "T", "--grid", "7", "--format", "machine"
+    )
+    assert code == 0
+    assert machine(out)["alpha"] == "0"
+
+
+def test_cli_alpha_adds_the_dominance_bound_to_the_grid_estimate(tmp_path, capsys):
+    # Row 1 has 1.5 > |-0.5|: alpha keeps printing the grid estimate, with
+    # one more line for the certified bound, which sol-bounds uses.
+    coupled = WORKED_YAML.replace(
+        "q: [1.0, -1.0]", "  - idx: [1, 2, 2, 2]\n    val: -0.5\nq: [1.0, -1.0]"
+    ).replace("val: 1.0", "val: 1.5")
+    path = write(tmp_path, coupled)
+    code, out, _ = run_cli(capsys, "alpha", "--file", path, "--grid", "7", "--format", "machine")
+    assert code == 0
+    keys = [line.partition("=")[0] for line in out.strip().splitlines()]
+    assert keys == [
+        "command", "alpha", "alpha_kind", "alpha_method", "alpha_certified",
+        "grid_points_per_axis", "refinement_steps", "alpha_lo",
+    ]
+    data = machine(out)
+    assert (data["alpha_method"], data["alpha_certified"]) == ("grid_refined", "false")
+    assert data["grid_points_per_axis"] == "7"
+    assert float(data["alpha_lo"]) == 1.0 <= float(data["alpha"])
+    code, out, _ = run_cli(capsys, "sol-bounds", "--file", path, "--grid", "7", "--format", "machine")
+    data = machine(out)
+    assert (data["alpha"], data["alpha_method"], data["alpha_certified"]) == (
+        "1", "dominance_bound", "true"
+    )
+    assert "alpha_lo" not in data
 
 
 def test_cli_check_p_verdicts(tmp_path, worked_file, capsys):
@@ -891,7 +935,7 @@ def test_package_exports_every_submodule_name_once():
         tcpbounds.tensor,
     )
     expected = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(expected) == 61
+    assert len(expected) == 62
     assert len(tcpbounds.__all__) == len(set(tcpbounds.__all__))
     assert set(tcpbounds.__all__) == expected
     for name in tcpbounds.__all__:

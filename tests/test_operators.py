@@ -12,6 +12,7 @@ from tcpbounds import (
     ALPHA_F,
     ALPHA_T,
     CLOSED_FORM_DIAGONAL,
+    DOMINANCE_BOUND,
     GRID_REFINED,
     LIKELY_P,
     NOT_P,
@@ -19,6 +20,7 @@ from tcpbounds import (
     DenseTensor,
     GridSpec,
     alpha_F_diagonal,
+    alpha_for,
     apply_F,
     apply_T,
     check_p_tensor_sampled,
@@ -30,6 +32,7 @@ from tcpbounds.operators import (
     _CHUNK,
     _INITIAL_STEP,
     _SPECULATE,
+    _dominance_alpha,
     _iter_face_chunks,
     _objective,
     _sample_chunks,
@@ -211,7 +214,8 @@ def _reference_alpha(tensor, kind, grid):
             step *= 0.5
             if step < 1e-12:
                 break
-    return value
+    # A zero alpha is +0.0, whichever zero np.min picked.
+    return value + 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -418,8 +422,7 @@ def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
         assert full < 0.25 * (g**n - (g - 2) ** n)
 
 
-# A zero alpha: the objective is +-0.0 at several points of a chunk, and
-# np.min picks the zero's sign by where the zeros sit among all its rows.
+# A zero alpha: the objective is +-0.0 at several points of a chunk.
 ZERO_ALPHA = DenseTensor(
     2, 4, {(3, 1): 1.7400020656041257, (1, 1): 0.2904806817346346, (2, 3): 1.7376551588391367}
 )
@@ -460,6 +463,60 @@ ZERO_ALPHA = DenseTensor(
 def test_face_sweep_pruning_keeps_the_reference_bits(tensor, kind, spec):
     got = estimate_alpha(tensor, kind, spec).value
     assert got.hex() == _reference_alpha(tensor, kind, spec).hex()
+
+
+def test_a_zero_alpha_is_positive_zero():
+    # The grid-7 minimum is a zero that np.min returns as -0.0 on its pruned
+    # chunk and on the whole one; the estimate is +0.0 for either map.
+    t = DenseTensor(2, 3, {(2, 2): -0.08146018725967341, (2, 3): 0.056946241876765225})
+    for kind in (ALPHA_T, ALPHA_F):
+        assert estimate_alpha(t, kind, GridSpec(7)).value.hex() == "0x0.0p+0"
+
+
+def test_dominance_bound_is_certified_and_below_every_boundary_value():
+    # Every boundary point scores at least min_i (a_i - r_i)^{1/(m-1)} on a
+    # dominant even-order tensor: the grid estimate with its polish, and
+    # random points with one coordinate pinned at +-1.
+    rng = np.random.default_rng(2404)
+    for family, order, n in [("general", 2, 2), ("general", 2, 4), ("row_power", 4, 3)] * 4:
+        t = manufactured_unique(rng, family, order, n)[0].tensor
+        est = alpha_for(t, ALPHA_F, GridSpec(9))
+        assert (est.method, est.certified, est.kind) == (DOMINANCE_BOUND, True, ALPHA_F)
+        # alpha_T has no dominance bound.
+        assert alpha_for(t, ALPHA_T, GridSpec(9)).method == GRID_REFINED
+        a = t.diagonal()
+        rows = np.zeros(n)
+        for idx, v in t.entries.items():
+            rows[idx[0] - 1] += abs(v)
+        assert est.value == pytest.approx(min(2 * a - rows) ** (1.0 / (order - 1)), rel=1e-14)
+        pts = rng.uniform(-1.0, 1.0, (2000, n))
+        pts[np.arange(2000), rng.integers(0, n, 2000)] = rng.choice([-1.0, 1.0], 2000)
+        grid = estimate_alpha(t, ALPHA_F, GridSpec(9)).value
+        assert est.value <= min(_objective(t, pts, ALPHA_F).min(), grid) * (1.0 + 1e-12)
+
+
+def test_dominance_bound_is_the_closed_form_on_a_positive_diagonal():
+    rng = np.random.default_rng(63)
+    for order in (2, 4, 6):
+        for n in (1, 3, 6):
+            t = DenseTensor.from_diagonal(rng.uniform(0.5, 10.0, n), order=order)
+            assert _dominance_alpha(t).hex() == alpha_F_diagonal(t).hex()
+            assert alpha_for(t, ALPHA_F).method == CLOSED_FORM_DIAGONAL
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Row 1's diagonal entry equals its off-diagonal sum.
+        {(1, 1): 2.0, (1, 2): -2.0, (2, 2): 3.0},
+        # A negative diagonal entry, and a missing one.
+        {(1, 1): -2.0, (2, 2): 3.0},
+        {(1, 1): 2.0, (2, 1): 0.5},
+    ],
+)
+def test_alpha_for_takes_the_grid_unless_every_row_is_dominant(entries):
+    t = DenseTensor(2, 2, entries)
+    assert alpha_for(t, ALPHA_F, GridSpec(5)) == estimate_alpha(t, ALPHA_F, GridSpec(5))
 
 
 def test_estimate_alpha_dimension_one():
