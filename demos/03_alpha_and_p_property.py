@@ -15,7 +15,6 @@ from tcpbounds import (
     ALPHA_T,
     DenseTensor,
     GridSpec,
-    alpha_F_diagonal,
     check_p_tensor_sampled,
     contract_m1,
     diagonal_alpha_estimate,
@@ -26,7 +25,7 @@ from tcpbounds import (
 D = DenseTensor.from_diagonal([1.0, 8.0], order=4)
 est = diagonal_alpha_estimate(D)
 print("diag(1, 8):  alpha(F) =", est.value, f"({est.method}, certified={est.certified})")
-print("closed form min_i a_i^(1/3):", alpha_F_diagonal(D))
+print("closed form min_i a_i^(1/3):", diagonal_alpha_estimate(D).value)
 
 # ----------------------------------------------------------- grid estimate
 # The same tensor through the generic search: the odd point count puts a

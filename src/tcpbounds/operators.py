@@ -33,9 +33,9 @@ contraction of the sweep, its bounds and the polish runs in it; ``T`` or
 ``F``, the product with the points and the row maxima then work on the
 contraction's output in place, so no chunk allocates a large temporary.
 Grid estimates never undershoot the true minimum, so a positive estimate is
-evidence, not proof.  Two values are certified: the closed form of a positive
-diagonal tensor, and the dominance bound of an even-order tensor whose every
-diagonal entry exceeds the absolute sum of its row's other entries.
+evidence, not proof.  One formula is certified: the dominance bound of an
+even-order tensor whose every diagonal entry exceeds the absolute sum of its
+row's other entries, which on a positive diagonal tensor is the closed form.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ __all__ = [
     "apply_F",
     "estimate_alpha",
     "alpha_for",
-    "alpha_F_diagonal",
     "diagonal_alpha_estimate",
     "check_p_tensor_sampled",
 ]
@@ -373,52 +372,29 @@ def estimate_alpha(
     )
 
 
-def alpha_F_diagonal(tensor: DenseTensor) -> float:
-    """Exact ``alpha(F)`` for a positive diagonal tensor: ``min_i a_i^{1/(m-1)}``.
-
-    The unit sphere forces some ``|x_j| = 1``, so the objective is at least the
-    smallest rooted diagonal entry, and the corresponding unit vector attains it.
-    """
-    _require_positive_diagonal(tensor, "closed-form alpha")
-    r = 1.0 / (tensor.order - 1)
-    # The guard leaves only the diagonal among the stored entries, as floats;
-    # their order does not change the minimum of positive values.
-    return min(a ** r for a in tensor.entries.values())
-
-
-def diagonal_alpha_estimate(tensor: DenseTensor) -> AlphaEstimate:
-    """:func:`alpha_F_diagonal` wrapped as a certified :class:`AlphaEstimate`."""
-    return AlphaEstimate(
-        value=alpha_F_diagonal(tensor),
-        kind=ALPHA_F,
-        method=CLOSED_FORM_DIAGONAL,
-        grid_points_per_axis=0,
-        refinement_steps=0,
-        certified=True,
-    )
-
-
 def _dominance_alpha(tensor: DenseTensor) -> float | None:
     """``min_i (a_i - r_i)^{1/(m-1)}``, or ``None`` unless every ``a_i > r_i``.
 
     ``a_i`` is row ``i``'s diagonal entry and ``r_i`` the absolute sum of the
-    row's other entries.  Where ``|x_j| = 1`` is the largest coordinate, the
-    other entries move ``(A x^{m-1})_j`` at most ``r_j`` from ``a_j
-    x_j^{m-1}``, so for even ``m`` the term ``x_j F_j(x)`` is at least ``(a_j
-    - r_j)^{1/(m-1)}`` on the whole boundary of the cube.  On a positive
-    diagonal every ``r_i`` is 0 and this is :func:`alpha_F_diagonal` bit for bit.
+    row's other entries, both as the tensor split them when it was built.
+    Where ``|x_j| = 1`` is the largest coordinate, the other entries move
+    ``(A x^{m-1})_j`` at most ``r_j`` from ``a_j x_j^{m-1}``, so for even
+    ``m`` the term ``x_j F_j(x)`` is at least ``(a_j - r_j)^{1/(m-1)}`` on the
+    whole boundary of the cube.  On a positive diagonal every ``r_i`` is 0,
+    so this is the closed form ``min_i a_i^{1/(m-1)}``, which the unit vector
+    of the smallest ``a_i`` attains.
     """
-    m = tensor.order
-    diag, off = [0.0] * tensor.dim, [0.0] * tensor.dim
-    for idx, val in tensor.entries.items():
-        if idx.count(idx[0]) == m:
-            diag[idx[0] - 1] = val
-        else:
-            off[idx[0] - 1] += abs(val)
-    if not all(a > r for a, r in zip(diag, off)):
+    pairs = list(zip(tensor._diag, tensor._off_sums))
+    if not all(a > r for a, r in pairs):
         return None
-    root = 1.0 / (m - 1)
-    return min((a - r) ** root for a, r in zip(diag, off))
+    root = 1.0 / (tensor.order - 1)
+    return min((a - r) ** root for a, r in pairs)
+
+
+def diagonal_alpha_estimate(tensor: DenseTensor) -> AlphaEstimate:
+    """The exact ``alpha(F)`` of a positive diagonal tensor, as a certified estimate."""
+    _require_positive_diagonal(tensor, "closed-form alpha")
+    return AlphaEstimate(_dominance_alpha(tensor), ALPHA_F, CLOSED_FORM_DIAGONAL, 0, 0, True)
 
 
 def alpha_for(
@@ -426,19 +402,18 @@ def alpha_for(
 ) -> AlphaEstimate:
     """The alpha estimate every bound and CLI subcommand uses.
 
-    ``alpha(F)`` of an even-order tensor comes from the certified closed form
-    when it is a positive diagonal, else from the certified dominance bound
-    when every diagonal entry exceeds the absolute sum of its row's other
-    entries (``grid`` is then unused); anything else from the grid sweep of
+    ``alpha(F)`` of an even-order tensor comes from the certified dominance
+    bound when every diagonal entry exceeds the absolute sum of its row's
+    other entries (``grid`` is then unused), labelled the closed form when
+    the tensor is diagonal; anything else from the grid sweep of
     :func:`estimate_alpha`.
     """
     if kind == ALPHA_F:
         _require_even_order(tensor, "alpha_F")
-        if tensor.is_positive_diagonal():
-            return diagonal_alpha_estimate(tensor)
         bound = _dominance_alpha(tensor)
         if bound is not None:
-            return AlphaEstimate(bound, ALPHA_F, DOMINANCE_BOUND, 0, 0, True)
+            method = CLOSED_FORM_DIAGONAL if tensor.is_diagonal() else DOMINANCE_BOUND
+            return AlphaEstimate(bound, ALPHA_F, method, 0, 0, True)
     return estimate_alpha(tensor, kind, grid)
 
 

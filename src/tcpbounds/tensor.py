@@ -86,8 +86,10 @@ class DenseTensor:
         finite entries whose ``||A||_inf`` overflows to inf.
 
     Besides the storage, a tensor keeps what is computed once and then read
-    many times: ``||A||_inf`` (``_inf_norm``, set when it is built), the
-    Jacobian's slot table (``_jac_slots``) and, in ``_verified``, the
+    many times: ``||A||_inf`` (``_inf_norm``), each row's diagonal entry
+    ``a_i`` (``_diag``) and the absolute sum ``r_i`` of its other entries
+    (``_off_sums``), all three set when it is built, the Jacobian's slot
+    table (``_jac_slots``) and, in ``_verified``, the
     certificate of the last ``(q, z, tol)`` a bound report verified against
     it, so a stream of reports on one solution verifies it once.  None of
     these changes a result.
@@ -95,7 +97,7 @@ class DenseTensor:
 
     __slots__ = (
         "order", "dim", "_entries", "_rows", "_cols", "_vals", "_row_slots",
-        "_jac_slots", "_inf_norm", "_verified",
+        "_jac_slots", "_inf_norm", "_diag", "_off_sums", "_verified",
     )
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, float]):
@@ -145,6 +147,16 @@ class DenseTensor:
         object.__setattr__(self, "_vals", vals)
         object.__setattr__(self, "_row_slots", _slot_table(rows, dim))
         object.__setattr__(self, "_inf_norm", norm)
+        # Each row's a_i and r_i; r_i adds in index order, whatever order the
+        # entries were given in.
+        diag, off_sums = [0.0] * dim, [0.0] * dim
+        for idx, val in items:
+            if idx.count(idx[0]) == order:
+                diag[idx[0] - 1] = val
+            else:
+                off_sums[idx[0] - 1] += abs(val)
+        object.__setattr__(self, "_diag", diag)
+        object.__setattr__(self, "_off_sums", off_sums)
         # Built on the first Jacobian call: only the solver needs it.
         object.__setattr__(self, "_jac_slots", None)
         # (key, certificate) of the last z a bound report verified; see
@@ -177,21 +189,15 @@ class DenseTensor:
 
     def diagonal(self) -> np.ndarray:
         """Vector of the entries at ``(i, i, ..., i)``; absent ones are zero."""
-        m = self.order
-        return np.array([self._entries.get((i,) * m, 0.0) for i in range(1, self.dim + 1)])
+        return np.array(self._diag)
 
     def is_diagonal(self) -> bool:
         """True when every stored entry sits at a constant index tuple."""
-        return all(len(set(idx)) == 1 for idx in self._entries)
+        return not any(self._off_sums)
 
     def is_positive_diagonal(self) -> bool:
         """True when the tensor is diagonal with all ``dim`` diagonal entries > 0."""
-        # Diagonal entries differ in their first index, so ``dim`` stored
-        # entries that are all diagonal are the whole diagonal.
-        m = self.order
-        return len(self._entries) == self.dim and all(
-            val > 0.0 and idx.count(idx[0]) == m for idx, val in self._entries.items()
-        )
+        return self.is_diagonal() and all(a > 0.0 for a in self._diag)
 
     def __repr__(self) -> str:
         return f"DenseTensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"

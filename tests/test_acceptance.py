@@ -13,7 +13,6 @@ from families import manufactured_diagonal, random_diagonal_instances, random_sp
 from tcpbounds import (
     DenseTensor,
     TcpInstance,
-    alpha_F_diagonal,
     apply_T,
     build_report,
     contract_full,
@@ -165,7 +164,7 @@ def test_criterion_6_alpha_grid_consistency():
         n = int(rng.integers(1, 4))
         diag = rng.uniform(0.5, 10.0, n)
         tensor = DenseTensor.from_diagonal(diag, order=4)
-        closed = alpha_F_diagonal(tensor)
+        closed = diagonal_alpha_estimate(tensor).value
         assert closed == min(float(a) ** (1.0 / 3.0) for a in diag)
         est = estimate_alpha(tensor)
         assert closed - 1e-6 <= est.value <= closed + 1e-3

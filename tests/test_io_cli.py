@@ -530,6 +530,27 @@ def test_cli_alpha_adds_the_dominance_bound_to_the_grid_estimate(tmp_path, capsy
     assert "alpha_lo" not in data
 
 
+def test_cli_output_does_not_depend_on_the_entry_order(tmp_path, capsys):
+    # Row 1's off-diagonal entries sum to 1 + 2e-16 in index order, but to 1
+    # when the 1.0 is added first; that moved alpha_lo and sol_ub by an ulp.
+    entries = [
+        ("[1, 1, 1, 1]", "2.0"), ("[1, 2, 2, 2]", "1.0"), ("[1, 1, 1, 2]", "1.0e-16"),
+        ("[1, 1, 2, 2]", "1.0e-16"), ("[2, 2, 2, 2]", "4.0"),
+    ]
+    outputs = []
+    for name, listed in [("given", entries), ("tiny-first", entries[2:4] + entries[:2] + entries[4:])]:
+        text = "order: 4\ndim: 2\nentries:\n" + "".join(
+            f"  - idx: {idx}\n    val: {val}\n" for idx, val in listed
+        )
+        path = write(tmp_path, text + "q: [-1.0, -1.0]\n", f"{name}.yaml")
+        outputs.append([
+            run_cli(capsys, "sol-bounds", "--file", path),
+            run_cli(capsys, "alpha", "--file", path, "--format", "machine"),
+        ])
+    assert outputs[0][0][0] == outputs[0][1][0] == 0
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_check_p_verdicts(tmp_path, worked_file, capsys):
     code, out, _ = run_cli(
         capsys, "check-p", "--file", worked_file, "--format", "machine"
@@ -935,7 +956,7 @@ def test_package_exports_every_submodule_name_once():
         tcpbounds.tensor,
     )
     expected = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(expected) == 62
+    assert len(expected) == 61
     assert len(tcpbounds.__all__) == len(set(tcpbounds.__all__))
     assert set(tcpbounds.__all__) == expected
     for name in tcpbounds.__all__:

@@ -19,7 +19,6 @@ from tcpbounds import (
     AlphaEstimate,
     DenseTensor,
     GridSpec,
-    alpha_F_diagonal,
     alpha_for,
     apply_F,
     apply_T,
@@ -88,8 +87,8 @@ def test_apply_F_requires_even_order():
 
 
 def test_alpha_F_diagonal_goldens():
-    assert alpha_F_diagonal(DenseTensor.from_diagonal([1.0, 8.0], order=4)) == 1.0
-    got = alpha_F_diagonal(DenseTensor.from_diagonal([16.0, 81.0], order=4))
+    assert diagonal_alpha_estimate(DenseTensor.from_diagonal([1.0, 8.0], order=4)).value == 1.0
+    got = diagonal_alpha_estimate(DenseTensor.from_diagonal([16.0, 81.0], order=4)).value
     assert got == 2.5198420997897464
 
 
@@ -102,14 +101,16 @@ def test_alpha_F_diagonal_is_the_minimum_over_the_diagonal_bit_for_bit():
             t = DenseTensor(order, n, {(i + 1,) * order: diag[i] for i in reversed(range(n))})
             r = 1.0 / (order - 1)
             want = min(float(a) ** r for a in t.diagonal())
-            assert float.hex(alpha_F_diagonal(t)) == float.hex(want)
+            assert float.hex(diagonal_alpha_estimate(t).value) == float.hex(want)
 
 
 def test_alpha_F_diagonal_rejects_nondiagonal_and_nonpositive():
     with pytest.raises(ValueError):
-        alpha_F_diagonal(DenseTensor(4, 2, {(1, 2, 1, 1): 1.0, (1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0}))
+        diagonal_alpha_estimate(
+            DenseTensor(4, 2, {(1, 2, 1, 1): 1.0, (1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0})
+        )
     with pytest.raises(ValueError):
-        alpha_F_diagonal(DenseTensor.from_diagonal([1.0, -2.0], order=4))
+        diagonal_alpha_estimate(DenseTensor.from_diagonal([1.0, -2.0], order=4))
 
 
 def test_diagonal_alpha_estimate_is_certified():
@@ -155,7 +156,7 @@ def test_grid_estimate_bracket_against_closed_form():
         n = int(rng.integers(1, 4))
         diag = rng.uniform(0.5, 10.0, n)
         t = DenseTensor.from_diagonal(diag, order=4)
-        closed = alpha_F_diagonal(t)
+        closed = diagonal_alpha_estimate(t).value
         est = estimate_alpha(t, ALPHA_F)
         assert closed - 1e-6 <= est.value <= closed + 1e-3
 
@@ -499,8 +500,10 @@ def test_dominance_bound_is_the_closed_form_on_a_positive_diagonal():
     rng = np.random.default_rng(63)
     for order in (2, 4, 6):
         for n in (1, 3, 6):
-            t = DenseTensor.from_diagonal(rng.uniform(0.5, 10.0, n), order=order)
-            assert _dominance_alpha(t).hex() == alpha_F_diagonal(t).hex()
+            diag = rng.uniform(0.5, 10.0, n)
+            t = DenseTensor.from_diagonal(diag, order=order)
+            want = min(float(a) ** (1.0 / (order - 1)) for a in diag)
+            assert _dominance_alpha(t).hex() == want.hex()
             assert alpha_for(t, ALPHA_F).method == CLOSED_FORM_DIAGONAL
 
 
@@ -517,6 +520,20 @@ def test_dominance_bound_is_the_closed_form_on_a_positive_diagonal():
 def test_alpha_for_takes_the_grid_unless_every_row_is_dominant(entries):
     t = DenseTensor(2, 2, entries)
     assert alpha_for(t, ALPHA_F, GridSpec(5)) == estimate_alpha(t, ALPHA_F, GridSpec(5))
+
+
+def test_dominance_bound_does_not_depend_on_the_entry_order():
+    # Row 1's off-diagonal entries sum to 1 + 2e-16 in index order, but to 1
+    # when the 1.0 is added first, which moved alpha by one ulp.
+    entries = {
+        (1, 1, 1, 1): 2.0, (1, 2, 2, 2): 1.0, (1, 1, 1, 2): 1e-16, (1, 1, 2, 2): 1e-16,
+        (2, 2, 2, 2): 4.0,
+    }
+    tiny_first = [(1, 1, 1, 2), (1, 1, 2, 2), (1, 1, 1, 1), (1, 2, 2, 2), (2, 2, 2, 2)]
+    given = alpha_for(DenseTensor(4, 2, entries))
+    reordered = alpha_for(DenseTensor(4, 2, {idx: entries[idx] for idx in tiny_first}))
+    assert given.method == reordered.method == DOMINANCE_BOUND
+    assert given.value.hex() == reordered.value.hex()
 
 
 def test_estimate_alpha_dimension_one():

@@ -129,12 +129,30 @@ def test_diagonal_predicates():
         (4, 2, {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0, (2, 1, 1, 1): 1e-9}),
         (3, 1, {(1, 1, 1): 0.5}),
         (2, 3, {}),
+        # row 1's off-diagonal sum is 1 + 2e-16 in index order, 1 in this one
+        (4, 2, {(1, 1, 1, 1): 2.0, (1, 2, 2, 2): 1.0, (1, 1, 1, 2): 1e-16, (1, 1, 2, 2): 1e-16,
+                (2, 2, 2, 2): 4.0}),
+        (2, 3, {(3, 3): -1.0, (1, 1): 2.0, (2, 2): 0.0, (2, 1): 0.5, (1, 3): -0.25}),
     ],
 )
 def test_positive_diagonal_predicate_matches_its_definition(order, dim, entries):
-    t = DenseTensor(order, dim, entries)
-    want = t.is_diagonal() and all(a > 0.0 for a in t.diagonal())
-    assert t.is_positive_diagonal() is want
+    # The split of each row into its diagonal entry and the absolute sum of
+    # the others, in index order, does not depend on the order given.
+    stored = {idx: v for idx, v in entries.items() if v != 0.0}
+    diag = [stored.get((i,) * order, 0.0) for i in range(1, dim + 1)]
+    off_sums = [
+        sum(abs(v) for idx, v in sorted(stored.items()) if idx[0] == i and len(set(idx)) > 1)
+        for i in range(1, dim + 1)
+    ]
+    is_diag = all(len(set(idx)) == 1 for idx in stored)
+    rng = np.random.default_rng(len(entries))
+    keys = list(entries)
+    for _ in range(6):
+        t = DenseTensor(order, dim, {keys[k]: entries[keys[k]] for k in rng.permutation(len(keys))})
+        assert np.array_equal(t.diagonal(), diag)
+        assert [v.hex() for v in t._off_sums] == [float(v).hex() for v in off_sums]
+        assert t.is_diagonal() is is_diag
+        assert t.is_positive_diagonal() is (is_diag and all(a > 0.0 for a in diag))
 
 
 def test_hand_contraction_values():
