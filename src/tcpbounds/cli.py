@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -82,18 +83,18 @@ def _alpha_pairs(alpha) -> list[tuple[str, object]]:
 
 def _resolve_z(
     problem: ProblemFile, inst: TcpInstance, args
-) -> tuple[np.ndarray, str, list]:
+) -> tuple[np.ndarray, str, tuple]:
     """Pick z from the flag, the file, or by solving; returns extra flags."""
     if args.z is not None:
-        return _parse_vector(args.z, "z"), "flag", []
+        return _parse_vector(args.z, "z"), "flag", ()
     if problem.z is not None:
-        return problem.z, "file", []
+        return problem.z, "file", ()
     certs = _solve(inst, args)
     if not certs:
         raise SolutionVerificationError(
             "no solution found by support enumeration; supply --z"
         )
-    extra = [AMBIGUOUS_SOLUTION] if len(certs) > 1 else []
+    extra = (AMBIGUOUS_SOLUTION,) if len(certs) > 1 else ()
     return certs[0].z, f"solver({len(certs)} found, smallest support used)", extra
 
 
@@ -203,59 +204,32 @@ def _report_pairs(report: BoundReport) -> list[tuple[str, object]]:
     ]
 
 
-def _full_report(
-    problem: ProblemFile, inst: TcpInstance, args
-) -> tuple[BoundReport, list, tuple]:
+def _compare_pairs(report: BoundReport) -> list[tuple[str, object]]:
+    ratio = compare_upper_bounds(report)
+    return _report_pairs(report) + [("ratio_ub_new_over_ub_base", ratio)]
+
+
+def _rel_pairs(report: BoundReport) -> list[tuple[str, object]]:
+    rel_lb, rel_ub = report.relative_bounds()
+    data = report.residual
+    return _alpha_pairs(report.alpha) + [
+        ("v_inf", data.v_inf),
+        ("t", data.t),
+        ("v_t", data.v_t),
+        ("rel_lb", rel_lb),
+        ("rel_ub", rel_ub),
+    ]
+
+
+def _cmd_report(view, problem: ProblemFile, inst: TcpInstance, args):
+    """One report for the test point, printed through the subcommand's ``view``."""
     # u first: a missing test point is refused before any solve.
     u = _resolve_u(problem, args)
     z, source, extra = _resolve_z(problem, inst, args)
     alpha = alpha_for(inst.tensor, ALPHA_F, _grid(args))
     report = build_report(inst.tensor, inst.q, z, u, alpha, _tol(args))
-    header = [("z", z), ("z_source", source), ("u", u)]
-    return report, header, tuple(list(report.flags) + extra)
-
-
-def _cmd_bounds(problem: ProblemFile, inst: TcpInstance, args):
-    report, header, flags = _full_report(problem, inst, args)
-    pairs = (
-        [("command", "bounds")]
-        + header
-        + _report_pairs(report)
-        + [("flags", flags)]
-    )
-    return pairs, 0
-
-
-def _cmd_rel_bounds(problem: ProblemFile, inst: TcpInstance, args):
-    report, header, flags = _full_report(problem, inst, args)
-    rel_lb, rel_ub = report.relative_bounds()
-    data = report.residual
-    pairs = (
-        [("command", "rel-bounds")]
-        + header
-        + _alpha_pairs(report.alpha)
-        + [
-            ("v_inf", data.v_inf),
-            ("t", data.t),
-            ("v_t", data.v_t),
-            ("rel_lb", rel_lb),
-            ("rel_ub", rel_ub),
-            ("flags", flags),
-        ]
-    )
-    return pairs, 0
-
-
-def _cmd_compare(problem: ProblemFile, inst: TcpInstance, args):
-    report, header, flags = _full_report(problem, inst, args)
-    ratio = compare_upper_bounds(report)
-    pairs = (
-        [("command", "compare")]
-        + header
-        + _report_pairs(report)
-        + [("ratio_ub_new_over_ub_base", ratio), ("flags", flags)]
-    )
-    return pairs, 0
+    header = [("command", args.command), ("z", z), ("z_source", source), ("u", u)]
+    return header + view(report) + [("flags", report.flags + extra)], 0
 
 
 # argparse specs of the optional flags; each subcommand takes the ones it reads.
@@ -295,13 +269,17 @@ _COMMANDS = {
         _cmd_sol_bounds, "bound the max-norm of every solution from q alone", ("grid",)
     ),
     "bounds": (
-        _cmd_bounds, "full two-sided error-bound report for a test point", _REPORT_FLAGS
+        partial(_cmd_report, _report_pairs),
+        "full two-sided error-bound report for a test point",
+        _REPORT_FLAGS,
     ),
     "rel-bounds": (
-        _cmd_rel_bounds, "relative error bounds for a test point", _REPORT_FLAGS
+        partial(_cmd_report, _rel_pairs),
+        "relative error bounds for a test point",
+        _REPORT_FLAGS,
     ),
     "compare": (
-        _cmd_compare,
+        partial(_cmd_report, _compare_pairs),
         "bounds report plus the sharpened/baseline upper-bound ratio",
         _REPORT_FLAGS,
     ),

@@ -392,9 +392,9 @@ def _dominance_alpha(tensor: DenseTensor) -> float | None:
 
 
 def diagonal_alpha_estimate(tensor: DenseTensor) -> AlphaEstimate:
-    """The exact ``alpha(F)`` of a positive diagonal tensor, as a certified estimate."""
+    """The exact ``alpha(F)`` of a positive diagonal tensor, from :func:`alpha_for`."""
     _require_positive_diagonal(tensor, "closed-form alpha")
-    return AlphaEstimate(_dominance_alpha(tensor), ALPHA_F, CLOSED_FORM_DIAGONAL, 0, 0, True)
+    return alpha_for(tensor)
 
 
 def alpha_for(

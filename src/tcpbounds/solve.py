@@ -76,7 +76,7 @@ _STEP_TOL = 1e-12
 _DAMPING = 0.5 ** np.arange(27)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
     """Settings of :func:`solve_enumerate`.
 

@@ -630,6 +630,21 @@ def test_report_invariant_guards():
         BoundReport(lb_new=0.1, ub_new=4.0, lb_base=0.1, ub_base=3.0, D=0.0, **base)
 
 
+@pytest.mark.parametrize("ub_base", [0.0, 1e-170, 3.0])
+def test_sharpened_upper_bound_above_the_baseline_is_refused_at_every_scale(ub_base):
+    # ub_new <= ub_base up to a relative round-off: the report used to allow
+    # an absolute 1e-12 too, which let ub_new = 1.5 ub_base through at 1e-170
+    base = dict(
+        lb_new=0.0, lb_base=0.0, ub_base=ub_base, D=0.0,
+        residual=ResidualData(np.array([1.0]), 1.0, 1, 1.0, 1.0),
+        alpha=forged_alpha(1.0), a_norm_root=1.0, sol_lb=0.0, sol_ub=1.0,
+        rel_lb=None, rel_ub=None,
+    )
+    BoundReport(ub_new=ub_base * (1.0 + 1e-13), **base)
+    with pytest.raises(InvariantViolationError, match="exceeds baseline"):
+        BoundReport(ub_new=max(1.5 * ub_base, 1e-300), **base)
+
+
 @pytest.mark.parametrize(
     "view, args",
     [
@@ -749,6 +764,39 @@ def test_residual_selection_does_not_overflow():
     tensor = DenseTensor.from_diagonal([1e-310], order=2)
     res = residual(tensor, (1.5e308,), (0.0,), (-1e308,))
     assert res.v.tolist() == [-1e308] and res.v_t == -1e308
+
+
+def test_tiny_residual_keeps_the_interval_around_the_error():
+    # b = 3e-170 squared to 0 and so did 4 alpha v_t^2: D was 0, and the
+    # report carried lb_new = ub_new = 1.5e-170, no flag, for an error of 1e-170
+    rep = build_report(TENSOR, Q, Z, (1e-170, 0.5), alpha_for(TENSOR))
+    assert rep.flags == ()
+    assert rep.lb_new <= 1e-170 <= rep.ub_new <= rep.ub_base
+    assert rep.lb_new == pytest.approx((3 - math.sqrt(5)) / 2 * 1e-170, rel=1e-15)
+    assert rep.ub_new == pytest.approx((3 + math.sqrt(5)) / 2 * 1e-170, rel=1e-15)
+    # D itself, 5e-340, is below the float range
+    assert rep.D == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_bounds_hold_at_every_distance_down_to_1e_300(order):
+    # z = 0 solves exactly when q > 0, so the error is ||u||_inf to the bit.
+    # Below about 1e-154 b^2 underflowed: lb_new rose up to 16x above the
+    # error, ub_new fell below it, and ub_new could pass ub_base.
+    rng = np.random.default_rng(order)
+    for n in (1, 2, 3):
+        tensor = DenseTensor.from_diagonal(rng.uniform(0.3, 10.0, n), order=order)
+        q = rng.uniform(0.1, 5.0, n)
+        alpha = alpha_for(tensor)
+        for exponent in np.linspace(-300.0, -1.0, 200):
+            u = rng.uniform(-1.0, 1.0, n) * 10.0**exponent
+            u[rng.integers(n)] = -(10.0**exponent)
+            err = max(map(abs, u.tolist()))
+            rep = build_report(tensor, q, np.zeros(n), u, alpha)
+            where = (n, exponent)
+            assert rep.lb_new <= err * (1.0 + 1e-12), where
+            assert err <= rep.ub_new * (1.0 + 1e-12), where
+            assert rep.ub_new <= rep.ub_base, where
 
 
 @pytest.fixture

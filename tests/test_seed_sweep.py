@@ -81,3 +81,44 @@ def test_a_real_sweep_passes_and_counts_every_operation():
     )
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == "solve-bounds seeds 1-2: 18 operations, 0 failed\n"
+
+
+def test_family_drops_the_dimension_and_the_extra_suffix():
+    assert seed_sweep.family("report-diag-o4-n3-extra") == "report-diag-o4"
+    assert seed_sweep.family("report-grid-o2-n6") == "report-grid-o2"
+    assert seed_sweep.family("cli-bounds") == "cli-bounds"
+
+
+def test_sweep_counts_misses_by_family_without_failing_them():
+    def missing(result):
+        return outcome(missed=1, notes=["new misses"])
+
+    def setup(seed, workdir):
+        ops = [
+            op("report-diag-o4-n2", lambda: 0, missing),
+            op("report-diag-o4-n3-extra", lambda: 0, missing),
+            op("report-grid-o2-n2", lambda: 0, lambda r: outcome()),
+        ]
+        return SimpleNamespace(ops=ops)
+
+    misses = seed_sweep.Counter()
+    workload = SimpleNamespace(setup=setup, miss_fails=False)
+    got = list(seed_sweep.sweep(workload, range(1, 3), misses))
+    assert [problem for _, _, problem in got] == [None] * 6
+    assert misses == {"report-diag-o4": 4}
+
+
+def test_a_real_sweep_prints_the_miss_counts_of_each_family():
+    run = subprocess.run(
+        [sys.executable, "-W", "error", str(TOOL), "--workload", "report-stream", "--seeds", "1-1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == [
+        "report-diag-o4", "report-grid-o2", "report-grid-o4",
+    ]
+    assert all(line.endswith(" of 340 operations missed") for line in lines[:3])
+    assert lines[3:] == ["report-stream seeds 1-1: 1020 operations, 0 failed"]

@@ -1,5 +1,6 @@
 """Solution certificates, the diagonal closed form, and support enumeration."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -396,6 +397,16 @@ def test_solve_options_refuse_a_bad_integer_by_name(field, value):
     least = 0 if field == "seed" else 1
     with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {least}, got "):
         SolveOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("max_dim", 7), ("tol", 1e-6)])
+def test_solve_options_are_frozen(field, value):
+    # assigning seed = 1.5 after construction skipped the named refusal, and
+    # solve_enumerate failed inside numpy's SeedSequence instead
+    options = SolveOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(options, field, value)
+    assert options == SolveOptions()
 
 
 def test_solve_options_accept_numpy_integers():

@@ -8,16 +8,21 @@ fixtures are set up in a temporary directory, and each operation is called
 once, untimed, and checked as ``perfbench/run.py`` checks it: it fails when
 it raises, when its check raises or finds a problem, or, on a workload whose
 ``miss_fails`` is set, when a bound interval misses the true distance.  Each
-failure is printed as ``seed <s>: <operation>: <first problem>``, then one
-summary line; the exit status is 1 if any operation failed, else 0.
+failure is printed as ``seed <s>: <operation>: <first problem>``.  On a
+workload whose bound misses do not fail an operation, one line per operation
+family (the label without ``-n<dim>`` and ``-extra``) then counts the
+operations whose interval missed.  Last comes one summary line; the exit
+status is 1 if any operation failed, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import tempfile
 import traceback
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,8 +32,16 @@ def _last_line(exc: BaseException) -> str:
     return traceback.format_exception_only(type(exc), exc)[-1].strip()
 
 
-def first_problem(op, miss_fails: bool) -> str | None:
-    """Why ``op`` fails, judged as the benchmark judges it, or ``None``."""
+def family(label: str) -> str:
+    """The operation family of ``label``: the label without ``-n<dim>`` and ``-extra``."""
+    return re.sub(r"-n\d+|-extra$", "", label)
+
+
+def first_problem(op, miss_fails: bool, misses: Counter | None = None) -> str | None:
+    """Why ``op`` fails, judged as the benchmark judges it, or ``None``.
+
+    An operation whose interval misses counts 1 in ``misses`` under its family.
+    """
     try:
         result = op.call()
     except Exception as exc:  # a raising operation is a failed one
@@ -37,6 +50,8 @@ def first_problem(op, miss_fails: bool) -> str | None:
         outcome = op.check(result)
     except Exception as exc:  # an output the check cannot read is a wrong one
         return f"check raised {_last_line(exc)}"
+    if outcome.missed and misses is not None:
+        misses[family(op.label)] += 1
     if outcome.problems:
         return outcome.problems[0]
     if miss_fails and outcome.missed:
@@ -44,10 +59,11 @@ def first_problem(op, miss_fails: bool) -> str | None:
     return None
 
 
-def sweep(workload, seeds):
+def sweep(workload, seeds, misses: Counter | None = None):
     """Yield ``(seed, label, problem)`` for every operation; ``problem`` is None if it passed.
 
-    A set-up that raises yields one failure labelled ``setup``.
+    A set-up that raises yields one failure labelled ``setup``.  Misses are
+    counted in ``misses`` as :func:`first_problem` counts them.
     """
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
@@ -57,7 +73,7 @@ def sweep(workload, seeds):
                 yield seed, "setup", f"raised {_last_line(exc)}"
                 continue
             for op in prepared.ops:
-                yield seed, op.label, first_problem(op, workload.miss_fails)
+                yield seed, op.label, first_problem(op, workload.miss_fails, misses)
 
 
 def _seed_range(text: str) -> range:
@@ -78,12 +94,18 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seeds", required=True, type=_seed_range, help="A-B, both included")
     args = parser.parse_args(argv)
-    ops = failed = 0
-    for seed, label, problem in sweep(WORKLOADS[args.workload], args.seeds):
-        ops += 1
+    workload = WORKLOADS[args.workload]
+    families, misses = Counter(), Counter()
+    failed = 0
+    for seed, label, problem in sweep(workload, args.seeds, misses):
+        families[family(label)] += 1
         if problem is not None:
             failed += 1
             print(f"seed {seed}: {label}: {problem}", flush=True)
+    if not workload.miss_fails:
+        for name in sorted(families):
+            print(f"{name}: {misses[name]} of {families[name]} operations missed")
+    ops = sum(families.values())
     seeds = args.seeds
     print(f"{args.workload} seeds {seeds[0]}-{seeds[-1]}: {ops} operations, {failed} failed")
     return 1 if failed else 0
