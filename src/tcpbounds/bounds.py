@@ -173,18 +173,19 @@ class BoundReport:
             value = getattr(self, name)
             if value is not None and math.isnan(value):
                 raise InvariantViolationError(f"{name} is NaN")
+        # Each ordering allows a relative round-off, which holds at every scale.
         if self.lb_new is not None and self.ub_new is not None:
-            if self.lb_new > self.ub_new + _RATIO_SLACK * max(1.0, abs(self.ub_new)):
+            if self.lb_new > self.ub_new * (1.0 + _RATIO_SLACK):
                 raise InvariantViolationError(
                     f"lower bound {self.lb_new} exceeds upper bound {self.ub_new}"
                 )
-        if self.lb_base > self.ub_base + _RATIO_SLACK * max(1.0, abs(self.ub_base)):
+        if self.lb_base > self.ub_base * (1.0 + _RATIO_SLACK):
             raise InvariantViolationError(
                 f"baseline lower bound {self.lb_base} exceeds upper {self.ub_base}"
             )
         if self.D is not None and self.D < 0.0:
             raise InvariantViolationError(f"discriminant {self.D} negative after clamp")
-        # The only check of ub_new <= ub_base; a relative slack holds at every scale.
+        # The only check of ub_new <= ub_base.
         if self.ub_new is not None:
             if self.ub_new > self.ub_base * (1.0 + _RATIO_SLACK):
                 raise InvariantViolationError(
@@ -224,7 +225,10 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     can overflow.  The max-form ``u - max(0, u - s)`` is evaluated by
     componentwise selection on ``u > s``, the sign of ``u - s`` without its
     overflow, which resolves the outer subtraction exactly and makes the
-    result bitwise equal to ``min(u, s)``.
+    result bitwise equal to ``min(u, s)``.  Where every ``(u - z)_i (A (u -
+    z)^{m-1})_i`` underflows below the smallest normal float, ``t`` is taken
+    from the same objective of ``u - z`` scaled by a power of two to unit
+    size; ``argmax_value`` stays the unscaled maximum.
     """
     _require_even_order(tensor, "the rooted residual")
     q = _as_vector(q, tensor.dim, "q")
@@ -282,8 +286,15 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     # max keeps the first of equal values, so t is the smallest maximizer.
     argmax_value = max(objective)
     t0 = objective.index(argmax_value)
+    objective_inf = max(map(abs, objective))
+    if objective_inf < sys.float_info.min:
+        # Every product underflowed, maybe to ties at zero: t is picked from
+        # the objective of 2^k d, with ||2^k d||_inf in [0.5, 1).
+        scaled = np.ldexp(d, -math.frexp(d_inf)[1])
+        objective = (scaled * contract_m1(tensor, scaled)).tolist()
+        t0 = objective.index(max(objective))
     flags: tuple[str, ...] = ()
-    if argmax_value < -1e-12 * max(1.0, max(map(abs, objective))):
+    if argmax_value < -1e-12 * max(1.0, objective_inf):
         flags = (FLAG_NEGATIVE_ARGMAX,)
     return ResidualData(
         v=np.array(v_list),

@@ -5,6 +5,8 @@ flat ``key=value`` lines (``--format machine``, reals with 17 significant
 digits), and exits 0 on success, 1 when a mathematical hypothesis fails
 (NOT_P, DEGENERATE_Q, failed verification, no solution found), 2 on I/O or
 validation errors.  Output is deterministic byte for byte for fixed inputs.
+Each ``main()`` call builds a fresh parser, and a subcommand's flags are added
+only when that subcommand parses, so a call pays for one subcommand's flags.
 """
 
 from __future__ import annotations
@@ -286,20 +288,35 @@ _COMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; it adds its flags when it first parses."""
+
+    def __init__(self, *, flags: tuple[str, ...], **kwargs):
+        super().__init__(**kwargs)
+        self._pending_flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending_flags is not None:
+            self.add_argument("--file", required=True, help="problem file (YAML)")
+            for flag in self._pending_flags:
+                self.add_argument(f"--{flag}", **_FLAGS[flag])
+            self.add_argument(
+                "--format", choices=("text", "machine"), default="text", dest="format"
+            )
+            self._pending_flags = None
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcpbounds",
         description="Certified error bounds for tensor complementarity problems.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
     for name, (_, help_text, flags) in _COMMANDS.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--file", required=True, help="problem file (YAML)")
-        for flag in flags:
-            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
-        cmd.add_argument(
-            "--format", choices=("text", "machine"), default="text", dest="format"
-        )
+        sub.add_parser(name, help=help_text, flags=flags)
     return parser
 
 

@@ -645,6 +645,35 @@ def test_sharpened_upper_bound_above_the_baseline_is_refused_at_every_scale(ub_b
         BoundReport(ub_new=max(1.5 * ub_base, 1e-300), **base)
 
 
+def test_lower_bound_above_the_upper_is_refused_at_every_scale():
+    # lb <= ub used an absolute 1e-12 slack, which let lb_new = 2 ub_new
+    # through at 1e-170
+    base = dict(
+        D=0.0, residual=ResidualData(np.array([1.0]), 1.0, 1, 1.0, 1.0),
+        alpha=forged_alpha(1.0), a_norm_root=1.0, sol_lb=0.0, sol_ub=1.0,
+        rel_lb=None, rel_ub=None,
+    )
+    with pytest.raises(InvariantViolationError, match="lower bound"):
+        BoundReport(lb_new=2e-170, ub_new=1e-170, lb_base=0.0, ub_base=1e-170, **base)
+    with pytest.raises(InvariantViolationError, match="baseline lower bound"):
+        BoundReport(lb_new=0.0, ub_new=1e-170, lb_base=2e-170, ub_base=1e-170, **base)
+    for ub in (0.0, 1e-170, 3.0):
+        lb = ub * (1.0 + 1e-13)
+        BoundReport(lb_new=lb, ub_new=ub, lb_base=lb, ub_base=ub, **base)
+
+
+def test_underflowing_objective_picks_t_from_the_scaled_step():
+    # (u - z)_i (A (u - z)^3)_i = (0, 3e-400) underflowed to (0, 0): t was 1,
+    # where v_t = 0, and the report fell back to EXACT_SOLUTION_INCONSISTENT
+    tensor = DenseTensor.from_diagonal([2.0, 3.0], order=4)
+    q, z, u = (1.0, 1.0), (0.0, 0.0), (0.0, -1e-100)
+    res = residual(tensor, q, z, u)
+    assert (res.t, res.v_t, res.argmax_value, res.flags) == (2, -1e-100, 0.0, ())
+    rep = build_report(tensor, q, z, u, alpha_for(tensor))
+    assert rep.flags == (FLAG_DEGENERATE_Q,)
+    assert rep.lb_new <= 1e-100 <= rep.ub_new <= rep.ub_base
+
+
 @pytest.mark.parametrize(
     "view, args",
     [

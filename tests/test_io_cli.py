@@ -1,5 +1,6 @@
 """Problem-file parsing, deterministic emission, and the command-line front end."""
 
+import argparse
 import subprocess
 import sys
 from pathlib import Path
@@ -897,14 +898,84 @@ def test_cli_refuses_flags_a_subcommand_does_not_read(worked_file, capsys, comma
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("command", list(READS))
-def test_cli_accepts_every_flag_it_reads(worked_file, capsys, command):
-    argv = [command, "--file", worked_file, "--format", "machine"]
+def every_flag(command, path):
+    argv = [command, "--file", path, "--format", "machine"]
     for flag in READS[command]:
         argv += [f"--{flag}", FLAG_VALUES[flag]]
-    code, out, err = run_cli(capsys, *argv)
+    return argv
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_cli_accepts_every_flag_it_reads(worked_file, capsys, command):
+    code, out, err = run_cli(capsys, *every_flag(command, worked_file))
     assert code == 0 and err == ""
     assert machine(out)["command"] == command
+
+
+# ------------------------------------------------------------ argparse surface
+
+
+def eager_parser():
+    """The parser with every subcommand's flags added up front, from the same
+    tables: what each argv must parse to, whenever the CLI adds the flags."""
+    parser = argparse.ArgumentParser(
+        prog="tcpbounds",
+        description="Certified error bounds for tensor complementarity problems.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in cli._COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--file", required=True, help="problem file (YAML)")
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", **cli._FLAGS[flag])
+        cmd.add_argument(
+            "--format", choices=("text", "machine"), default="text", dest="format"
+        )
+    return parser
+
+
+SURFACE_ARGV = {
+    "help": ["--help"],
+    "no-args": [],
+    "invalid-choice": ["no-such-command", "--file", "p.yaml"],
+    "missing-file": ["alpha"],
+    "bad-format": ["bounds", "--file", "p.yaml", "--format", "xml"],
+    "bad-seed": ["solve", "--file", "p.yaml", "--seed", "x"],
+    "bad-kind": ["alpha", "--file", "p.yaml", "--kind", "X"],
+    "trailing-extra": ["alpha", "--file", "p.yaml", "extra"],
+    "abbreviations": ["bounds", "--fi", "p.yaml", "--form", "machine"],
+    "ambiguous-abbreviation": ["check-p", "--file", "p.yaml", "--s", "3"],
+    "help-after-flags": ["verify", "--file", "p.yaml", "-h"],
+    **{f"{command}-help": [command, "--help"] for command in READS},
+    **{f"{command}-every-flag": every_flag(command, "p.yaml") for command in READS},
+}
+
+
+def parse_outcome(parser, argv, capsys):
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv", SURFACE_ARGV.values(), ids=list(SURFACE_ARGV))
+def test_cli_parser_matches_the_eager_parser(capsys, monkeypatch, argv, columns):
+    # exit code, stdout, stderr and Namespace, help and usage wrapping included
+    monkeypatch.setenv("COLUMNS", columns)
+    want = parse_outcome(eager_parser(), argv, capsys)
+    assert parse_outcome(cli._build_parser(), argv, capsys) == want
+
+
+def test_cli_parse_adds_only_the_named_subcommand_flags():
+    parser = cli._build_parser()
+    parser.parse_args(["alpha", "--file", "p.yaml", "--kind", "T"])
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {name: [a.dest for a in cmd._actions] for name, cmd in sub.choices.items()}
+    assert dests.pop("alpha") == ["help", "file", "kind", "grid", "format"]
+    assert set(map(tuple, dests.values())) == {("help",)}
 
 
 @pytest.mark.parametrize("tol", [None, "1e-7"])
