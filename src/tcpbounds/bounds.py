@@ -45,9 +45,12 @@ before them have refused NaN and inf, ``max`` keeps the first of equal values
 as ``np.argmax`` does, ``-0.0 == 0.0`` in both, and ``abs``, comparison and
 selection are exact.
 
-Everything here consumes ``alpha(F)`` estimates.  ``D`` is nonnegative under
-the P hypothesis; round-off slightly below zero is clamped, anything material
-is reported as an invariant violation rather than patched over.  Where
+Everything here consumes ``alpha(F)`` estimates under one hypothesis, ``0 <
+alpha <= R``, checked before anything else up to a relative ``1e-12``, the
+report's one tolerance.  Every tensor has ``alpha(F) <= R``: at ``e_j`` the
+objective is ``a_j^{1/(m-1)}``.  So ``D >= ||v||_inf^2 ((1 + R)^2 - 4 R) =
+||v||_inf^2 (1 - R)^2 >= 0``, every pair is ordered, and the clamp of a
+negative ``D`` to 0 (flagged CLAMPED_DISCRIMINANT) absorbs only round-off.  Where
 ``b = ||v||_inf (1 + R)`` is so small that ``b^2`` underflows (below about
 1e-154), every bound is formed from ``||v||_inf`` and ``v_t`` scaled by a
 power of two that puts ``b`` in ``[0.5, 1)``, and each is scaled back with
@@ -228,7 +231,9 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     result bitwise equal to ``min(u, s)``.  Where every ``(u - z)_i (A (u -
     z)^{m-1})_i`` underflows below the smallest normal float, ``t`` is taken
     from the same objective of ``u - z`` scaled by a power of two to unit
-    size; ``argmax_value`` stays the unscaled maximum.
+    size; ``argmax_value`` stays the unscaled maximum.  NEGATIVE_ARGMAX flags
+    a maximum below ``-1e-12`` times the objective's largest modulus, both
+    read from the objective ``t`` was picked from.
     """
     _require_even_order(tensor, "the rooted residual")
     q = _as_vector(q, tensor.dim, "q")
@@ -283,18 +288,18 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     s = root_d + root_w
     v_list = [b if a > b else a for a, b in zip(u_list, s.tolist())]
     objective = (d * contracted).tolist()
-    # max keeps the first of equal values, so t is the smallest maximizer.
-    argmax_value = max(objective)
-    t0 = objective.index(argmax_value)
+    argmax_value = top = max(objective)
     objective_inf = max(map(abs, objective))
     if objective_inf < sys.float_info.min:
         # Every product underflowed, maybe to ties at zero: t is picked from
         # the objective of 2^k d, with ||2^k d||_inf in [0.5, 1).
         scaled = np.ldexp(d, -math.frexp(d_inf)[1])
         objective = (scaled * contract_m1(tensor, scaled)).tolist()
-        t0 = objective.index(max(objective))
+        top, objective_inf = max(objective), max(map(abs, objective))
+    # max keeps the first of equal values, so t is the smallest maximizer.
+    t0 = objective.index(top)
     flags: tuple[str, ...] = ()
-    if argmax_value < -1e-12 * max(1.0, objective_inf):
+    if top < -_RATIO_SLACK * objective_inf:
         flags = (FLAG_NEGATIVE_ARGMAX,)
     return ResidualData(
         v=np.array(v_list),
@@ -325,7 +330,7 @@ def _certificate(
     return cert
 
 
-def _require_alpha_f(alpha: AlphaEstimate) -> None:
+def _require_alpha_f(alpha: AlphaEstimate, norm_root: float) -> None:
     if alpha.kind != ALPHA_F:
         raise ValueError(
             f"bounds consume alpha estimates of kind {ALPHA_F!r}, got {alpha.kind!r}"
@@ -334,6 +339,11 @@ def _require_alpha_f(alpha: AlphaEstimate) -> None:
         raise NotPTensorError(
             "NOT_P_CERTIFICATE: alpha(F) is not positive, the two-sided bounds "
             "do not apply"
+        )
+    if alpha.value > norm_root * (1.0 + _RATIO_SLACK):
+        raise InvariantViolationError(
+            f"alpha(F) = {alpha.value} exceeds ||A||_inf^{{1/(m-1)}} = {norm_root}, "
+            "which bounds it for every tensor; the supplied alpha is wrong"
         )
 
 
@@ -344,16 +354,15 @@ def _norm_root(tensor: DenseTensor) -> float:
 def _solution_norm_pair(
     q_root: float, norm_root: float, alpha: float
 ) -> tuple[float, float]:
-    if norm_root == 0.0:
-        raise InvariantViolationError("the zero tensor cannot carry a P certificate")
     return q_root / norm_root, q_root / alpha
 
 
 def _discriminant(b: float, v_t: float, alpha: float) -> tuple[float, bool]:
     """``D = b^2 - 4 alpha v_t^2`` with round-off below zero clamped to 0.
 
-    Returns ``D`` and whether the clamp fired; a materially negative ``D``
-    raises, and a term that overflows to inf raises ``ValueError``.
+    Returns ``D`` and whether the clamp fired; a term that overflows to inf
+    raises ``ValueError``.  With ``|v_t| <= ||v||_inf`` and ``alpha <= R (1 +
+    s)``, ``s = _RATIO_SLACK``, ``b^2 - 4 alpha v_t^2 >= -s b^2`` unrounded.
     """
     b2 = b * b
     a2 = 4.0 * alpha * v_t * v_t
@@ -363,26 +372,8 @@ def _discriminant(b: float, v_t: float, alpha: float) -> tuple[float, bool]:
             "u is too far from z, rescale the problem"
         )
     d_raw = b2 - a2
-    eps_d = 1e-10 * max(1.0, b2)
-    if d_raw <= -eps_d:
-        raise InvariantViolationError(
-            f"discriminant {d_raw} is materially negative (threshold {-eps_d}); "
-            "the P hypothesis or the supplied alpha is wrong"
-        )
     clamped = d_raw < 0.0
     return (0.0 if clamped else d_raw), clamped
-
-
-def _base_interval(v_inf: float, alpha: float, norm_root: float) -> tuple[float, float]:
-    return v_inf / (1.0 + norm_root), (1.0 + norm_root) * v_inf / alpha
-
-
-def _check_argmax(data: ResidualData) -> None:
-    if FLAG_NEGATIVE_ARGMAX in data.flags:
-        raise InvariantViolationError(
-            f"(u-z)_t (A(u-z)^(m-1))_t = {data.argmax_value} < 0 at t={data.t}; "
-            "the tensor cannot be P"
-        )
 
 
 def build_report(
@@ -395,16 +386,19 @@ def build_report(
     discriminant ``D`` overflows is refused with ``ValueError``; an
     overflowing ``||A||_inf`` is refused earlier, by :class:`DenseTensor`.
     """
-    _require_alpha_f(alpha)
+    norm_root = _norm_root(tensor)
+    _require_alpha_f(alpha, norm_root)
     q = _as_vector(q, tensor.dim, "q")
     data = residual(tensor, q, z, u, tol)
-    _check_argmax(data)
-    norm_root = _norm_root(tensor)
+    if FLAG_NEGATIVE_ARGMAX in data.flags:
+        raise InvariantViolationError(
+            f"(u-z)_t (A(u-z)^(m-1))_t = {data.argmax_value} < 0 at t={data.t}; "
+            "the tensor cannot be P"
+        )
     flags = list(data.flags)
     if not alpha.certified:
         flags.append(FLAG_UNCERTIFIED_ALPHA)
 
-    exact = FLAG_EXACT_SOLUTION in data.flags
     # b and sqrt(D) are shared by the sharpened and the relative pairs.
     v_inf, v_t, k = data.v_inf, data.v_t, 0
     b = v_inf * (1.0 + norm_root)
@@ -414,20 +408,19 @@ def build_report(
         k = math.frexp(b)[1]
         v_inf, v_t = math.ldexp(v_inf, -k), math.ldexp(v_t, -k)
         b = v_inf * (1.0 + norm_root)
+    lb_base = v_inf / (1.0 + norm_root)
+    ub_base = (1.0 + norm_root) * v_inf / alpha.value
     lb_new = ub_new = d_value = sq = None
-    if exact:
-        lb_new = ub_new = d_value = lb_base = ub_base = 0.0
+    # At u == z, v = 0 and every bound below comes out +0.0.
+    if v_t == 0.0 and FLAG_EXACT_SOLUTION not in data.flags:
+        flags.append(FLAG_EXACT_SOLUTION_INCONSISTENT)
     else:
-        lb_base, ub_base = _base_interval(v_inf, alpha.value, norm_root)
-        if v_t == 0.0:
-            flags.append(FLAG_EXACT_SOLUTION_INCONSISTENT)
-        else:
-            d_value, clamped = _discriminant(b, v_t, alpha.value)
-            if clamped:
-                flags.append(FLAG_CLAMPED_DISCRIMINANT)
-            sq = math.sqrt(d_value)
-            lb_new = (b - sq) / (2.0 * alpha.value)
-            ub_new = (b + sq) / (2.0 * alpha.value)
+        d_value, clamped = _discriminant(b, v_t, alpha.value)
+        if clamped:
+            flags.append(FLAG_CLAMPED_DISCRIMINANT)
+        sq = math.sqrt(d_value)
+        lb_new = (b - sq) / (2.0 * alpha.value)
+        ub_new = (b + sq) / (2.0 * alpha.value)
 
     q_root = _q_root(tensor, q)
     sol_lb, sol_ub = _solution_norm_pair(q_root, norm_root, alpha.value)
@@ -440,8 +433,6 @@ def build_report(
     elif not any(_as_vector(z, tensor.dim, "z").tolist()):
         flags.append(FLAG_DEGENERATE_Z)
         rel_lb = rel_ub = None
-    elif exact:
-        rel_lb = rel_ub = 0.0
     elif sq is None:
         rel_lb = rel_ub = None
     else:
@@ -519,10 +510,11 @@ def solution_norm_bounds(
     A NaN or infinite ``q`` raises ``ValueError``; ``||A||_inf`` is finite,
     as :class:`DenseTensor` guarantees.
     """
-    _require_alpha_f(alpha)
+    norm_root = _norm_root(tensor)
+    _require_alpha_f(alpha, norm_root)
     q = _as_vector(q, tensor.dim, "q")
     _require_even_order(tensor, "solution-norm bounds")
-    return _solution_norm_pair(_q_root(tensor, q), _norm_root(tensor), alpha.value)
+    return _solution_norm_pair(_q_root(tensor, q), norm_root, alpha.value)
 
 
 def compare_upper_bounds(report: BoundReport) -> float:

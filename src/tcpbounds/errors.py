@@ -63,9 +63,10 @@ class ExactSolutionInconsistentError(TcpBoundsError):
 class InvariantViolationError(TcpBoundsError):
     """A quantity that is provably signed under the P hypothesis came out wrong.
 
-    Raised when the discriminant falls materially below zero, when the
-    complementarity certificate at the argmax index is negative, or when the
-    upper-bound ratio exceeds one beyond round-off.
+    Raised when a supplied ``alpha(F)`` exceeds ``||A||_inf^{1/(m-1)}``, when
+    ``(u - z)_t (A (u - z)^{m-1})_t`` at the argmax index is negative, or when
+    a report has a NaN field or breaks ``lb <= ub``, ``ub_new <= ub_base`` or
+    ``D >= 0`` beyond round-off.
     """
 
 

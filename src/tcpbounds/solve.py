@@ -95,6 +95,12 @@ class SolveOptions:
     def __post_init__(self):
         _require_int(self.max_dim, "max_dim", 1)
         _require_int(self.seed, "seed", 0)
+        _require_tol(self.tol)
+
+
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def _violations(z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
@@ -102,11 +108,10 @@ def _violations(z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
 
     The largest negative part of ``z`` or ``w`` or product ``|z_i w_i|``; a
     row with a NaN or inf entry has a NaN or inf product and measures ``inf``.
-    A ``tol`` outside ``0 < tol < inf`` raises ``ValueError``: an infinite one
-    would pass every candidate.
+    A bad ``tol`` raises ``ValueError`` here too, as :func:`verify_solution`
+    takes it from the caller; an infinite one would pass every candidate.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _require_tol(tol)
     out = np.max(np.concatenate([-z, -w, np.abs(z * w)], axis=1), axis=1, initial=0.0)
     out[~np.isfinite(out)] = np.inf
     return out
@@ -175,8 +180,8 @@ def solve_enumerate(
     ``z``; an empty list means no support produced an acceptable root (for an
     instance believed to be P this is a solver failure, not a proof of
     infeasibility).  The run is deterministic for fixed options.  A NaN or
-    infinite ``q``, or a ``tol`` outside ``0 < tol < inf``, raises
-    ``ValueError``.
+    infinite ``q`` raises ``ValueError``, as :class:`SolveOptions` does for a
+    ``tol`` outside ``0 < tol < inf``.
     """
     opts = opts or SolveOptions()
     tensor, q = inst.tensor, inst.q
@@ -208,8 +213,8 @@ def solve_enumerate(
         mask, starts = mask[rows], starts[rows]
 
     batch_rows = _batch_rows(tensor)
-    # The zero support is screened first and the Newton batches are made
-    # lazily after it, so a bad tol is refused before any Newton step.
+    # The zero support is screened first; each Newton batch is made when the
+    # loop reaches it, so only one batch's arrays are alive at a time.
     batches = itertools.chain(
         [np.zeros((1, n))],
         (

@@ -418,6 +418,20 @@ def test_negative_argmax_flag_and_invariant():
         build_report(tensor, q, z, u, forged_alpha(1.0))
 
 
+@pytest.mark.parametrize("u", [1e-6, 1e-170])
+def test_negative_argmax_is_flagged_below_unit_scale(u):
+    # the flag took argmax < -1e-12 max(1, ||objective||_inf), an absolute
+    # floor below unit scale: u = 1e-6 gave argmax -1e-12 and u = 1e-170 gave
+    # -0.0 (underflowed), neither flagged, and a forged alpha made a report
+    tensor = DenseTensor(2, 1, {(1, 1): -1.0})
+    q, z = np.array([1.0]), np.array([0.0])
+    data = residual(tensor, q, z, (u,))
+    assert FLAG_NEGATIVE_ARGMAX in data.flags
+    assert data.argmax_value == -(u * u)
+    with pytest.raises(InvariantViolationError, match="the tensor cannot be P"):
+        build_report(tensor, q, z, (u,), forged_alpha(0.5))
+
+
 def test_inconsistent_zero_component_raises():
     """v_t = 0 with u != z cannot happen for a real P-tensor; it must raise.
 
@@ -498,10 +512,28 @@ def test_discriminant_clamp_just_below_zero():
     assert rep.ub_new == pytest.approx(1.0, abs=1e-10)
 
 
-def test_materially_negative_discriminant_is_an_error():
-    # an inflated alpha certificate drives D far below zero and must be caught
-    with pytest.raises(InvariantViolationError):
+def test_alpha_above_the_norm_root_is_refused():
+    # alpha = 10 against R = 8^(1/3) = 2 drove D far below zero; the alpha
+    # check refuses it before the discriminant is formed
+    with pytest.raises(InvariantViolationError, match=r"alpha\(F\) = 10.0 exceeds .* = 2.0"):
         error_bounds_new(TENSOR, Q, Z, U, forged_alpha(10.0))
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_alpha_above_the_norm_root_is_refused_where_d_stays_nonnegative(certified):
+    # alpha = 8 against R = 4 leaves D >= 0, so no discriminant check saw it:
+    # the report came back with sol_lb = 0.25 > sol_ub = 0.125, flagged at most
+    # UNCERTIFIED_ALPHA, and solution_norm_bounds returned the same pair
+    tensor = DenseTensor.from_diagonal([1.0, 4.0], order=2)
+    q, z, u = (-1.0, -1.0), (1.0, 0.25), (1.5, 0.0)
+    alpha = AlphaEstimate(8.0, ALPHA_F, GRID_REFINED, 0, 0, certified)
+    with pytest.raises(InvariantViolationError, match=r"alpha\(F\) = 8.0 exceeds .* = 4.0"):
+        build_report(tensor, q, z, u, alpha)
+    with pytest.raises(InvariantViolationError, match=r"alpha\(F\) = 8.0 exceeds .* = 4.0"):
+        solution_norm_bounds(tensor, q, alpha)
+    # alpha = R is accepted, and every pair is ordered
+    rep = build_report(tensor, q, z, u, AlphaEstimate(4.0, ALPHA_F, GRID_REFINED, 0, 0, certified))
+    assert rep.lb_new <= rep.ub_new and rep.sol_lb <= rep.sol_ub and rep.rel_lb <= rep.rel_ub
 
 
 def test_alpha_gatekeeping():

@@ -850,15 +850,23 @@ def test_cli_overflowing_u_is_refused_without_a_warning(tmp_path, capsys, text, 
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
-def test_module_invocation(worked_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "tcpbounds", "compare", "--file", worked_file,
-         "--format", "machine"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert "ratio_ub_new_over_ub_base=" in proc.stdout
+def test_module_invocation(worked_file, tmp_path, capsys):
+    # python -m tcpbounds prints what cli.main prints, byte for byte, and
+    # passes its exit code on
+    missing = str(tmp_path / "missing.yaml")
+    for argv, want_code in [
+        (["bounds", "--file", worked_file, "--format", "machine"], 0),
+        (["compare", "--file", worked_file, "--format", "machine"], 0),
+        (["bounds", "--file", missing], 2),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tcpbounds", *argv], capture_output=True
+        )
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want_code
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode()
+        )
 
 
 # ------------------------------------------------------ per-subcommand flags

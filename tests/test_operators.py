@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import oracles
-from families import manufactured_unique, random_sparse_tensor
+from families import (
+    manufactured_diagonal,
+    manufactured_unique,
+    random_diagonal_instances,
+    random_sparse_tensor,
+)
 from tcpbounds import (
     ALPHA_F,
     ALPHA_T,
@@ -27,6 +32,7 @@ from tcpbounds import (
     diagonal_alpha_estimate,
     estimate_alpha,
 )
+from tcpbounds.bounds import _norm_root
 from tcpbounds.operators import (
     _CHUNK,
     _INITIAL_STEP,
@@ -311,6 +317,33 @@ def test_estimate_alpha_goldens():
             tensors[order, n] = manufactured_unique(rng, family, order, n)[0].tensor
         est = estimate_alpha(tensors[order, n], kind, GridSpec(points_per_axis=g))
         assert est.value.hex() == golden, (order, n, g, kind)
+
+
+def test_library_alphas_never_exceed_the_norm_root():
+    # Every tensor has alpha(F) <= R = ||A||_inf^{1/(m-1)}, since the objective
+    # at e_j is a_j^{1/(m-1)}, and the bounds refuse an alpha above R (1 +
+    # 1e-12).  No alpha the library computes may need that slack.
+    rng = np.random.default_rng(2810)
+    # a P-matrix that is not dominant, so alpha_for takes the grid
+    cases = [(DenseTensor(2, 2, {(1, 1): 1.0, (1, 2): 2.0, (2, 2): 8.0}), GridSpec())]
+    # the ALPHA_GOLDENS tensors, drawn as their test draws them, at their grids
+    golden_rng = np.random.default_rng(1212)
+    for order, n in dict.fromkeys((order, n) for order, n, *_ in ALPHA_GOLDENS):
+        family = "row_power" if order > 2 else "general"
+        tensor = manufactured_unique(golden_rng, family, order, n)[0].tensor
+        grid = min(g for o, m, g, *_ in ALPHA_GOLDENS if (o, m) == (order, n))
+        cases.append((tensor, GridSpec(points_per_axis=grid)))
+    tensors = [t for t, *_ in manufactured_diagonal(10, seed=3, single_coord=False)]
+    tensors += [inst.tensor for inst in random_diagonal_instances(10, seed=4)]
+    for family, order in [("diagonal", 4), ("row_power", 4), ("general", 2)]:
+        tensors += [manufactured_unique(rng, family, order, n)[0].tensor for n in (1, 2, 3)]
+    for order in (2, 4):
+        tensors += [random_sparse_tensor(rng, order, n, 2 * n) for n in (1, 2, 3)]
+    cases += [(tensor, GridSpec()) for tensor in tensors]
+    for tensor, grid in cases:
+        for spec in (grid, GridSpec(points_per_axis=5, refinement_steps=5)):
+            for alpha in (alpha_for(tensor, ALPHA_F, spec), estimate_alpha(tensor, ALPHA_F, spec)):
+                assert alpha.value <= _norm_root(tensor), (tensor, spec, alpha)
 
 
 def test_estimate_alpha_bit_identical_to_one_trial_polish():

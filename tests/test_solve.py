@@ -399,6 +399,14 @@ def test_solve_options_refuse_a_bad_integer_by_name(field, value):
         SolveOptions(**{field: value})
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solve_options_refuse_a_bad_tol_when_built(tol):
+    # SolveOptions(tol=nan) used to build, and the refusal came later, from
+    # the violation measure inside solve_enumerate
+    with pytest.raises(ValueError, match=r"^tol must be positive and finite, got "):
+        SolveOptions(tol=tol)
+
+
 @pytest.mark.parametrize("field, value", [("seed", 1.5), ("max_dim", 7), ("tol", 1e-6)])
 def test_solve_options_are_frozen(field, value):
     # assigning seed = 1.5 after construction skipped the named refusal, and
