@@ -176,16 +176,19 @@ class BoundReport:
             value = getattr(self, name)
             if value is not None and math.isnan(value):
                 raise InvariantViolationError(f"{name} is NaN")
+        # alpha <= R (1 + s) is what orders every pair below.
+        _require_alpha_f(self.alpha, self.a_norm_root)
         # Each ordering allows a relative round-off, which holds at every scale.
-        if self.lb_new is not None and self.ub_new is not None:
-            if self.lb_new > self.ub_new * (1.0 + _RATIO_SLACK):
+        for name, lb, ub in (
+            ("sharpened", self.lb_new, self.ub_new),
+            ("baseline", self.lb_base, self.ub_base),
+            ("solution-norm", self.sol_lb, self.sol_ub),
+            ("relative", self.rel_lb, self.rel_ub),
+        ):
+            if lb is not None and ub is not None and lb > ub * (1.0 + _RATIO_SLACK):
                 raise InvariantViolationError(
-                    f"lower bound {self.lb_new} exceeds upper bound {self.ub_new}"
+                    f"{name} lower bound {lb} exceeds upper bound {ub}"
                 )
-        if self.lb_base > self.ub_base * (1.0 + _RATIO_SLACK):
-            raise InvariantViolationError(
-                f"baseline lower bound {self.lb_base} exceeds upper {self.ub_base}"
-            )
         if self.D is not None and self.D < 0.0:
             raise InvariantViolationError(f"discriminant {self.D} negative after clamp")
         # The only check of ub_new <= ub_base.

@@ -5,8 +5,8 @@ flat ``key=value`` lines (``--format machine``, reals with 17 significant
 digits), and exits 0 on success, 1 when a mathematical hypothesis fails
 (NOT_P, DEGENERATE_Q, failed verification, no solution found), 2 on I/O or
 validation errors.  Output is deterministic byte for byte for fixed inputs.
-Each ``main()`` call builds a fresh parser, and a subcommand's flags are added
-only when that subcommand parses, so a call pays for one subcommand's flags.
+Each ``main()`` call builds a fresh parser, and of the subcommand parsers it
+builds only the one argv names, so a call pays for one subcommand's parser.
 """
 
 from __future__ import annotations
@@ -288,23 +288,24 @@ _COMMANDS = {
 }
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser; it adds its flags when it first parses."""
+class _NamedSubparsers(argparse._SubParsersAction):
+    """Subcommand choices; only the subcommand argv names gets a parser."""
 
-    def __init__(self, *, flags: tuple[str, ...], **kwargs):
-        super().__init__(**kwargs)
-        self._pending_flags = flags
+    def add_parser(self, name, *, help):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = None
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending_flags is not None:
-            self.add_argument("--file", required=True, help="problem file (YAML)")
-            for flag in self._pending_flags:
-                self.add_argument(f"--{flag}", **_FLAGS[flag])
-            self.add_argument(
-                "--format", choices=("text", "machine"), default="text", dest="format"
-            )
-            self._pending_flags = None
-        return super().parse_known_args(args, namespace)
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        cmd = argparse.ArgumentParser(prog=f"{self._prog_prefix} {name}")
+        cmd.add_argument("--file", required=True, help="problem file (YAML)")
+        for flag in _COMMANDS[name][2]:
+            cmd.add_argument(f"--{flag}", **_FLAGS[flag])
+        cmd.add_argument(
+            "--format", choices=("text", "machine"), default="text", dest="format"
+        )
+        self._name_parser_map[name] = cmd
+        super().__call__(parser, namespace, values, option_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,11 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tcpbounds",
         description="Certified error bounds for tensor complementarity problems.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_SubcommandParser
-    )
-    for name, (_, help_text, flags) in _COMMANDS.items():
-        sub.add_parser(name, help=help_text, flags=flags)
+    sub = parser.add_subparsers(dest="command", required=True, action=_NamedSubparsers)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 

@@ -694,6 +694,29 @@ def test_lower_bound_above_the_upper_is_refused_at_every_scale():
         BoundReport(lb_new=lb, ub_new=ub, lb_base=lb, ub_base=ub, **base)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(a_norm_root=0.5), r"alpha\(F\) = 1.0 exceeds"),
+        (dict(sol_lb=2.0, sol_ub=1.0), "solution-norm lower bound"),
+        (dict(rel_lb=3.0, rel_ub=1.0), "relative lower bound"),
+    ],
+    ids=["alpha-above-the-norm-root", "sol", "rel"],
+)
+def test_report_refuses_an_alpha_above_the_norm_root_and_inverted_pairs(fields, message):
+    # the report checked only the sharpened and baseline pairs, so a report
+    # built directly with any one of these was accepted
+    base = dict(
+        lb_new=0.1, ub_new=1.0, lb_base=0.1, ub_base=3.0, D=0.0,
+        residual=ResidualData(np.array([1.0]), 1.0, 1, 1.0, 1.0),
+        alpha=forged_alpha(1.0), a_norm_root=1.0, sol_lb=0.0, sol_ub=1.0,
+        rel_lb=0.1, rel_ub=1.0,
+    )
+    BoundReport(**base)
+    with pytest.raises(InvariantViolationError, match=message):
+        BoundReport(**{**base, **fields})
+
+
 def test_underflowing_objective_picks_t_from_the_scaled_step():
     # (u - z)_i (A (u - z)^3)_i = (0, 3e-400) underflowed to (0, 0): t was 1,
     # where v_t = 0, and the report fell back to EXACT_SOLUTION_INCONSISTENT

@@ -981,9 +981,33 @@ def test_cli_parse_adds_only_the_named_subcommand_flags():
     parser = cli._build_parser()
     parser.parse_args(["alpha", "--file", "p.yaml", "--kind", "T"])
     (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {name: [a.dest for a in cmd._actions] for name, cmd in sub.choices.items()}
-    assert dests.pop("alpha") == ["help", "file", "kind", "grid", "format"]
-    assert set(map(tuple, dests.values())) == {("help",)}
+    parsers = dict(sub.choices)
+    assert [a.dest for a in parsers.pop("alpha")._actions] == [
+        "help", "file", "kind", "grid", "format"
+    ]
+    assert list(parsers) == [name for name in READS if name != "alpha"]
+    assert set(parsers.values()) == {None}
+
+
+@pytest.mark.parametrize("name", ["help", "no-args", "invalid-choice", *READS])
+def test_cli_main_builds_the_top_parser_and_at_most_one_more(
+    worked_file, capsys, monkeypatch, name
+):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    if name in READS:
+        code, _, _ = run_cli(capsys, *every_flag(name, worked_file))
+        assert code == 0
+        assert built == ["tcpbounds", f"tcpbounds {name}"]
+    else:
+        run_cli(capsys, *SURFACE_ARGV[name])
+        assert built == ["tcpbounds"]
 
 
 @pytest.mark.parametrize("tol", [None, "1e-7"])
