@@ -37,7 +37,7 @@ from .operators import (
 )
 from .solve import SolveOptions, TcpInstance, solve_enumerate, verify_solution
 
-__all__ = ["main", "main_entry"]
+__all__ = ["main"]
 
 AMBIGUOUS_SOLUTION = "AMBIGUOUS_SOLUTION"
 
@@ -340,11 +340,3 @@ def main(argv=None) -> int:
         return 1
     print(_render(pairs, args.format))
     return code
-
-
-def main_entry() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -55,7 +55,9 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 class ProblemFile:
     """Validated contents of a problem file.
 
-    ``entries`` is canonicalized to index-sorted order at construction, so
+    ``order``, ``dim`` and ``entries`` are canonicalized at construction to
+    the tensor's own, its entries in index order, so zeros (``-0.0``
+    included) are dropped, a numpy integer order or dim is a Python int, and
     two files describing the same tensor emit identically.  Equality is
     identity (``eq=False``).
     """
@@ -80,8 +82,9 @@ class ProblemFile:
         except ValueError as exc:
             raise ProblemFormatError(str(exc)) from None
         object.__setattr__(self, "_tensor", tensor)
-        entries = tuple(sorted((idx, float(val)) for idx, val in clean.items()))
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "order", tensor.order)
+        object.__setattr__(self, "dim", tensor.dim)
+        object.__setattr__(self, "entries", tuple(sorted(tensor.entries.items())))
         object.__setattr__(self, "q", self._vector_field("q", self.q, required=True))
         object.__setattr__(self, "z", self._vector_field("z", self.z, required=False))
         object.__setattr__(self, "u", self._vector_field("u", self.u, required=False))

@@ -2,17 +2,19 @@
 
 TCP(q, A) asks for ``z >= 0`` with ``w = A z^{m-1} + q >= 0`` and ``z . w = 0``.
 At desk scale the active set can be enumerated outright: for every support
-``S`` of coordinates allowed to be positive, the square system
-``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved from several
-seeded starts by batched damped Newton with an analytic Jacobian: the
-(support, start) pairs of every support size iterate together, each stopping
-on its own test, and each iteration is one stacked ``dim x dim`` solve whose
-matrices are the identity off each row's support.  Row maxima and finiteness
-tests are taken column by column, which is exact and avoids numpy's slow
-reduction over a short axis.  A batched screen of each Newton batch only
-proposes roots: :func:`verify_solution` builds every certificate, so each one
-recomputes ``w`` and the violation measure from ``z`` and nothing is trusted
-from the caller or from the screen.
+``S`` of coordinates allowed to be positive, the empty one included, the
+square system ``(A z^{m-1} + q)_S = 0`` with ``z = 0`` off ``S`` is solved
+from several seeded starts by batched damped Newton with an analytic
+Jacobian: the (support, start) pairs of every support size iterate together,
+each stopping on its own test, and each iteration is one stacked
+``dim x dim`` solve whose matrices are the identity off each row's support.
+Every support takes this one path; the empty one's rows start at ``z = 0``,
+where the step is zero, and stop in their first iteration.  Row maxima and
+finiteness tests are taken column by column, which is exact and avoids
+numpy's slow reduction over a short axis.  A batched screen of each Newton
+batch only proposes roots: :func:`verify_solution` builds every certificate,
+so each one recomputes ``w`` and the violation measure from ``z`` and
+nothing is trusted from the caller or from the screen.
 
 For order 2 and even-order row-power tensors ``A z^{m-1} = M z^{[m-1]}``, so
 TCP(q, A) is LCP(q, M): an LCP screen solves ``M_SS y_S = -q_S`` for every
@@ -103,15 +105,12 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _violations(z: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+def _violations(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Violation measure of each row of the ``(k, n)`` arrays ``z`` and ``w``.
 
     The largest negative part of ``z`` or ``w`` or product ``|z_i w_i|``; a
     row with a NaN or inf entry has a NaN or inf product and measures ``inf``.
-    A bad ``tol`` raises ``ValueError`` here too, as :func:`verify_solution`
-    takes it from the caller; an infinite one would pass every candidate.
     """
-    _require_tol(tol)
     out = np.max(np.concatenate([-z, -w, np.abs(z * w)], axis=1), axis=1, initial=0.0)
     out[~np.isfinite(out)] = np.inf
     return out
@@ -140,10 +139,15 @@ class SolutionCertificate:
 # violation measure reports as inf; numpy's warnings about it are not wanted.
 @np.errstate(over="ignore", invalid="ignore")
 def verify_solution(inst: TcpInstance, z, tol: float = 1e-8) -> SolutionCertificate:
-    """Recompute ``w`` and the violation measure for a claimed solution."""
+    """Recompute ``w`` and the violation measure for a claimed solution.
+
+    A ``tol`` outside ``0 < tol < inf`` raises ``ValueError``; an infinite
+    one would pass every candidate.
+    """
+    _require_tol(tol)
     z = _as_vector(z, inst.tensor.dim, "z").copy()
     w = contract_m1(inst.tensor, z) + inst.q
-    violation = float(_violations(z[None], w[None], tol)[0])
+    violation = float(_violations(z[None], w[None])[0])
     return SolutionCertificate(
         z=z,
         w=w,
@@ -195,9 +199,9 @@ def solve_enumerate(
     rng = np.random.default_rng(opts.seed)
 
     # Per support, in size then combinations order, _STARTS starts, zero off
-    # the support.
+    # the support; the empty support's starts are zero and draw nothing.
     supports = [
-        s for size in range(1, n + 1) for s in itertools.combinations(range(n), size)
+        s for size in range(n + 1) for s in itertools.combinations(range(n), size)
     ]
     on_support = np.zeros((len(supports), n), dtype=bool)
     for k, support in enumerate(supports):
@@ -213,24 +217,19 @@ def solve_enumerate(
         mask, starts = mask[rows], starts[rows]
 
     batch_rows = _batch_rows(tensor)
-    # The zero support is screened first; each Newton batch is made when the
-    # loop reaches it, so only one batch's arrays are alive at a time.
-    batches = itertools.chain(
-        [np.zeros((1, n))],
-        (
-            _newton_on_supports(
-                inst, mask[lo : lo + batch_rows], starts[lo : lo + batch_rows]
-            )
-            for lo in range(0, mask.shape[0], batch_rows)
-        ),
-    )
     kept: list[SolutionCertificate] = []
-    for candidates in batches:
+    # Every support, the empty one included, takes this one path; each Newton
+    # batch is made when the loop reaches it, so only one batch's arrays are
+    # alive at a time.
+    for lo in range(0, mask.shape[0], batch_rows):
+        candidates = _newton_on_supports(
+            inst, mask[lo : lo + batch_rows], starts[lo : lo + batch_rows]
+        )
         # A screen only: the batch kernel equals contract_m1 bit for bit, so
         # it drops exactly the rows verify_solution would fail, and
         # verify_solution certifies each distinct root that is left.
         w = contract_m1_batch(tensor, candidates) + q
-        ok = _violations(candidates, w, opts.tol) <= opts.tol
+        ok = _violations(candidates, w) <= opts.tol
         for z in candidates[ok]:
             if any(
                 float(np.max(np.abs(z - other.z))) <= 10.0 * opts.tol

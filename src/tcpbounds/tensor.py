@@ -101,10 +101,9 @@ class DenseTensor:
     )
 
     def __init__(self, order: int, dim: int, entries: Mapping[tuple, float]):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 2:
-            raise ValueError(f"order must be an integer >= 2, got {order!r}")
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {dim!r}")
+        _require_int(order, "order", 2)
+        _require_int(dim, "dim", 1)
+        order, dim = int(order), int(dim)
         clean: dict[tuple, float] = {}
         for raw_idx, raw_val in entries.items():
             idx = _as_index(raw_idx)
@@ -340,9 +339,8 @@ def contract_m1_batch(
     if component is None:
         lo, hi, slots = 0, nnz, tensor._row_slots
     else:
-        if isinstance(component, bool) or not isinstance(component, (int, np.integer)) or not (
-            0 <= component < n
-        ):
+        _require_int(component, "component", 0)
+        if component >= n:
             raise ValueError(f"component must be an integer in 0..{n - 1}, got {component!r}")
         lo, hi = (int(tensor._rows.searchsorted(i)) for i in (component, component + 1))
         slots = tensor._row_slots[:, component : component + 1]
@@ -448,7 +446,8 @@ def signed_root(x, r: int, out=None) -> np.ndarray:
     ``out``, a float64 array of ``x``'s shape that may be ``x`` itself, the
     roots are written there and ``out`` is returned.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1 or r % 2 == 0:
+    _require_int(r, "root order", 1)
+    if r % 2 == 0:
         raise ValueError(f"root order must be an odd positive integer, got {r!r}")
     arr = np.asarray(x, dtype=float)
     root = np.abs(arr)

@@ -163,6 +163,21 @@ q: [0.0, 0.0]
     assert pf.entries == (((1, 2), 3.0), ((2, 2), 4.0))
 
 
+def test_files_of_one_tensor_emit_the_same_bytes():
+    # An explicit zero entry used to stay in entries and be emitted.
+    diag = (((1, 1), 1.0), ((2, 2), 2.0))
+    files = [
+        ProblemFile(order=order, dim=dim, entries=entries, q=np.array([1.0, -1.0]))
+        for order, dim, entries in (
+            (2, 2, diag),
+            (2, 2, diag + (((1, 2), 0.0),)),
+            (np.int64(2), np.int32(2), (((2, 2), 2.0), ((2, 1), -0.0), ((1, 1), 1.0))),
+        )
+    ]
+    assert {(pf.order, pf.dim, pf.entries) for pf in files} == {(2, 2, diag)}
+    assert len({emit_problem(pf) for pf in files}) == 1
+
+
 def test_zero_tensor_when_entries_omitted(tmp_path):
     pf = parse_problem(write(tmp_path, "order: 2\ndim: 1\nq: [1.0]\n"))
     assert pf.entries == ()
@@ -1101,7 +1116,7 @@ def test_problem_file_checks_index_keys_before_the_duplicate_step(entries, fragm
     "text, fragment",
     [
         ('order: "4"\ndim: 2\nq: [0.0, 0.0]\n', "order must be an integer"),
-        ('order: 2\ndim: "2"\nq: [0.0, 0.0]\n', "dim must be a positive integer"),
+        ('order: 2\ndim: "2"\nq: [0.0, 0.0]\n', "dim must be an integer >= 1"),
         (
             "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [1, \"a\"]\n    val: 1.0\n",
             "integer components",

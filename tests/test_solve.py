@@ -306,7 +306,7 @@ def test_batch_violations_equal_from_candidate_row_by_row():
     ]
     z_rows = np.array([c.z for c in certs])
     w_rows = np.array([c.w for c in certs])
-    batch = solve_module._violations(z_rows, w_rows, 1e-8)
+    batch = solve_module._violations(z_rows, w_rows)
     for k, cert in enumerate(certs):
         assert batch[k] == cert.max_violation == _reference_violation(cert.z, cert.w)
     assert [bool(v) for v in np.isinf(batch)] == [False] * 3 + [True] * 7
@@ -547,7 +547,7 @@ def test_bad_tol_is_refused_before_any_newton_step(monkeypatch):
 def test_enumerate_drops_singular_rows_of_several_sizes_in_one_batch(monkeypatch):
     # w = (2 z1 - 2, z1 + 1, z3 + 1): no w_i depends on z2, so the Jacobian
     # on every support holding 2, of sizes 1, 2 and 3, is singular.  All
-    # 56 rows run in one batch.
+    # 64 rows, the empty support's 8 included, run in one batch.
     inst = TcpInstance(
         DenseTensor(2, 3, {(1, 1): 2.0, (2, 1): 1.0, (3, 3): 1.0}),
         np.array([-2.0, 1.0, 1.0]),
@@ -568,7 +568,7 @@ def test_enumerate_drops_singular_rows_of_several_sizes_in_one_batch(monkeypatch
     monkeypatch.setattr(solve_module, "_newton_on_supports", record_batches)
     monkeypatch.setattr(solve_module, "_solve_stacked", record_first_step)
     certs = solve_enumerate(inst)
-    assert [mask.shape[0] for mask in masks] == [56]
+    assert [mask.shape[0] for mask in masks] == [64]
     # Every row is active in the first solve, so its rows are the mask's.
     (mask,), (step,) = masks, first_steps
     assert step.shape == mask.shape
@@ -703,7 +703,8 @@ def _newton_rows(monkeypatch, inst):
 
 def test_lcp_screen_sends_only_the_feasible_support_to_newton(monkeypatch):
     # A P-matrix problem with a nondegenerate solution has one support whose
-    # linear root is feasible; the other 62 supports' 8 starts never run.
+    # linear root is feasible; the other 63 supports' 8 starts, the empty
+    # support's included, never run.
     inst, z_star = manufactured_unique(np.random.default_rng(5), "row_power", 4, 6)
     rows, certs = _newton_rows(monkeypatch, inst)
     assert rows == solve_module._STARTS < 63 * solve_module._STARTS
@@ -721,7 +722,39 @@ def test_lcp_screen_keeps_every_row_outside_the_class_or_on_a_singular_block(mon
     del matrix[(1, 1)]
     for tensor in (general, DenseTensor(2, 6, matrix)):
         rows, _ = _newton_rows(monkeypatch, TcpInstance(tensor, inst.q))
-        assert rows == 63 * solve_module._STARTS
+        assert rows == 64 * solve_module._STARTS
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        DenseTensor(2, 3, {(1, 1): 2.0, (1, 2): 0.5, (2, 2): 3.0, (3, 1): -0.5, (3, 3): 1.0}),
+        DenseTensor.from_diagonal([2.0, 3.0, 1.0], order=4),
+        # dominant, with entries whose trailing indices differ
+        DenseTensor(
+            4,
+            3,
+            {(1, 1, 1, 1): 2.0, (1, 2, 3, 1): 0.5, (2, 2, 2, 2): 3.0,
+             (3, 1, 2, 2): -0.5, (3, 3, 3, 3): 1.0},
+        ),
+    ],
+    ids=["o2", "o4-diagonal", "o4-general"],
+)
+def test_enumerate_sends_the_empty_support_through_newton(monkeypatch, tensor):
+    # q >= 0: z = 0 is the one root, and the LCP screen keeps the empty
+    # support, whose rows start at zero and take a zero Newton step.
+    masks, newton = [], solve_module._newton_on_supports
+
+    def recording(inst, mask, starts):
+        masks.append(mask)
+        return newton(inst, mask, starts)
+
+    monkeypatch.setattr(solve_module, "_newton_on_supports", recording)
+    certs = solve_enumerate(TcpInstance(tensor, np.array([0.0, 1.0, 2.0])))
+    assert not masks[0][: solve_module._STARTS].any()
+    assert len(certs) == 1
+    assert certs[0].support == ()
+    assert (certs[0].z == 0.0).all() and not np.signbit(certs[0].z).any()
 
 
 def test_lcp_screen_trusts_only_a_well_conditioned_block():

@@ -63,6 +63,11 @@ def test_immutable():
         (2, 2, {(1, 1, 1): 1.0}),
         (2, 2, {(0, 1): 1.0}),
         (2, 2, {(1, 3): 1.0}),
+        (4.0, 2, {}),
+        (True, 2, {}),
+        (4, 2.0, {}),
+        (4, True, {}),
+        (4, np.bool_(True), {}),
     ],
 )
 def test_construction_rejects_bad_shapes(order, dim, entries):
@@ -95,6 +100,17 @@ def test_construction_accepts_numpy_integer_indices():
     t = DenseTensor(2, 2, {(np.int64(1), np.int32(2)): 1.0})
     assert t.entries == {(1, 2): 1.0}
     assert all(type(i) is int for i in next(iter(t.entries)))
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32])
+def test_construction_accepts_numpy_integer_order_and_dim(kind):
+    # a numpy order or dim was refused, though seeds and grids took them
+    for t in (
+        DenseTensor(kind(4), kind(2), {(1, 1, 1, 1): 1.0}),
+        DenseTensor.from_diagonal([1.0, 8.0], order=kind(4)),
+    ):
+        assert (t.order, t.dim) == (4, 2)
+        assert type(t.order) is int and type(t.dim) is int
 
 
 def test_from_diagonal():
@@ -301,9 +317,14 @@ def test_batch_component_refuses_a_short_work_buffer_and_a_bad_index():
     t = hand_tensor()
     with pytest.raises(ValueError, match="work holds"):
         contract_m1_batch(t, np.ones((5, 2)), work=np.empty(5 * _work_rows(t) - 1), component=0)
-    for bad in (-1, 2, 1.0, True, "0"):
+    for bad in (-1, 2, np.int64(2), 1.0, True, "0"):
         with pytest.raises(ValueError, match="component"):
             contract_m1_batch(t, np.ones((5, 2)), component=bad)
+    points = np.ones((5, 2))
+    assert np.array_equal(
+        contract_m1_batch(t, points, component=np.int64(1)),
+        contract_m1_batch(t, points, component=1),
+    )
 
 
 def test_jacobian_matches_central_differences():
@@ -423,6 +444,8 @@ def test_signed_root_scalars():
     assert signed_root(0.125, 3) == 0.5
     assert signed_root(0.0, 3) == 0.0
     assert signed_root(5.0, 1) == 5.0
+    # a numpy integer order was refused
+    assert np.array_equal(signed_root([8.0], np.int64(3)), [2.0])
 
 
 @pytest.mark.parametrize("r", [1, 3, 5])
@@ -439,8 +462,8 @@ def test_signed_root_in_place_is_bit_identical(r):
 
 
 def test_signed_root_rejects_even_or_nonpositive_order():
-    for r in (0, 2, 4, -1):
-        with pytest.raises(ValueError):
+    for r in (0, 2, 4, -1, np.int64(2), 3.0, True):
+        with pytest.raises(ValueError, match="root order"):
             signed_root(1.0, r)
 
 
