@@ -8,13 +8,16 @@ from several seeded starts by batched damped Newton with an analytic
 Jacobian: the (support, start) pairs of every support size iterate together,
 each stopping on its own test, and each iteration is one stacked
 ``dim x dim`` solve whose matrices are the identity off each row's support.
-Every support takes this one path; the empty one's rows start at ``z = 0``,
-where the step is zero, and stop in their first iteration.  Row maxima and
-finiteness tests are taken column by column, which is exact and avoids
-numpy's slow reduction over a short axis.  A batched screen of each Newton
-batch only proposes roots: :func:`verify_solution` builds every certificate,
-so each one recomputes ``w`` and the violation measure from ``z`` and
-nothing is trusted from the caller or from the screen.
+Only the rows still iterating are carried: a row that stops leaves the
+compacted arrays, so the kernels see a shrinking batch.  A row whose
+residual is zero stops before backtracking, since no damping factor can go
+below it.  Every support takes this one path; the empty one's rows start at
+``z = 0``, where the residual is zero, and stop in their first iteration.
+Row maxima and finiteness tests are taken column by column, which is exact
+and avoids numpy's slow reduction over a short axis.  A batched screen of
+each Newton batch only proposes roots: :func:`verify_solution` builds every
+certificate, so each one recomputes ``w`` and the violation measure from
+``z`` and nothing is trusted from the caller or from the screen.
 
 For order 2 and even-order row-power tensors ``A z^{m-1} = M z^{[m-1]}``, so
 TCP(q, A) is LCP(q, M): an LCP screen solves ``M_SS y_S = -q_S`` for every
@@ -26,7 +29,6 @@ every certificate is bit-identical to an unscreened run's.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,14 +200,13 @@ def solve_enumerate(
         )
     rng = np.random.default_rng(opts.seed)
 
-    # Per support, in size then combinations order, _STARTS starts, zero off
-    # the support; the empty support's starts are zero and draw nothing.
-    supports = [
-        s for size in range(n + 1) for s in itertools.combinations(range(n), size)
-    ]
-    on_support = np.zeros((len(supports), n), dtype=bool)
-    for k, support in enumerate(supports):
-        on_support[k, support] = True
+    # Every support, in size then combinations order: the bit patterns, read
+    # with coordinate 0 as the most significant bit, by size and then from
+    # the largest value down.  Per support, _STARTS starts, zero off the
+    # support; the empty support's starts are zero and draw nothing.
+    codes = np.arange(1 << n)
+    on_support = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+    on_support = on_support[np.lexsort((-codes, on_support.sum(axis=1)))]
     mask = np.repeat(on_support, _STARTS, axis=0)
     starts = np.zeros(mask.shape)
     starts[mask] = scale * rng.uniform(0.05, 1.0, size=int(mask.sum()))
@@ -324,80 +325,91 @@ def _newton_on_supports(
     one stacked solve, the Jacobian padded with the identity off ``S``, which
     is singular exactly when its ``S x S`` block is; it then tries the
     damping factors ``_DAMPING`` in order and takes the first whose residual
-    max-norm is below the current one.  A row stops when its taken step is
-    at most ``_STEP_TOL`` or when no factor helps (keeping its iterate), and
-    is dropped when its residual at the start is not finite or its Jacobian
-    is singular or gives a non-finite step.  Every max-norm is
-    :func:`_row_max` of the absolute values, which is NaN or inf exactly when
-    the row has a NaN or inf entry; so "finite" is "finite max-norm", and a
-    trial's NaN or inf residual is never below the current, finite, one.
-    Returns the kept rows' final iterates.
+    max-norm is below the current one.  A row is dropped when its residual
+    at the start is not finite or its Jacobian is singular or gives a
+    non-finite step.  Otherwise it stops, keeping its iterate, when its
+    residual is zero (no factor can go below it, so none is tried), when no
+    factor helps, or when its taken step is at most ``_STEP_TOL``; it then
+    leaves the compacted arrays of active rows, so each kernel call sees
+    only the rows still running.  Every max-norm is :func:`_row_max` of the
+    absolute values, which is NaN or inf exactly when the row has a NaN or
+    inf entry; so "finite" is "finite max-norm", and a trial's NaN or inf
+    residual is never below the current, finite, one.  Returns the kept
+    rows' final iterates.
     """
     tensor, q = inst.tensor, inst.q
     n = tensor.dim
-    # Off its support a row's Jacobian is replaced by the identity; the
-    # right side -f is zero there, so the step is zero there too.
-    off = ~(mask[:, :, None] & mask[:, None, :])
     eye = np.eye(n)
-
-    def residual(sel: np.ndarray, z: np.ndarray) -> np.ndarray:
-        f = np.zeros(z.shape)
-        np.add(contract_m1_batch(tensor, z), q, out=f, where=mask[sel])
-        return f
-
     batch_rows = _batch_rows(tensor)
 
-    z = starts.copy()
-    f = residual(np.arange(mask.shape[0]), z)
-    keep = np.isfinite(_row_max(np.abs(f)))
-    active = keep.copy()
+    out = starts.copy()
+    f = np.where(mask, contract_m1_batch(tensor, starts) + q, 0.0)
+    norm = _row_max(np.abs(f))
+    keep = np.isfinite(norm)
+    # The active rows: index in the batch, iterate, residual, its max-norm,
+    # support, and where the Jacobian is replaced by the identity (off the
+    # support the right side -f is zero, so the step is zero there too).  A
+    # row that stops writes its iterate to out and leaves these arrays.
+    rows = np.flatnonzero(keep)
+    z, f, norm, mask = starts[rows], f[rows], norm[rows], mask[rows]
+    off = ~(mask[:, :, None] & mask[:, None, :])
     for _ in range(_MAX_ITERATIONS):
-        act = np.flatnonzero(active)
-        if act.size == 0:
+        if rows.size == 0:
             break
-        jac = jacobian_m1_batch(tensor, z[act])
-        np.copyto(jac, eye, where=off[act])
-        step = _solve_stacked(jac, -f[act])
-        bad = ~np.isfinite(_row_max(np.abs(step)))
-        keep[act[bad]] = active[act[bad]] = False
-        act, step = act[~bad], step[~bad]
+        jac = jacobian_m1_batch(tensor, z)
+        np.copyto(jac, eye, where=off)
+        step = _solve_stacked(jac, -f)
+        step_norm = _row_max(np.abs(step))
+        finite = np.isfinite(step_norm)
+        keep[rows[~finite]] = False
+        going = finite & (norm > 0.0)
+        if not going.all():
+            out[rows[~going]] = z[~going]
+            rows, z, f, norm, mask, off, step, step_norm = (
+                a[going] for a in (rows, z, f, norm, mask, off, step, step_norm)
+            )
+            if rows.size == 0:
+                break
 
         # Backtrack: the full step for every row, then the remaining factors
         # in blocks for the rows still waiting, first acceptable factor wins.
-        # A block holds at most batch_rows trial points.
-        base = _row_max(np.abs(f[act]))
-        taken = np.full(act.size, -1)
-        f_new = np.empty((act.size, n))
-        waiting = np.arange(act.size)
-        level = 0
+        # A block holds at most batch_rows trial points.  A row no factor
+        # helps keeps factor 0: its step is then +-0, which leaves its
+        # iterate as it is (an iterate is never -0.0) and stops it.
+        factor = np.ones(rows.size)
+        f_new = np.where(mask, contract_m1_batch(tensor, z + step) + q, 0.0)
+        norm_new = _row_max(np.abs(f_new))
+        waiting = np.flatnonzero(~(norm_new < norm))
+        factor[waiting] = 0.0
+        level = 1
         while waiting.size and level < _DAMPING.size:
-            width = 1 if level == 0 else max(1, batch_rows // waiting.size)
-            block = _DAMPING[level : level + width]
-            trial = z[act[waiting], None, :] + block[None, :, None] * step[waiting, None, :]
-            f_trial = residual(
-                np.repeat(act[waiting], block.size), trial.reshape(-1, n)
-            )
-            good = (
-                _row_max(np.abs(f_trial)).reshape(waiting.size, block.size)
-                < base[waiting, None]
-            )
-            f_trial = f_trial.reshape(waiting.size, block.size, n)
+            block = _DAMPING[level : level + max(1, batch_rows // waiting.size)]
+            trial = z[waiting, None] + block[:, None] * step[waiting, None]
+            f_trial = contract_m1_batch(tensor, trial.reshape(-1, n)) + q
+            f_trial = np.where(mask[waiting, None], f_trial.reshape(trial.shape), 0.0)
+            norm_trial = _row_max(np.abs(f_trial.reshape(-1, n))).reshape(trial.shape[:2])
+            good = norm_trial < norm[waiting, None]
             hit = good.any(axis=1)
             first = np.argmax(good, axis=1)[hit]
-            taken[waiting[hit]] = level + first
-            f_new[waiting[hit]] = f_trial[hit, first]
+            moved = waiting[hit]
+            factor[moved] = block[first]
+            f_new[moved] = f_trial[hit, first]
+            norm_new[moved] = norm_trial[hit, first]
             waiting = waiting[~hit]
             level += block.size
 
-        # No factor helped: the row stops at its current iterate.
-        active[act[waiting]] = False
-        moved = taken >= 0
-        act, step, taken = act[moved], step[moved], taken[moved]
-        damped = _DAMPING[taken][:, None] * step
-        z[act] = z[act] + damped
-        f[act] = f_new[moved]
-        active[act[_row_max(np.abs(damped)) <= _STEP_TOL]] = False
-    return z[keep]
+        z, f, norm = z + factor[:, None] * step, f_new, norm_new
+        # Rounding is monotone, so the taken step's max-norm is exactly
+        # factor * step_norm.
+        done = factor * step_norm <= _STEP_TOL
+        if done.any():
+            out[rows[done]] = z[done]
+            going = ~done
+            rows, z, f, norm, mask, off = (
+                a[going] for a in (rows, z, f, norm, mask, off)
+            )
+    out[rows] = z
+    return out[keep]
 
 
 def _solve_stacked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:

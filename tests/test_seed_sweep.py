@@ -2,11 +2,14 @@
 
 import argparse
 import importlib.util
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "seed_sweep.py"
@@ -72,15 +75,49 @@ def test_a_bad_seed_range_is_refused(text):
         seed_sweep._seed_range(text)
 
 
-def test_a_real_sweep_passes_and_counts_every_operation():
+def _real_sweep(workload, seeds, hash_seed="0"):
     run = subprocess.run(
-        [sys.executable, "-W", "error", str(TOOL), "--workload", "solve-bounds", "--seeds", "1-2"],
+        [sys.executable, "-W", "error", str(TOOL), "--workload", workload, "--seeds", seeds],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed},
     )
     assert run.returncode == 0, run.stdout + run.stderr
-    assert run.stdout == "solve-bounds seeds 1-2: 18 operations, 0 failed\n"
+    return run.stdout
+
+
+def test_a_real_sweep_passes_and_counts_every_operation():
+    out = _real_sweep("solve-bounds", "1-2")
+    assert re.fullmatch(r"solve-bounds seeds 1-2: 18 operations, 0 failed, sha256 [0-9a-f]{64}\n", out)
+
+
+def test_a_real_sweep_digest_does_not_depend_on_the_hash_seed():
+    # report-stream's results are report objects, not CLI text.
+    assert _real_sweep("report-stream", "1-1", "1") == _real_sweep("report-stream", "1-1", "2")
+
+
+def test_the_digest_covers_every_label_and_result_bit():
+    def digest_of(results):
+        def setup(seed, workdir):
+            return SimpleNamespace(
+                ops=[op(label, lambda r=r: r, lambda r: outcome()) for label, r in results]
+            )
+
+        digest = seed_sweep.hashlib.sha256()
+        list(seed_sweep.sweep(SimpleNamespace(setup=setup, miss_fails=True), range(1, 2), None, digest))
+        return digest.hexdigest()
+
+    results = [("a", (0, "z = 1\n", "")), ("b", np.array([0.1, 0.0]))]
+    assert digest_of(results) == digest_of(list(results))
+    changed = [
+        [("a", (0, "z = 2\n", "")), results[1]],
+        [("c", results[0][1]), results[1]],
+        [results[0], ("b", np.array([np.nextafter(0.1, 1.0), 0.0]))],
+        [results[0], ("b", np.array([0.1, -0.0]))],
+        results[::-1],
+    ]
+    assert len({digest_of(results), *map(digest_of, changed)}) == 1 + len(changed)
 
 
 def test_family_drops_the_dimension_and_the_extra_suffix():
@@ -109,16 +146,10 @@ def test_sweep_counts_misses_by_family_without_failing_them():
 
 
 def test_a_real_sweep_prints_the_miss_counts_of_each_family():
-    run = subprocess.run(
-        [sys.executable, "-W", "error", str(TOOL), "--workload", "report-stream", "--seeds", "1-1"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
-    lines = run.stdout.splitlines()
+    lines = _real_sweep("report-stream", "1-1").splitlines()
     assert [line.split(":")[0] for line in lines[:3]] == [
         "report-diag-o4", "report-grid-o2", "report-grid-o4",
     ]
     assert all(line.endswith(" of 340 operations missed") for line in lines[:3])
-    assert lines[3:] == ["report-stream seeds 1-1: 1020 operations, 0 failed"]
+    assert len(lines) == 4
+    assert lines[3].startswith("report-stream seeds 1-1: 1020 operations, 0 failed, sha256 ")

@@ -1,6 +1,7 @@
 """Solution certificates, the diagonal closed form, and support enumeration."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import warnings
@@ -10,7 +11,12 @@ import pytest
 
 import oracles
 import tcpbounds.solve as solve_module
-from families import manufactured_diagonal, manufactured_unique, random_diagonal_instances
+from families import (
+    manufactured_diagonal,
+    manufactured_unique,
+    random_diagonal_instances,
+    random_sparse_tensor,
+)
 from tcpbounds import (
     DenseTensor,
     DimensionLimitError,
@@ -19,6 +25,7 @@ from tcpbounds import (
     SolutionCertificate,
     SolveOptions,
     TcpInstance,
+    contract_m1_batch,
     solve_diagonal,
     solve_enumerate,
     verify_solution,
@@ -779,3 +786,99 @@ def test_enumerate_finds_the_one_root_at_any_scale(tensor, q, z_star):
     certs = solve_enumerate(TcpInstance(tensor, q))
     assert len(certs) == 1
     np.testing.assert_allclose(certs[0].z, z_star, rtol=1e-9)
+
+
+def _coupled_instances():
+    """Order 4, ``4 I`` plus ``(i, i+1, i, i+1) = 0.3``: outside the LCP class, so
+    every support, the empty one included, reaches Newton."""
+    rng = np.random.default_rng(7)
+    for n in (4, 5, 6):
+        entries = {(i,) * 4: 4.0 for i in range(1, n + 1)}
+        entries.update({(i, i + 1, i, i + 1): 0.3 for i in range(1, n)})
+        yield TcpInstance(DenseTensor(4, n, entries), rng.uniform(-1.0, 1.0, n))
+
+
+def test_a_zero_residual_row_stops_before_backtracking(monkeypatch):
+    rows, kernel = [0], solve_module.contract_m1_batch
+
+    def counting(tensor, points, *args, **kwargs):
+        rows[0] += len(points)
+        return kernel(tensor, points, *args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "contract_m1_batch", counting)
+    # z = 0 on a support whose Jacobian is 3 z^2 = 0: the singular step drops
+    # the row before its zero residual could stop it; on the empty support
+    # the padded Jacobian is I and the row keeps its iterate.  Neither tries
+    # a damping factor: only the start is evaluated.
+    inst = TcpInstance(DenseTensor.from_diagonal([1.0], order=4), np.array([0.0]))
+    for on_support, kept in ((True, 0), (False, 1)):
+        rows[0] = 0
+        got = solve_module._newton_on_supports(inst, np.array([[on_support]]), np.zeros((1, 1)))
+        assert got.shape == (kept, 1) and rows[0] == 1
+    assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+    # Whole enumerations: 216 fewer kernel rows at n = 4 and 5 than when
+    # every factor was tried at a zero residual, 864 fewer at n = 6, and the
+    # same certificates, pinned as digests of their hex bits.
+    want = [
+        (6968, "c0e304aa0e554f8a20c7a5425c871d1b4560255f7b0133a7a03586d958dfa3f2"),
+        (15033, "22d8eec85c0d2f744ee97e3fe200a03968b35d26237fe03d5fd1327a1353f8cf"),
+        (18424, "cb142ed2266b0500bdabd85683ae961940e04843334e7d97a73cc2eda0f0f431"),
+    ]
+    for inst, (kernel_rows, digest) in zip(_coupled_instances(), want):
+        rows[0] = 0
+        bits = _bits(solve_enumerate(inst))
+        assert rows[0] == kernel_rows
+        assert hashlib.sha256(repr(bits).encode()).hexdigest() == digest
+
+
+def test_compacted_newton_rows_are_independent_of_their_batch(monkeypatch):
+    # A general order-4 tensor: all 16 supports' 128 rows reach Newton.
+    tensor = random_sparse_tensor(np.random.default_rng(0), 4, 4, 10)
+    inst = TcpInstance(tensor, np.random.default_rng(0).uniform(-1.0, 1.0, 4))
+    batches, newton = [], solve_module._newton_on_supports
+
+    def recording(inst, mask, starts):
+        batches.append((mask, starts.copy()))
+        return newton(inst, mask, starts)
+
+    monkeypatch.setattr(solve_module, "_newton_on_supports", recording)
+    solve_enumerate(inst)
+    monkeypatch.undo()
+    ((mask, starts),) = batches
+    # Supports in size then combinations order, _STARTS rows each.
+    supports = [c for size in range(5) for c in itertools.combinations(range(4), size)]
+    assert [tuple(np.flatnonzero(row)) for row in mask[:: solve_module._STARTS]] == supports
+    assert mask.shape == (128, 4)
+    # Two rows start where the residual overflows.
+    huge = [100, 127]
+    starts[huge] = np.where(mask[huge], 1e200, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        start_f = np.where(mask, contract_m1_batch(tensor, starts) + inst.q, 0.0)
+    finite = np.isfinite(start_f).all(axis=1)
+    assert finite.sum() == 126
+
+    counts, jacobian = [], solve_module.jacobian_m1_batch
+
+    def recording_jacobian(tensor, points):
+        counts.append(len(points))
+        return jacobian(tensor, points)
+
+    monkeypatch.setattr(solve_module, "jacobian_m1_batch", recording_jacobian)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = solve_module._newton_on_supports(inst, mask, starts)
+    monkeypatch.undo()
+    assert counts[0] == 126 and counts[-1] < counts[0]
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = [solve_module._newton_on_supports(inst, mask[r : r + 1], starts[r : r + 1])
+               for r in range(128)]
+    alone = np.concatenate(one)
+    assert whole.tobytes() == alone.tobytes()
+    # The batch holds dropped rows (non-finite starts, singular or non-finite
+    # steps), converged rows and rows that stop far from a root.
+    ran = np.array([len(o) == 1 for o in one])
+    residual = np.abs(np.where(mask[ran], contract_m1_batch(tensor, alone) + inst.q, 0.0))
+    assert (~ran & finite).sum() > 0
+    assert (residual.max(axis=1) < 1e-9).sum() > 0
+    assert (residual.max(axis=1) > 1e-3).sum() > 0

@@ -11,13 +11,17 @@ it raises, when its check raises or finds a problem, or, on a workload whose
 failure is printed as ``seed <s>: <operation>: <first problem>``.  On a
 workload whose bound misses do not fail an operation, one line per operation
 family (the label without ``-n<dim>`` and ``-extra``) then counts the
-operations whose interval missed.  Last comes one summary line; the exit
-status is 1 if any operation failed, else 0.
+operations whose interval missed.  Last comes one summary line, ending in
+a SHA-256 digest of every operation's label and pickled result in sweep
+order, so two checkouts whose digests are equal gave the same outputs bit
+for bit; the exit status is 1 if any operation failed, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import pickle
 import re
 import sys
 import tempfile
@@ -37,15 +41,25 @@ def family(label: str) -> str:
     return re.sub(r"-n\d+|-extra$", "", label)
 
 
-def first_problem(op, miss_fails: bool, misses: Counter | None = None) -> str | None:
+def first_problem(
+    op, miss_fails: bool, misses: Counter | None = None, digest=None
+) -> str | None:
     """Why ``op`` fails, judged as the benchmark judges it, or ``None``.
 
     An operation whose interval misses counts 1 in ``misses`` under its family.
+    ``digest``, a hashlib object, takes the pickle of the operation's label
+    and its result, or of its label and the exception it raised.  Pickle
+    keeps every float's bits, which ``repr`` of a numpy array rounds away.
     """
     try:
         result = op.call()
     except Exception as exc:  # a raising operation is a failed one
-        return f"raised {_last_line(exc)}"
+        problem = f"raised {_last_line(exc)}"
+        if digest is not None:
+            digest.update(pickle.dumps((op.label, problem), protocol=5))
+        return problem
+    if digest is not None:
+        digest.update(pickle.dumps((op.label, result), protocol=5))
     try:
         outcome = op.check(result)
     except Exception as exc:  # an output the check cannot read is a wrong one
@@ -59,11 +73,12 @@ def first_problem(op, miss_fails: bool, misses: Counter | None = None) -> str | 
     return None
 
 
-def sweep(workload, seeds, misses: Counter | None = None):
+def sweep(workload, seeds, misses: Counter | None = None, digest=None):
     """Yield ``(seed, label, problem)`` for every operation; ``problem`` is None if it passed.
 
     A set-up that raises yields one failure labelled ``setup``.  Misses are
-    counted in ``misses`` as :func:`first_problem` counts them.
+    counted in ``misses``, and results hashed into ``digest``, as
+    :func:`first_problem` does.
     """
     for seed in seeds:
         with tempfile.TemporaryDirectory() as workdir:
@@ -73,7 +88,7 @@ def sweep(workload, seeds, misses: Counter | None = None):
                 yield seed, "setup", f"raised {_last_line(exc)}"
                 continue
             for op in prepared.ops:
-                yield seed, op.label, first_problem(op, workload.miss_fails, misses)
+                yield seed, op.label, first_problem(op, workload.miss_fails, misses, digest)
 
 
 def _seed_range(text: str) -> range:
@@ -95,9 +110,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=_seed_range, help="A-B, both included")
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
-    families, misses = Counter(), Counter()
+    families, misses, digest = Counter(), Counter(), hashlib.sha256()
     failed = 0
-    for seed, label, problem in sweep(workload, args.seeds, misses):
+    for seed, label, problem in sweep(workload, args.seeds, misses, digest):
         families[family(label)] += 1
         if problem is not None:
             failed += 1
@@ -107,7 +122,10 @@ def main(argv=None) -> int:
             print(f"{name}: {misses[name]} of {families[name]} operations missed")
     ops = sum(families.values())
     seeds = args.seeds
-    print(f"{args.workload} seeds {seeds[0]}-{seeds[-1]}: {ops} operations, {failed} failed")
+    print(
+        f"{args.workload} seeds {seeds[0]}-{seeds[-1]}: {ops} operations, {failed} failed, "
+        f"sha256 {digest.hexdigest()}"
+    )
     return 1 if failed else 0
 
 
