@@ -5,6 +5,11 @@ stdout, stderr and exit code on four files, in both formats, are pinned
 here: the worked file, a file with two solutions (AMBIGUOUS_SOLUTION), a
 non-dominant file whose alpha comes from the grid (UNCERTIFIED_ALPHA), and
 a file with ``(-q)+ = 0`` (DEGENERATE_Q), where ``rel-bounds`` exits 1.
+
+The ``alpha`` subcommand's transcripts are pinned too, at grids 2, 3 and 7
+and for both kinds: a dominant file, which prints the grid estimate with the
+certified ``alpha_lo`` below it, the non-dominant file, an order-2 file and
+an ``n = 1`` file, all of whose alphas come from the grid sweep.
 """
 
 import pytest
@@ -725,3 +730,300 @@ def test_report_subcommand_transcript_is_pinned(key, tmp_path, capsys):
     code = main([command, "--file", str(path), "--format", fmt])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == TRANSCRIPTS[key]
+
+
+# Every row is dominant, through entries that are not row-power; alpha prints
+# the grid estimate and the certified bound below it.
+DOMINANT = """\
+order: 4
+dim: 3
+entries:
+  - idx: [1, 1, 1, 1]
+    val: 3.0
+  - idx: [1, 2, 3, 1]
+    val: 0.7
+  - idx: [1, 3, 3, 2]
+    val: -0.4
+  - idx: [2, 2, 2, 2]
+    val: 2.5
+  - idx: [2, 1, 1, 3]
+    val: -0.9
+  - idx: [2, 3, 2, 1]
+    val: 0.3
+  - idx: [3, 3, 3, 3]
+    val: 1.75
+  - idx: [3, 1, 2, 2]
+    val: 0.6
+q: [1.0, -1.0, 0.5]
+"""
+
+# An order-2 P-matrix that is not dominant.
+MATRIX = """\
+order: 2
+dim: 4
+entries:
+  - idx: [1, 1]
+    val: 1.0
+  - idx: [1, 3]
+    val: 1.5
+  - idx: [2, 2]
+    val: 2.0
+  - idx: [2, 4]
+    val: -0.5
+  - idx: [3, 3]
+    val: 1.25
+  - idx: [3, 1]
+    val: -2.0
+  - idx: [4, 4]
+    val: 0.5
+  - idx: [4, 2]
+    val: 0.25
+q: [1.0, -1.0, 0.5, -0.25]
+"""
+
+# n = 1 with a negative entry: not dominant, so F comes from the grid too.
+SINGLE = "order: 4\ndim: 1\nentries:\n  - idx: [1, 1, 1, 1]\n    val: -2.0\nq: [-1.0]\n"
+
+ALPHA_FILES = {"dominant": DOMINANT, "coupled": COUPLED, "matrix": MATRIX, "single": SINGLE}
+
+# (file, kind, grid): the machine-format stdout.  Every run exits 0 with
+# nothing on stderr, and the text format prints the same pairs, each key
+# padded to the longest one and followed by two spaces.
+ALPHA_TRANSCRIPTS = {
+    ("dominant", "F", 2): """\
+command=alpha
+alpha=1.2576559573470547
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+alpha_lo=1.0476895531716472
+""",
+    ("dominant", "F", 3): """\
+command=alpha
+alpha=1.2050711320876151
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+alpha_lo=1.0476895531716472
+""",
+    ("dominant", "F", 7): """\
+command=alpha
+alpha=1.1071459823930252
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+alpha_lo=1.0476895531716472
+""",
+    ("dominant", "T", 2): """\
+command=alpha
+alpha=0.73522328547909099
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("dominant", "T", 3): """\
+command=alpha
+alpha=0.73522328547909099
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("dominant", "T", 7): """\
+command=alpha
+alpha=0.67444144287602281
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+    ("coupled", "F", 2): """\
+command=alpha
+alpha=0.79370055624576674
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("coupled", "F", 3): """\
+command=alpha
+alpha=0.79370052620690801
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("coupled", "F", 7): """\
+command=alpha
+alpha=0.79370052598514573
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+    ("coupled", "T", 2): """\
+command=alpha
+alpha=0.96655606387825632
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("coupled", "T", 3): """\
+command=alpha
+alpha=0.52912858495070458
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("coupled", "T", 7): """\
+command=alpha
+alpha=0.52912858476355706
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+    ("matrix", "F", 2): """\
+command=alpha
+alpha=0.60801284611225137
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("matrix", "F", 3): """\
+command=alpha
+alpha=0.4133749414933845
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("matrix", "F", 7): """\
+command=alpha
+alpha=0.41337494147980275
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+    ("matrix", "T", 2): """\
+command=alpha
+alpha=0.60801284611225137
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("matrix", "T", 3): """\
+command=alpha
+alpha=0.4133749414933845
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("matrix", "T", 7): """\
+command=alpha
+alpha=0.41337494147980275
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+    ("single", "F", 2): """\
+command=alpha
+alpha=-1.2599210498948732
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("single", "F", 3): """\
+command=alpha
+alpha=-1.2599210498948732
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("single", "F", 7): """\
+command=alpha
+alpha=-1.2599210498948732
+alpha_kind=alpha_F
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+    ("single", "T", 2): """\
+command=alpha
+alpha=-2
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=2
+refinement_steps=50
+""",
+    ("single", "T", 3): """\
+command=alpha
+alpha=-2
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=3
+refinement_steps=50
+""",
+    ("single", "T", 7): """\
+command=alpha
+alpha=-2
+alpha_kind=alpha_T
+alpha_method=grid_refined
+alpha_certified=false
+grid_points_per_axis=7
+refinement_steps=50
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("key", sorted(ALPHA_TRANSCRIPTS), ids=lambda k: "-".join(map(str, k)))
+def test_alpha_transcript_is_pinned(key, fmt, tmp_path, capsys):
+    name, kind, grid = key
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(ALPHA_FILES[name])
+    argv = ["alpha", "--file", str(path), "--kind", kind, "--grid", str(grid), "--format", fmt]
+    code = main(argv)
+    captured = capsys.readouterr()
+    want = ALPHA_TRANSCRIPTS[key]
+    if fmt == "text":
+        pairs = [line.split("=", 1) for line in want.splitlines()]
+        width = max(len(k) for k, _ in pairs)
+        want = "".join(f"{k.ljust(width)}  {v}\n" for k, v in pairs)
+    assert (code, captured.out, captured.err) == (0, want, "")
