@@ -13,25 +13,26 @@ the P-property; the bound formulas consume ``alpha(F)``.
 The minimum is estimated deterministically: the boundary of the cube
 ``[-1, 1]^n`` is swept face by face on a regular grid, each boundary grid
 point visited once, and the best point is polished with coordinate
-descent.  On the face ``x_f = s`` the objective is at least its pinned term
-``s * (op x)_f``, so once a best value exists each chunk is first bounded
-with that one component of the map, and only the rows whose term does not
-exceed the best value are evaluated in full.  The term is the objective's
-own column ``f``, bit for bit, so a pruned row's value is strictly above the
-best one and could neither lower nor tie it: the value and its tie-break
-point are those of the full sweep.
+descent.  Each face ``x_f = s`` is walked in blocks, open grids of its
+trailing coordinates.  The objective is at least its pinned term
+``s * (op x)_f``, so a block's terms, one component of the map, are formed
+at once by broadcasting, with no point built; then, ``_CHUNK`` rows at a
+time, only the rows whose term does not exceed the best value so far are
+built and evaluated in full.  The term is the objective's own column ``f``,
+bit for bit, so a pruned row's value is strictly above the best one and
+could neither lower nor tie it: the value and its tie-break point are those
+of the full sweep.
 
-Grid chunks are built by broadcasting a block of the trailing coordinates
-against the leading ones, and row maxima are taken column by column.  Each
-polish batch evaluates, from the current point, the rest of the current
-sweep and the next few whole sweeps, each at the step it takes if the
-sweeps before it stall; the first improving trial is the one a
-one-trial-at-a-time first-improvement search accepts, so the accepted steps,
-and so the value, are that search's.  Each estimate allocates one scratch
-buffer, sized for its largest chunk or polish batch, and every batch
-contraction of the sweep, its bounds and the polish runs in it; ``T`` or
-``F``, the product with the points and the row maxima then work on the
-contraction's output in place, so no chunk allocates a large temporary.
+Row maxima are taken column by column.  Each polish batch evaluates, from
+the current point, the rest of the current sweep and the next few whole
+sweeps, each at the step it takes if the sweeps before it stall; the first
+improving trial is the one a one-trial-at-a-time first-improvement search
+accepts, so the accepted steps, and so the value, are that search's.  Each
+estimate allocates one scratch buffer, sized for ``_CHUNK`` rows or a
+polish batch, in which every full contraction of the sweep and the polish
+runs, and one for a block's pinned terms; ``T`` or ``F``, the product with
+the points and the row maxima then work on the contraction's output in
+place, so no temporary outgrows a block's terms.
 Grid estimates never undershoot the true minimum, so a positive estimate is
 evidence, not proof.  One formula is certified: the dominance bound of an
 even-order tensor whose every diagonal entry exceeds the absolute sum of its
@@ -86,6 +87,8 @@ LIKELY_P = "LIKELY_P"
 NOT_P = "NOT_P"
 
 _CHUNK = 4096
+# Most grid points in one face block, whose pinned terms are formed at once.
+_GRID_BLOCK = 1 << 14
 # Step of the first polish sweep; it halves whenever a sweep stalls.
 _INITIAL_STEP = 0.1
 # Whole polish sweeps evaluated ahead, in case the ones before them stall.
@@ -154,7 +157,7 @@ def apply_F(tensor: DenseTensor, x) -> np.ndarray:
 
 def _map_batch(
     tensor: DenseTensor,
-    points: np.ndarray,
+    points,
     kind: str | None,
     work: np.ndarray | None = None,
     component: int | None = None,
@@ -163,18 +166,24 @@ def _map_batch(
 
     The map is applied in place to the result of :func:`contract_m1_batch`,
     a ``(k, n)`` view of ``work`` (or of the buffer the kernel allocates
-    without it) whose transpose is contiguous.  With ``component=i`` only
-    column ``i`` of that result is formed and mapped, a length-``k`` view
-    equal to the full map's column bit for bit: the kernel's column is, and
-    the root or ``T``'s factors act on each entry alone.
+    without it) whose transpose is contiguous.  With ``component=i``,
+    ``points`` is an open grid, as the kernel takes it, and only column ``i``
+    of the map is formed, a flat C-order view equal to the full map's column
+    bit for bit: the kernel's column is, the root acts on each entry alone,
+    and ``T``'s factor comes from the sum of squares that ``sum(axis=1)``
+    forms on a point's row.
     """
     if kind == ALPHA_T:
-        # The squares go through the buffer before the kernel takes it over.
-        squares = points * points if work is None else np.multiply(
-            points, points, out=work[: points.size].reshape(points.shape)
-        )
-        norms = np.sqrt(squares.sum(axis=1))
-        factors = np.zeros(points.shape[0])
+        if component is None:
+            # The squares go through the buffer before the kernel takes it over.
+            squares = points * points if work is None else np.multiply(
+                points, points, out=work[: points.size].reshape(points.shape)
+            )
+            sums = squares.sum(axis=1)
+        else:
+            sums = np.ravel(_row_sum([x * x for x in points]))
+        norms = np.sqrt(sums)
+        factors = np.zeros(norms.shape)
         nz = norms > 0.0
         factors[nz] = norms[nz] ** (2 - tensor.order)
     mapped = contract_m1_batch(tensor, points, work, component=component)
@@ -186,6 +195,34 @@ def _map_batch(
     return mapped
 
 
+def _row_sum(terms: list):
+    """numpy's ``add.reduce`` along a contiguous row, termwise over ``terms``.
+
+    The terms may be arrays that broadcast together.  numpy adds fewer than 8
+    terms left to right, and more in 8 interleaved partial sums, combined
+    pairwise, with the rest added after; past 128 terms it splits the row in
+    two at a multiple of 8 and adds the halves.  So each element of the
+    result is the ``sum(axis=1)`` of a row of those terms, bit for bit.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    stop = n - n % 8
+    acc = terms[:8]
+    for i in range(8, stop, 8):
+        acc = [a + t for a, t in zip(acc, terms[i : i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for term in terms[stop:]:
+        total = total + term
+    return total
+
+
 def _objective(
     tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
 ) -> np.ndarray:
@@ -195,21 +232,19 @@ def _objective(
     return _row_max(np.multiply(points, mapped, out=mapped))
 
 
-def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
-    """Chunks of the grid on the face ``x[fixed] = sign`` that no earlier face holds.
+def _face_blocks(axis: np.ndarray, n: int, fixed: int, sign: float):
+    """Open grids holding the points of the face ``x[fixed] = sign`` that no earlier face holds.
 
     The coordinates before ``fixed`` take only the interior axis values (a
     point with an earlier ``|x_j| = 1`` lies on face ``j``), the later ones
     every value, so over ``fixed = 0 .. n-1`` each boundary grid point comes
-    once.  Rows come in ``itertools.product`` order of the free coordinates,
-    the last varying fastest, at most ``_CHUNK`` rows per chunk.
-
-    The trailing free coordinates, as many as fit in ``_CHUNK`` rows (at
-    least the last one), form a block built once by broadcasting; a last
-    coordinate with more than ``_CHUNK`` values is cut into pieces.  Each
-    chunk repeats the block, or one piece, against the next few values of
-    the leading coordinates, which are generated lazily, so no array holds
-    more than ``_CHUNK`` rows whatever the size of the face.
+    once.  A block holds the trailing free coordinates, as many as fit in
+    ``_GRID_BLOCK`` points (at least the last one), as ``np.ix_`` axes; a
+    last coordinate with more values is sliced.  The leading coordinates are
+    scalars, taking their values in ``itertools.product`` order, so the
+    blocks' points, each block in C order, come in product order of the free
+    coordinates, and no block has more than ``_GRID_BLOCK`` points whatever
+    the size of the face.  Each grid is a list of ``n`` coordinates.
     """
     values = [axis[1:-1]] * fixed + [axis] * (n - 1 - fixed)
     sizes = [v.size for v in values]
@@ -217,27 +252,39 @@ def _iter_face_chunks(axis: np.ndarray, n: int, fixed: int, sign: float):
         return
     # Free coordinate i sits in column i of a point, or i + 1 past ``fixed``.
     cols = [i + (i >= fixed) for i in range(n - 1)]
-    # The block holds the trailing k free coordinates.
-    k = 1
-    while k < n - 1 and math.prod(sizes[-k - 1 :]) <= _CHUNK:
+    k = min(1, n - 1)
+    while k < n - 1 and math.prod(sizes[-k - 1 :]) <= _GRID_BLOCK:
         k += 1
-    block = np.empty((math.prod(sizes[-k:]), n))
-    grid = block.reshape(*sizes[-k:], n)
-    grid[..., fixed] = sign
-    for d, (col, v) in enumerate(zip(cols[-k:], values[-k:])):
-        grid[..., col] = v.reshape(-1, *[1] * (k - 1 - d))
-    pieces = [block[s : s + _CHUNK] for s in range(0, block.shape[0], _CHUNK)]
-    per_chunk = max(1, _CHUNK // block.shape[0])
-    leading = itertools.product(*values[:-k])
-    while lead := list(itertools.islice(leading, per_chunk)):
-        lead = np.array(lead)
-        for piece in pieces:
-            pts = np.empty((lead.shape[0] * piece.shape[0], n))
-            rows = pts.reshape(lead.shape[0], piece.shape[0], n)
-            rows[:] = piece
-            for c, col in enumerate(cols[:-k]):
-                rows[:, :, col] = lead[:, c, None]
-            yield pts
+    lead = n - 1 - k
+    block = values[lead:]
+    # The face's blocks share their axes, the last one's slices in turn.
+    tails = [()]
+    if block:
+        tails = [
+            np.ix_(*block[:-1], block[-1][s : s + _GRID_BLOCK])
+            for s in range(0, sizes[-1], _GRID_BLOCK)
+        ]
+    for lead_values in itertools.product(*values[:lead]):
+        for tail in tails:
+            coords = [sign] * n
+            for col, x in zip(cols, lead_values + tail):
+                coords[col] = x
+            yield coords
+
+
+def _grid_points(coords: list, rows: np.ndarray) -> np.ndarray:
+    """The points at the flat C-order positions ``rows`` of a face block.
+
+    ``coords`` is a grid as :func:`_face_blocks` makes it: scalars, and the
+    block's ``np.ix_`` axes in column order, so the ``d``-th array among
+    them varies along dimension ``d``.
+    """
+    sizes = [np.size(x) for x in coords if np.ndim(x)]
+    at = iter(np.unravel_index(rows, sizes) if sizes else ())
+    points = np.empty((rows.size, len(coords)))
+    for j, x in enumerate(coords):
+        points[:, j] = x.ravel()[next(at)] if np.ndim(x) else x
+    return points
 
 
 def estimate_alpha(
@@ -252,11 +299,16 @@ def estimate_alpha(
     lexicographically smallest point, so the result is independent of
     evaluation schedule.
 
-    Each chunk after the first is bounded by its pinned term ``sign * (op
-    x)[fixed]``, one component of the map, and only the rows whose term is
-    not above the best value so far get the full objective.  The objective is
-    the maximum of terms that include this one, bit for bit, so a skipped
-    row could neither beat nor tie the best value.
+    Each face is walked in blocks of at most ``_GRID_BLOCK`` points, open
+    grids of its trailing free coordinates (see :func:`_face_blocks`).  A
+    block's pinned terms ``sign * (op x)[fixed]``, one component of the map,
+    are formed on the open grid in one kernel call.  Then, ``_CHUNK`` rows at
+    a time in product order, only the rows whose term is not above the best
+    value so far are built and get the full objective, all of the first
+    ``_CHUNK`` rows included, since there is no best value yet; the best
+    value is updated between them.  The objective is the maximum of terms
+    that include this one, bit for bit, so a skipped row could neither beat
+    nor tie the best value.
 
     The best point is then polished with coordinate descent that keeps the
     face's pinned coordinate at +-1 and clips the rest to ``[-1, 1]``, so
@@ -293,35 +345,36 @@ def estimate_alpha(
     # batch of the current sweep and _SPECULATE more, 2 (n - 1) trials each.
     rows = max(min(_CHUNK, axis.size ** (n - 1)), (_SPECULATE + 1) * 2 * (n - 1))
     work = np.empty(rows * _work_rows(tensor))
+    # The pinned terms of a face block; no block has more points than face 0.
+    terms = np.empty(min(_GRID_BLOCK, axis.size ** (n - 1)))
 
     best_val = np.inf
     best_point: tuple | None = None
     best_face = 0
     for fixed in range(n):
         for sign in (-1.0, 1.0):
-            for chunk in _iter_face_chunks(axis, n, fixed, sign):
-                pts = chunk
-                if best_val < np.inf:
+            for coords in _face_blocks(axis, n, fixed, sign):
+                term = _map_batch(tensor, coords, kind, terms, component=fixed)
+                term *= sign
+                for start in range(0, term.size, _CHUNK):
                     # The objective maximizes this term among others, so a
                     # row whose term exceeds best_val can neither beat nor tie it.
-                    term = _map_batch(tensor, chunk, kind, work, component=fixed)
-                    term *= sign
-                    keep = ~(term > best_val)
-                    if not keep.any():
+                    keep = np.flatnonzero(~(term[start : start + _CHUNK] > best_val))
+                    if keep.size == 0:
                         continue
-                    pts = chunk[keep]
-                vals = _objective(tensor, pts, kind, work)
-                local_min = float(vals.min())
-                if local_min > best_val:
-                    continue
-                candidates = np.flatnonzero(vals == local_min)
-                local_point = min(tuple(pts[i]) for i in candidates)
-                if local_min < best_val or (
-                    best_point is not None and local_point < best_point
-                ):
-                    best_val = local_min
-                    best_point = local_point
-                    best_face = fixed
+                    pts = _grid_points(coords, start + keep)
+                    vals = _objective(tensor, pts, kind, work)
+                    local_min = float(vals.min())
+                    if local_min > best_val:
+                        continue
+                    candidates = np.flatnonzero(vals == local_min)
+                    local_point = min(tuple(pts[i]) for i in candidates)
+                    if local_min < best_val or (
+                        best_point is not None and local_point < best_point
+                    ):
+                        best_val = local_min
+                        best_point = local_point
+                        best_face = fixed
 
     point = np.array(best_point)
     value = best_val

@@ -11,9 +11,10 @@ never mutates after construction and no operation writes to its arguments,
 save the buffers handed over for it.  :func:`contract_m1_batch` takes an
 optional flat ``work`` buffer that holds all its temporaries and its result,
 so a caller that makes many batch calls, such as the alpha sweep, reuses one
-block of memory instead of allocating per call, and can ask for a single
-output component; :func:`signed_root` can write its roots to ``out``, the
-input itself included.
+block of memory instead of allocating per call.  It can also give a single
+output component over an open grid of points, formed by broadcasting and
+never gathered; :func:`signed_root` can write its roots to ``out``, the input
+itself included.
 """
 
 from __future__ import annotations
@@ -294,8 +295,7 @@ def _as_points(tensor: DenseTensor, points) -> np.ndarray:
 def _work_rows(tensor: DenseTensor) -> int:
     """Rows of ``k`` floats that :func:`contract_m1_batch` uses for ``k`` points.
 
-    A ``component`` call uses no more: its result takes one row in place of
-    ``dim``, its gathered factors one row's entries in place of all ``nnz``.
+    A ``component`` call on an open grid of ``k`` points uses one of them.
     """
     nnz, m1 = tensor._cols.shape
     # The points, the result, the products with their zero row and, past
@@ -319,15 +319,21 @@ def contract_m1_batch(
     first ``k * dim`` entries whose transpose is contiguous; the next call on
     the same buffer overwrites it.
 
-    With ``component=i`` (``0 <= i < dim``) only output component ``i`` is
-    computed, as a contiguous length-``k`` view of ``work``: the kernel forms
-    the products of row ``i``'s stored entries alone (a contiguous range,
-    since storage is index-sorted) and sums them through column ``i`` of the
-    same slot table, so the result equals ``contract_m1_batch(tensor,
-    points)[:, i]`` bit for bit, signed zeros included, for that row's share
-    of the products and sums.  The alpha sweep bounds its face chunks this
-    way.
+    With ``component=i`` (``0 <= i < dim``), ``points`` is an open grid
+    instead: ``dim`` coordinates, each a scalar or an array, that broadcast
+    together to the grid's shape, as ``np.ix_`` makes them.  Only output
+    component ``i`` is computed, at every point of the grid, as a flat
+    C-order view of the first entries of ``work`` (of at least one entry per
+    point, or allocated).  Each of row ``i``'s stored entries is formed by
+    broadcasting, as the full kernel forms it: its factors multiplied left to
+    right, then times the value; the entries are added in stored-entry order
+    from ``+0.0``.  So the result equals ``contract_m1_batch(tensor,
+    points)[:, i]`` on the grid's points, in C order, bit for bit, signed
+    zeros included, and no point is built.  The alpha sweep bounds its face
+    blocks this way.
     """
+    if component is not None:
+        return _grid_component(tensor, points, work, component)
     pts = _as_points(tensor, points)
     k, n = pts.shape
     rows = _work_rows(tensor)
@@ -336,34 +342,49 @@ def contract_m1_batch(
     elif work.size < rows * k:
         raise ValueError(f"work holds {work.size} entries, {rows * k} needed for {k} points")
     nnz = tensor.nnz
-    if component is None:
-        lo, hi, slots = 0, nnz, tensor._row_slots
-    else:
-        _require_int(component, "component", 0)
-        if component >= n:
-            raise ValueError(f"component must be an integer in 0..{n - 1}, got {component!r}")
-        lo, hi = (int(tensor._rows.searchsorted(i)) for i in (component, component + 1))
-        slots = tensor._row_slots[:, component : component + 1]
-    bins = slots.shape[1]
     buf = work[: rows * k].reshape(rows, k)
-    xt = buf[bins : bins + n]
+    xt = buf[n : 2 * n]
     xt[...] = pts.T
     # One row per stored entry, then the zero row the slot padding points at.
-    # A component call forms only its row's products, the only rows its
-    # slot column reads.
-    prods = buf[bins + n : bins + n + nnz + 1]
+    prods = buf[2 * n : 2 * n + nnz + 1]
     prods[nnz] = 0.0
-    prod = prods[lo:hi]
-    first, *rest = tensor._cols[lo:hi].T
+    prod = prods[:nnz]
+    first, *rest = tensor._cols.T
     xt.take(first, axis=0, out=prod, mode="clip")
     if rest:
-        factor = buf[bins + n + nnz + 1 : bins + n + nnz + 1 + hi - lo]
+        factor = buf[2 * n + nnz + 1 :]
         for col in rest:
             prod *= xt.take(col, axis=0, out=factor, mode="clip")
-    np.multiply(tensor._vals[lo:hi, None], prod, out=prod)
+    np.multiply(tensor._vals[:, None], prod, out=prod)
     # The points are used up, so their rows hold the gathered slots.
-    sums = _sum_by_slots(prods, slots, buf[:bins], xt[:bins])
-    return sums.T if component is None else sums[0]
+    return _sum_by_slots(prods, tensor._row_slots, buf[:n], xt).T
+
+
+def _grid_component(tensor: DenseTensor, coords, work, component) -> np.ndarray:
+    """Component ``component`` of :func:`contract_m1_batch` on the open grid ``coords``."""
+    n = tensor.dim
+    _require_int(component, "component", 0)
+    if component >= n:
+        raise ValueError(f"component must be an integer in 0..{n - 1}, got {component!r}")
+    if len(coords) != n:
+        raise DimensionMismatchError(f"an open grid needs {n} coordinates, got {len(coords)}")
+    coords = [np.asarray(x, dtype=float) for x in coords]
+    shape = np.broadcast_shapes(*(x.shape for x in coords))
+    k = math.prod(shape)
+    if work is None:
+        work = np.empty(k)
+    elif work.size < k:
+        raise ValueError(f"work holds {work.size} entries, {k} needed for {k} points")
+    out = work[:k].reshape(shape)
+    out[...] = 0.0
+    lo, hi = (int(tensor._rows.searchsorted(i)) for i in (component, component + 1))
+    for cols, val in zip(tensor._cols[lo:hi].tolist(), tensor._vals[lo:hi]):
+        first, *rest = cols
+        prod = coords[first]
+        for col in rest:
+            prod = prod * coords[col]
+        out += val * prod
+    return out.reshape(-1)
 
 
 def jacobian_m1_batch(tensor: DenseTensor, points) -> np.ndarray:

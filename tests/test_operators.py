@@ -35,11 +35,15 @@ from tcpbounds import (
 from tcpbounds.bounds import _norm_root
 from tcpbounds.operators import (
     _CHUNK,
+    _GRID_BLOCK,
     _INITIAL_STEP,
     _SPECULATE,
     _dominance_alpha,
-    _iter_face_chunks,
+    _face_blocks,
+    _grid_points,
+    _map_batch,
     _objective,
+    _row_sum,
     _sample_chunks,
 )
 from tcpbounds.tensor import _row_max, _work_rows, contract_m1_batch
@@ -225,20 +229,27 @@ def _reference_alpha(tensor, kind, grid):
     return value + 0.0
 
 
+def _block_points(coords):
+    """Every point of an open face block, in C order."""
+    size = np.broadcast(*coords).size
+    return _grid_points(coords, np.arange(size))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("g", [2, 3, 7, 11])
 def test_face_chunks_follow_product_order(n, g):
     # Face (fixed, sign) holds the grid points with x[fixed] = sign and no
-    # earlier |x_j| = 1, in product order, so over all faces each boundary
-    # point of the g^n grid comes once.  n=6, g=11 has 161,051 rows on face 0.
+    # earlier |x_j| = 1, in product order, block after block, so over all
+    # faces each boundary point of the g^n grid comes once.  n=6, g=11 has
+    # 161,051 points on face 0, in blocks of 11^4.
     axis = np.linspace(-1.0, 1.0, g)
     place = g ** np.arange(n - 1, -1, -1)
     seen = []
     for fixed in range(n):
         for sign in (-1.0, 1.0):
-            chunks = list(_iter_face_chunks(axis, n, fixed, sign))
-            assert all(c.shape[0] <= _CHUNK for c in chunks)
-            face = np.concatenate(chunks) if chunks else np.empty((0, n))
+            blocks = [_block_points(coords) for coords in _face_blocks(axis, n, fixed, sign)]
+            assert all(0 < b.shape[0] <= _GRID_BLOCK for b in blocks)
+            face = np.concatenate(blocks) if blocks else np.empty((0, n))
             assert np.all(face[:, fixed] == sign)
             assert np.all(np.abs(face[:, :fixed]) < 1.0)
             digits = np.searchsorted(axis, face)
@@ -253,29 +264,37 @@ def test_face_chunks_follow_product_order(n, g):
 
 
 def test_face_chunks_cut_a_long_last_axis():
-    # More than _CHUNK values per axis: the last coordinate alone overflows a
-    # chunk, so it is cut into pieces, still in product order.
-    axis = np.linspace(-1.0, 1.0, _CHUNK + 3)
+    # More than _GRID_BLOCK values per axis: the last coordinate alone
+    # overflows a block, so it is sliced, still in product order.
+    axis = np.linspace(-1.0, 1.0, _GRID_BLOCK + 3)
     product = itertools.product(axis, repeat=2)
-    for chunk in itertools.islice(_iter_face_chunks(axis, 3, 0, -1.0), 5):
-        assert 0 < chunk.shape[0] <= _CHUNK
-        want = np.asarray(list(itertools.islice(product, chunk.shape[0])))
-        assert np.array_equal(chunk, np.insert(want, 0, -1.0, axis=1))
+    sizes = []
+    for coords in itertools.islice(_face_blocks(axis, 3, 0, -1.0), 5):
+        block = _block_points(coords)
+        sizes.append(block.shape[0])
+        want = np.asarray(list(itertools.islice(product, block.shape[0])))
+        assert np.array_equal(block, np.insert(want, 0, -1.0, axis=1))
+    assert sizes == [_GRID_BLOCK, 3, _GRID_BLOCK, 3, _GRID_BLOCK]
 
 
 def test_face_chunks_stay_small_on_a_huge_face():
-    # Face 0 of n=6, g=41 has 41**5 ~ 1.2e8 rows, about 5.5 GB as one array.
+    # Face 0 of n=6, g=41 has 41**5 ~ 1.2e8 points, about 5.5 GB as one
+    # array.  Its first block is bounded, and its points are built, in a
+    # fixed amount of memory.
+    t = random_sparse_tensor(np.random.default_rng(4141), 4, 6, 30)
     axis = np.linspace(-1.0, 1.0, 41)
     tracemalloc.start()
     try:
-        chunk = next(_iter_face_chunks(axis, 6, 0, 1.0))
+        coords = next(_face_blocks(axis, 6, 0, 1.0))
+        term = _map_batch(t, coords, ALPHA_T, component=0)
+        block = _block_points(coords)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert chunk.shape[0] <= _CHUNK
-    assert peak < 4 * _CHUNK * 6 * 8
-    want = np.asarray(list(itertools.islice(itertools.product(axis, repeat=5), chunk.shape[0])))
-    assert np.array_equal(chunk, np.insert(want, 0, 1.0, axis=1))
+    assert 0 < block.shape[0] == term.size <= _GRID_BLOCK
+    assert peak < 4 * _GRID_BLOCK * 6 * 8
+    want = np.asarray(list(itertools.islice(itertools.product(axis, repeat=5), block.shape[0])))
+    assert np.array_equal(block, np.insert(want, 0, 1.0, axis=1))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -429,31 +448,75 @@ def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
     batch = operators_module.contract_m1_batch
 
     def recording(tensor, points, work=None, **kwargs):
-        calls.append((len(points), kwargs.get("component")))
-        return batch(tensor, points, work, **kwargs)
+        result = batch(tensor, points, work, **kwargs)
+        # An open grid's len() is its dimension, so count the result's rows.
+        calls.append((result.shape[0], kwargs.get("component")))
+        return result
 
     monkeypatch.setattr(operators_module, "contract_m1_batch", recording)
     t = manufactured_unique(np.random.default_rng(2231), "row_power", 4, 5)[0].tensor
     g, n = 11, 5
+    boundary = g**n - (g - 2) ** n
     for kind in (ALPHA_F, ALPHA_T):
         # No polish, so every call belongs to the sweep.
         spec = GridSpec(points_per_axis=g, refinement_steps=0)
         want = _reference_alpha(t, kind, spec)
         calls.clear()
         assert estimate_alpha(t, kind, spec).value.hex() == want.hex()
-        # The first chunk has no best value to bound against; every other
-        # boundary point is bounded once, and only the rows its pinned term
-        # cannot rule out are evaluated in full, after their chunk's bound.
-        (first, none), *rest = calls
-        assert none is None
-        bounded = sum(rows for rows, component in rest if component is not None)
-        assert first + bounded == g**n - (g - 2) ** n
-        full = first
-        for (prev_rows, prev_component), (rows, component) in zip(rest, rest[1:]):
+        # Every boundary point is bounded once, block by block.  The first
+        # block's first _CHUNK rows have no best value to bound against and
+        # are evaluated in full; later, only the rows a pinned term cannot
+        # rule out are, after their block's bound.
+        assert calls[0][1] is not None and calls[1] == (min(_CHUNK, calls[0][0]), None)
+        bounded = sum(rows for rows, component in calls if component is not None)
+        assert bounded == boundary
+        full, block = 0, 0
+        for rows, component in calls:
             if component is None:
-                assert prev_component is not None and rows <= prev_rows
+                assert 0 < rows <= min(_CHUNK, block)
                 full += rows
-        assert full < 0.25 * (g**n - (g - 2) ** n)
+            else:
+                block = rows
+        assert full < 0.25 * boundary
+
+
+def test_row_sum_is_numpy_sum_bit_for_bit():
+    # Sequential below 8 terms, 8 interleaved partial sums up to 128, halves past it.
+    rng = np.random.default_rng(88)
+    for n in [*range(1, 41), 127, 128, 129, 136, 300]:
+        rows = rng.uniform(0.0, 1.0, (200, n)) * rng.choice([1e-3, 1.0, 1e3], (200, n))
+        got = _row_sum(list(rows.T))
+        assert [v.hex() for v in got] == [v.hex() for v in rows.sum(axis=1)], n
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_open_grid_map_column_is_the_full_map_column_past_eight_coordinates(n):
+    # From 8 coordinates on, numpy's row sum of the squares is not taken left
+    # to right, and T's factor must follow it.
+    rng = np.random.default_rng(800 + n)
+    t = random_sparse_tensor(rng, 4, n, 4 * n)
+    axes = np.ix_(*(rng.uniform(-1.0, 1.0, size) for size in (7, 6, 5)))
+    coords = [float(v) for v in rng.uniform(-1.0, 1.0, n - 3)] + list(axes)
+    points = np.stack([g.ravel() for g in np.broadcast_arrays(*coords)], axis=1)
+    squares = points * points
+    sequential = squares[:, 0].copy()
+    for column in squares.T[1:]:
+        sequential += column
+    # These points tell a left-to-right sum from numpy's.
+    assert not np.array_equal(sequential, squares.sum(axis=1))
+    for kind in (ALPHA_T, ALPHA_F, None):
+        full = _map_batch(t, points, kind).copy()
+        for i in range(n):
+            got = _map_batch(t, coords, kind, component=i)
+            assert [v.hex() for v in got] == [v.hex() for v in full[:, i]], (kind, i)
+
+
+@pytest.mark.parametrize("n, g", [(7, 2), (7, 3), (8, 2), (8, 3)])
+def test_face_sweep_keeps_the_reference_bits_at_seven_and_eight_coordinates(n, g):
+    t = random_sparse_tensor(np.random.default_rng(70 + n), 4, n, 3 * n)
+    for kind in (ALPHA_T, ALPHA_F):
+        spec = GridSpec(points_per_axis=g, refinement_steps=3)
+        assert estimate_alpha(t, kind, spec).value.hex() == _reference_alpha(t, kind, spec).hex()
 
 
 # A zero alpha: the objective is +-0.0 at several points of a chunk.

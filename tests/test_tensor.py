@@ -278,52 +278,84 @@ def test_batch_contraction_refuses_a_short_work_buffer():
         contract_m1_batch(t, np.ones((5, 2)), work=np.empty(5 * _work_rows(t) - 1))
 
 
-def _component_tensors(rng):
+def _component_tensors(rng, dim=4):
     """Orders 2-4 with an empty row, -0.0 products and a row whose terms cancel."""
     for order in (2, 3, 4):
-        t = random_sparse_tensor(rng, order, 4, 12)
-        # Row 4 holds nothing; row 1's terms 1e16, 1, -1e16, 1 at x = 1 sum
-        # to 1 only when added in stored-entry order.
-        entries = {idx: v for idx, v in t.entries.items() if idx[0] not in (1, 4)}
+        t = random_sparse_tensor(rng, order, dim, 3 * dim)
+        # The last row holds nothing; row 1's terms 1e16, 1, -1e16, 1 at x = 1
+        # sum to 1 only when added in stored-entry order.
+        entries = {idx: v for idx, v in t.entries.items() if idx[0] not in (1, dim)}
         for j, v in zip((1, 2, 3, 4), (1e16, 1.0, -1e16, 1.0)):
             entries[(1,) + (j,) * (order - 1)] = v
         # A negative entry times a zero coordinate is -0.0.
         entries[(2,) + (3,) * (order - 1)] = -2.5
-        yield DenseTensor(order, 4, entries)
+        yield DenseTensor(order, dim, entries)
     yield DenseTensor(3, 3, {})
+
+
+def _open_grid(rng, dim):
+    """A random open grid: some coordinates are np.ix_ axes, the rest scalars.
+
+    The values are random, not a linspace, with zeros of both signs and ones
+    among them.
+    """
+    def values(size):
+        v = rng.uniform(-1.5, 1.5, size)
+        v[rng.random(size) < 0.2] = 0.0
+        v[rng.random(size) < 0.1] = -0.0
+        v[rng.random(size) < 0.1] = 1.0
+        return v
+
+    axes = np.flatnonzero(rng.random(dim) < 0.5)
+    sizes = rng.integers(1, 7 if axes.size < 4 else 4, axes.size)
+    coords = [float(v) for v in values(dim)]
+    for col, ax in zip(axes, np.ix_(*(values(size) for size in sizes))):
+        coords[col] = ax
+    return coords
+
+
+def _grid_as_points(coords):
+    """The open grid's points in C order, one per row."""
+    grids = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in coords))
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def test_batch_contraction_component_is_its_column_bit_for_bit():
     rng = np.random.default_rng(41)
-    for t in _component_tensors(rng):
-        pts = rng.uniform(-1.5, 1.5, (300, t.dim))
-        pts[rng.random(pts.shape) < 0.25] = 0.0
-        pts[rng.random(pts.shape) < 0.1] = -0.0
-        pts[:3] = [[1.0] * t.dim, [0.0] * t.dim, [-0.0] * t.dim]
-        full = contract_m1_batch(t, pts).copy()
-        buf = np.full(pts.shape[0] * _work_rows(t), np.nan)
-        for i in range(t.dim):
-            for work in (None, buf):
-                got = contract_m1_batch(t, pts, work, component=i)
-                assert got.shape == (pts.shape[0],) and got.flags.c_contiguous
-                assert [v.hex() for v in got] == [v.hex() for v in full[:, i]], (t, i)
+    cases = [(t, rng) for dim in (4, 6, 9) for t in _component_tensors(rng, dim)]
+    for t, rng in cases:
+        grids = [_open_grid(rng, t.dim) for _ in range(12)]
+        # x = 1, where the cancelling row sums to 1, and the zeros of both signs.
+        grids += [[1.0] * t.dim, [0.0] * t.dim, [-0.0] * t.dim]
+        for coords in grids:
+            pts = _grid_as_points(coords)
+            full = contract_m1_batch(t, pts).copy()
+            buf = np.full(pts.shape[0], np.nan)
+            for i in range(t.dim):
+                for work in (None, buf):
+                    got = contract_m1_batch(t, coords, work, component=i)
+                    assert got.shape == (pts.shape[0],) and got.flags.c_contiguous
+                    assert [v.hex() for v in got] == [v.hex() for v in full[:, i]], (t, i)
         if t.nnz:
             # The cancelling row at x = 1, and the empty row's +0.0.
-            assert full[0, 0] == 1.0 and full[0, 3].hex() == "0x0.0p+0"
-            assert np.signbit(full[:, 3]).sum() == 0
+            ones = [1.0] * t.dim
+            assert contract_m1_batch(t, ones, component=0)[0] == 1.0
+            assert contract_m1_batch(t, ones, component=t.dim - 1)[0].hex() == "0x0.0p+0"
 
 
 def test_batch_component_refuses_a_short_work_buffer_and_a_bad_index():
     t = hand_tensor()
+    grid = np.ix_(np.ones(5), np.ones(1))
     with pytest.raises(ValueError, match="work holds"):
-        contract_m1_batch(t, np.ones((5, 2)), work=np.empty(5 * _work_rows(t) - 1), component=0)
+        contract_m1_batch(t, grid, work=np.empty(4), component=0)
     for bad in (-1, 2, np.int64(2), 1.0, True, "0"):
         with pytest.raises(ValueError, match="component"):
-            contract_m1_batch(t, np.ones((5, 2)), component=bad)
-    points = np.ones((5, 2))
+            contract_m1_batch(t, grid, component=bad)
+    with pytest.raises(DimensionMismatchError, match="open grid"):
+        contract_m1_batch(t, [np.ones(5)], component=0)
     assert np.array_equal(
-        contract_m1_batch(t, points, component=np.int64(1)),
-        contract_m1_batch(t, points, component=1),
+        contract_m1_batch(t, grid, component=np.int64(1)),
+        contract_m1_batch(t, grid, component=1),
     )
 
 
