@@ -341,8 +341,9 @@ def estimate_alpha(
     grid = grid or GridSpec()
     n = tensor.dim
     axis = np.linspace(-1.0, 1.0, grid.points_per_axis)
-    # One buffer for every kernel call: the largest face chunk, or a polish
-    # batch of the current sweep and _SPECULATE more, 2 (n - 1) trials each.
+    # One buffer for every full kernel call: the rows a face block keeps,
+    # _CHUNK at a time (no face has more than face 0), or a polish batch of
+    # the current sweep and _SPECULATE more, 2 (n - 1) trials each.
     rows = max(min(_CHUNK, axis.size ** (n - 1)), (_SPECULATE + 1) * 2 * (n - 1))
     work = np.empty(rows * _work_rows(tensor))
     # The pinned terms of a face block; no block has more points than face 0.
