@@ -329,7 +329,9 @@ def contract_m1_batch(
     right, then times the value; the entries are added in stored-entry order
     from ``+0.0``.  So the result equals ``contract_m1_batch(tensor,
     points)[:, i]`` on the grid's points, in C order, bit for bit, signed
-    zeros included, and no point is built.  The alpha sweep bounds its face
+    zeros included, and no point is built.  Only a NaN coordinate can make
+    a difference: a NaN entry of the result may then carry the other sign
+    bit.  The alpha sweep, whose coordinates are finite, bounds its face
     blocks this way.
     """
     if component is not None:
