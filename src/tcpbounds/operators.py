@@ -15,13 +15,16 @@ The minimum is estimated deterministically: the boundary of the cube
 point visited once, and the best point is polished with coordinate
 descent.  Each face ``x_f = s`` is walked in blocks, open grids of its
 trailing coordinates.  The objective is at least its pinned term
-``s * (op x)_f``, so a block's terms, one component of the map, are formed
-at once by broadcasting, with no point built; then, ``_CHUNK`` rows at a
-time, only the rows whose term does not exceed the best value so far are
-built and evaluated in full.  The term is the objective's own column ``f``,
-bit for bit, so a pruned row's value is strictly above the best one and
-could neither lower nor tie it: the value and its tie-break point are those
-of the full sweep.
+``s * (op x)_f``.  A block's raw terms ``u = s * (A x^{m-1})_f``, one
+component of the contraction, are formed at once by broadcasting, with no
+point built; ``T``'s are divided by ``||x||_2^{m-2}``, and ``F``'s root is
+never taken.  Then, ``_CHUNK`` rows at a time, the best value so far is
+carried into the raw terms' units, widened so that a row above it has a
+pinned term strictly above the best value, and only the other rows are
+built and evaluated in full.  A pruned row could neither lower nor tie
+the best value, so the value and its tie-break point are those of the
+full sweep.  The first block is bounded too, against the best of its few
+rows with the smallest raw terms, evaluated before it.
 
 Row maxima are taken column by column.  Each polish batch evaluates, from
 the current point, the rest of the current sweep and the next few whole
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +93,11 @@ NOT_P = "NOT_P"
 _CHUNK = 4096
 # Most grid points in one face block, whose pinned terms are formed at once.
 _GRID_BLOCK = 1 << 14
+# Relative widening of a pruning level, far above the rounding it covers
+# (see _prune_level).
+_MARGIN = 2.0**-30
+# Rows of the first face block evaluated before its bound: its smallest raw terms.
+_SEED_ROWS = 8
 # Step of the first polish sweep; it halves whenever a sweep stalls.
 _INITIAL_STEP = 0.1
 # Whole polish sweeps evaluated ahead, in case the ones before them stall.
@@ -156,71 +165,30 @@ def apply_F(tensor: DenseTensor, x) -> np.ndarray:
 
 
 def _map_batch(
-    tensor: DenseTensor,
-    points,
-    kind: str | None,
-    work: np.ndarray | None = None,
-    component: int | None = None,
+    tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
 ) -> np.ndarray:
     """``T``, ``F`` or, for ``kind=None``, the bare contraction of each row of ``points``.
 
     The map is applied in place to the result of :func:`contract_m1_batch`,
     a ``(k, n)`` view of ``work`` (or of the buffer the kernel allocates
-    without it) whose transpose is contiguous.  With ``component=i``,
-    ``points`` is an open grid, as the kernel takes it, and only column ``i``
-    of the map is formed, a flat C-order view equal to the full map's column
-    bit for bit: the kernel's column is, the root acts on each entry alone,
-    and ``T``'s factor comes from the sum of squares that ``sum(axis=1)``
-    forms on a point's row.
+    without it) whose transpose is contiguous.
     """
     if kind == ALPHA_T:
-        if component is None:
-            # The squares go through the buffer before the kernel takes it over.
-            squares = points * points if work is None else np.multiply(
-                points, points, out=work[: points.size].reshape(points.shape)
-            )
-            sums = squares.sum(axis=1)
-        else:
-            sums = np.ravel(_row_sum([x * x for x in points]))
-        norms = np.sqrt(sums)
+        # The squares go through the buffer before the kernel takes it over.
+        squares = points * points if work is None else np.multiply(
+            points, points, out=work[: points.size].reshape(points.shape)
+        )
+        norms = np.sqrt(squares.sum(axis=1))
         factors = np.zeros(norms.shape)
         nz = norms > 0.0
         factors[nz] = norms[nz] ** (2 - tensor.order)
-    mapped = contract_m1_batch(tensor, points, work, component=component)
+    mapped = contract_m1_batch(tensor, points, work)
     if kind == ALPHA_T:
-        # Transposed, a row's factor meets every entry of it, full or one column.
+        # Transposed, a row's factor meets every entry of it.
         np.multiply(mapped.T, factors, out=mapped.T)
     elif kind == ALPHA_F:
         signed_root(mapped, tensor.order - 1, out=mapped)
     return mapped
-
-
-def _row_sum(terms: list):
-    """numpy's ``add.reduce`` along a contiguous row, termwise over ``terms``.
-
-    The terms may be arrays that broadcast together.  numpy adds fewer than 8
-    terms left to right, and more in 8 interleaved partial sums, combined
-    pairwise, with the rest added after; past 128 terms it splits the row in
-    two at a multiple of 8 and adds the halves.  So each element of the
-    result is the ``sum(axis=1)`` of a row of those terms, bit for bit.
-    """
-    n = len(terms)
-    if n < 8:
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    stop = n - n % 8
-    acc = terms[:8]
-    for i in range(8, stop, 8):
-        acc = [a + t for a, t in zip(acc, terms[i : i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for term in terms[stop:]:
-        total = total + term
-    return total
 
 
 def _objective(
@@ -287,6 +255,80 @@ def _grid_points(coords: list, rows: np.ndarray) -> np.ndarray:
     return points
 
 
+def _pinned_terms(
+    tensor: DenseTensor, coords: list, kind: str, face: int, sign: float, out: np.ndarray
+) -> np.ndarray:
+    """The raw pinned terms of the face block ``coords``, flat in C order, in ``out``.
+
+    Each is ``u = sign * (A x^{m-1})[face]``, the contraction's own column as
+    :func:`contract_m1_batch` forms it on the open grid, so it equals the
+    full kernel's bit for bit.  Past order 2, ``T``'s are divided by
+    ``rho = ||x||_2^{m-2}``, a power of the sum of squares; on a face
+    ``rho >= 1``, so the quotient cannot overflow.  :func:`_prune_level`
+    turns a best value into these units.
+    """
+    term = contract_m1_batch(tensor, coords, out, component=face)
+    term *= sign
+    if kind == ALPHA_T and tensor.order > 2:
+        squares = sum(x * x for x in coords)
+        term /= np.ravel(squares ** (0.5 * (tensor.order - 2)))
+    return term
+
+
+def _prune_level(kind: str, order: int, best: float) -> float:
+    """The level above which a raw term of :func:`_pinned_terms` is pruned against ``best``.
+
+    A raw term above the level has a pinned term ``s * (op x)_f``, the
+    objective's own column, strictly above ``best``, so every row that
+    could tie ``best`` is kept.  A NaN term is above no level.
+
+    - Order 2: the raw term is the pinned term (``F``'s root is of order 1,
+      ``T``'s factor is ``1.0``), so the level is ``best``, exactly.
+    - ``F``: the root is odd-symmetric, so the pinned term is the root of
+      the raw term ``u``.  For ``best = 0`` the level is ``0``: a positive
+      ``u`` has a positive root.  Otherwise it is ``sign(best) |best|^r``,
+      ``r = m - 1``, widened outward by ``_MARGIN`` relative.  The rounding
+      of ``1/r`` moves a root by a factor ``u^(d/r)`` with ``|d| <= 2^-53``
+      and ``|ln u| <= 745``, and ``pow`` adds an ulp, so the computed root
+      is within ``1e-13`` relative of the true one, far inside the widening.
+    - ``T``: the raw term is the pinned term up to the rounding of ``rho``
+      and of the objective's factor, a few ``m n eps`` relative; the level
+      is ``best`` widened outward by ``_MARGIN`` relative.
+
+    Where that argument fails the level is ``+inf``, which keeps every row:
+    where the power of ``|best|`` is subnormal, zero or overflows, and for
+    ``T`` with ``best = 0``, where ``u`` times the factor can underflow to a
+    tie.
+    """
+    if order == 2:
+        return best
+    if kind == ALPHA_F and best == 0.0:
+        return 0.0
+    try:
+        level = abs(best) ** (order - 1 if kind == ALPHA_F else 1)
+    except OverflowError:
+        return math.inf
+    if not sys.float_info.min <= level < math.inf:
+        return math.inf
+    return level * (1.0 + _MARGIN) if best > 0.0 else -level * (1.0 - _MARGIN)
+
+
+def _lower(best: tuple, points: np.ndarray, values: np.ndarray, face: int) -> tuple:
+    """``best``, a ``(value, point, face)``, or the rows' least value and point if lower.
+
+    The point is the lexicographically smallest row with the least value,
+    and it replaces ``best`` when its value is lower, or equal with a
+    smaller point, so the result does not depend on how the rows come.
+    """
+    local_min = float(values.min())
+    if local_min > best[0]:
+        return best
+    local_point = min(tuple(points[i]) for i in np.flatnonzero(values == local_min))
+    if local_min < best[0] or (best[1] is not None and local_point < best[1]):
+        return local_min, local_point, face
+    return best
+
+
 def estimate_alpha(
     tensor: DenseTensor, kind: str = ALPHA_F, grid: GridSpec | None = None
 ) -> AlphaEstimate:
@@ -301,14 +343,19 @@ def estimate_alpha(
 
     Each face is walked in blocks of at most ``_GRID_BLOCK`` points, open
     grids of its trailing free coordinates (see :func:`_face_blocks`).  A
-    block's pinned terms ``sign * (op x)[fixed]``, one component of the map,
-    are formed on the open grid in one kernel call.  Then, ``_CHUNK`` rows at
-    a time in product order, only the rows whose term is not above the best
-    value so far are built and get the full objective, all of the first
-    ``_CHUNK`` rows included, since there is no best value yet; the best
-    value is updated between them.  The objective is the maximum of terms
-    that include this one, bit for bit, so a skipped row could neither beat
-    nor tie the best value.
+    block's raw pinned terms, one component of the contraction, are formed
+    on the open grid in one kernel call (see :func:`_pinned_terms`).  Then,
+    ``_CHUNK`` rows at a time in product order, the best value so far is
+    turned into a level in the raw terms' units (see :func:`_prune_level`),
+    and only the rows whose raw term is not above it are built and get the
+    full objective; the best value is updated between them.  Before the
+    first block is bounded, its ``_SEED_ROWS`` rows with the smallest raw
+    terms are evaluated, and their best gives the first best value.  The
+    objective is the maximum of terms that include the pinned one, bit for
+    bit, and a raw term above the level has a pinned term above the best
+    value, so a skipped row could neither beat nor tie it.  The rows the
+    level keeps include every row the pinned terms themselves would, so
+    the value and its tie-break point are the full sweep's.
 
     The best point is then polished with coordinate descent that keeps the
     face's pinned coordinate at +-1 and clips the rest to ``[-1, 1]``, so
@@ -349,36 +396,30 @@ def estimate_alpha(
     # The pinned terms of a face block; no block has more points than face 0.
     terms = np.empty(min(_GRID_BLOCK, axis.size ** (n - 1)))
 
-    best_val = np.inf
-    best_point: tuple | None = None
-    best_face = 0
+    best = (np.inf, None, 0)
     for fixed in range(n):
         for sign in (-1.0, 1.0):
             for coords in _face_blocks(axis, n, fixed, sign):
-                term = _map_batch(tensor, coords, kind, terms, component=fixed)
-                term *= sign
+                term = _pinned_terms(tensor, coords, kind, fixed, sign, terms)
+                if best[1] is None:
+                    # A best value to bound the first block against: its
+                    # rows with the smallest raw terms, NaN left out.
+                    rows = np.argpartition(term, min(_SEED_ROWS, term.size) - 1)[:_SEED_ROWS]
+                    pts = _grid_points(coords, rows[~np.isnan(term[rows])])
+                    vals = _objective(tensor, pts, kind, work)
+                    seeded = ~np.isnan(vals)
+                    if seeded.any():
+                        best = _lower(best, pts[seeded], vals[seeded], fixed)
                 for start in range(0, term.size, _CHUNK):
-                    # The objective maximizes this term among others, so a
-                    # row whose term exceeds best_val can neither beat nor tie it.
-                    keep = np.flatnonzero(~(term[start : start + _CHUNK] > best_val))
+                    level = _prune_level(kind, tensor.order, best[0])
+                    keep = np.flatnonzero(~(term[start : start + _CHUNK] > level))
                     if keep.size == 0:
                         continue
                     pts = _grid_points(coords, start + keep)
-                    vals = _objective(tensor, pts, kind, work)
-                    local_min = float(vals.min())
-                    if local_min > best_val:
-                        continue
-                    candidates = np.flatnonzero(vals == local_min)
-                    local_point = min(tuple(pts[i]) for i in candidates)
-                    if local_min < best_val or (
-                        best_point is not None and local_point < best_point
-                    ):
-                        best_val = local_min
-                        best_point = local_point
-                        best_face = fixed
+                    best = _lower(best, pts, _objective(tensor, pts, kind, work), fixed)
 
+    value, best_point, best_face = best
     point = np.array(best_point)
-    value = best_val
     # Trial order of a sweep: (j, +step), (j, -step) for each free j; a batch
     # holds up to _SPECULATE + 1 sweeps back to back.
     free = np.delete(np.arange(n), best_face)

@@ -331,8 +331,8 @@ def contract_m1_batch(
     points)[:, i]`` on the grid's points, in C order, bit for bit, signed
     zeros included, and no point is built.  Only a NaN coordinate can make
     a difference: a NaN entry of the result may then carry the other sign
-    bit.  The alpha sweep, whose coordinates are finite, bounds its face
-    blocks this way.
+    bit.  The alpha sweep, whose coordinates are finite, prunes its face
+    blocks on this raw column, with neither ``F``'s root nor ``T``'s factor.
     """
     if component is not None:
         return _grid_component(tensor, points, work, component)

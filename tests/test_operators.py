@@ -37,16 +37,18 @@ from tcpbounds.operators import (
     _CHUNK,
     _GRID_BLOCK,
     _INITIAL_STEP,
+    _SEED_ROWS,
     _SPECULATE,
     _dominance_alpha,
     _face_blocks,
     _grid_points,
     _map_batch,
     _objective,
-    _row_sum,
+    _pinned_terms,
+    _prune_level,
     _sample_chunks,
 )
-from tcpbounds.tensor import _row_max, _work_rows, contract_m1_batch
+from tcpbounds.tensor import _row_max, _work_rows, contract_m1_batch, tensor_inf_norm
 
 HAND3 = DenseTensor(3, 2, {(1, 1, 2): 2.0, (1, 2, 1): 3.0, (2, 2, 2): 1.0, (2, 1, 1): -1.0})
 
@@ -286,7 +288,7 @@ def test_face_chunks_stay_small_on_a_huge_face():
     tracemalloc.start()
     try:
         coords = next(_face_blocks(axis, 6, 0, 1.0))
-        term = _map_batch(t, coords, ALPHA_T, component=0)
+        term = contract_m1_batch(t, coords, component=0)
         block = _block_points(coords)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -457,17 +459,20 @@ def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
     t = manufactured_unique(np.random.default_rng(2231), "row_power", 4, 5)[0].tensor
     g, n = 11, 5
     boundary = g**n - (g - 2) ** n
-    for kind in (ALPHA_F, ALPHA_T):
+    # The full rows of a sweep that evaluated the first block's first
+    # _CHUNK rows unbounded, as there was no best value to meet.
+    for kind, unseeded_full in ((ALPHA_F, 9072), (ALPHA_T, 5615)):
         # No polish, so every call belongs to the sweep.
         spec = GridSpec(points_per_axis=g, refinement_steps=0)
         want = _reference_alpha(t, kind, spec)
         calls.clear()
         assert estimate_alpha(t, kind, spec).value.hex() == want.hex()
         # Every boundary point is bounded once, block by block.  The first
-        # block's first _CHUNK rows have no best value to bound against and
-        # are evaluated in full; later, only the rows a pinned term cannot
-        # rule out are, after their block's bound.
-        assert calls[0][1] is not None and calls[1] == (min(_CHUNK, calls[0][0]), None)
+        # full call holds the first block's rows with the smallest raw
+        # terms, whose best value the block is then bounded against; later,
+        # only the rows a bound cannot rule out are evaluated in full.
+        assert calls[0][1] is not None and calls[1][1] is None
+        assert 0 < calls[1][0] <= _SEED_ROWS
         bounded = sum(rows for rows, component in calls if component is not None)
         assert bounded == boundary
         full, block = 0, 0
@@ -477,38 +482,41 @@ def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
                 full += rows
             else:
                 block = rows
-        assert full < 0.25 * boundary
+        assert full < unseeded_full
 
 
-def test_row_sum_is_numpy_sum_bit_for_bit():
-    # Sequential below 8 terms, 8 interleaved partial sums up to 128, halves past it.
-    rng = np.random.default_rng(88)
-    for n in [*range(1, 41), 127, 128, 129, 136, 300]:
-        rows = rng.uniform(0.0, 1.0, (200, n)) * rng.choice([1e-3, 1.0, 1e3], (200, n))
-        got = _row_sum(list(rows.T))
-        assert [v.hex() for v in got] == [v.hex() for v in rows.sum(axis=1)], n
+# Best values at the edges of the float range: zeros, subnormals, and
+# powers that underflow (1e-110 cubed) or overflow (1e103 cubed).
+EDGE_BESTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-110, -1e-110, 1e103, -1e103]
 
 
-@pytest.mark.parametrize("n", [8, 9])
-def test_open_grid_map_column_is_the_full_map_column_past_eight_coordinates(n):
-    # From 8 coordinates on, numpy's row sum of the squares is not taken left
-    # to right, and T's factor must follow it.
-    rng = np.random.default_rng(800 + n)
-    t = random_sparse_tensor(rng, 4, n, 4 * n)
-    axes = np.ix_(*(rng.uniform(-1.0, 1.0, size) for size in (7, 6, 5)))
-    coords = [float(v) for v in rng.uniform(-1.0, 1.0, n - 3)] + list(axes)
-    points = np.stack([g.ravel() for g in np.broadcast_arrays(*coords)], axis=1)
-    squares = points * points
-    sequential = squares[:, 0].copy()
-    for column in squares.T[1:]:
-        sequential += column
-    # These points tell a left-to-right sum from numpy's.
-    assert not np.array_equal(sequential, squares.sum(axis=1))
-    for kind in (ALPHA_T, ALPHA_F, None):
-        full = _map_batch(t, points, kind).copy()
-        for i in range(n):
-            got = _map_batch(t, coords, kind, component=i)
-            assert [v.hex() for v in got] == [v.hex() for v in full[:, i]], (kind, i)
+@pytest.mark.parametrize(
+    "order, kind", [(2, ALPHA_F), (2, ALPHA_T), (3, ALPHA_T), (4, ALPHA_F), (4, ALPHA_T)]
+)
+def test_raw_terms_above_the_level_have_pinned_terms_above_the_best_value(order, kind):
+    # Every row the sweep prunes on its raw term, that is every raw term
+    # above _prune_level's level, has a pinned term s * (op x)_f, taken from
+    # the map on the built points, strictly above the best value, so the
+    # sweep keeps every row that could tie it.  Best values drawn from the
+    # block's own pinned terms tie some rows exactly.
+    rng = np.random.default_rng(3300 + 10 * order + (kind == ALPHA_T))
+    for _ in range(12):
+        n = int(rng.integers(1, 5))
+        g = int(rng.integers(2, 8))
+        scale = float(rng.choice([1.0, 1e-320, 1e-310, 1e-200, 1e100, 1e300]))
+        t = random_sparse_tensor(rng, order, n, int(rng.integers(1, 3 * n + 2)), -scale, scale)
+        # Interior axis values need not be a linspace.
+        axis = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, g - 2)), [1.0]])
+        terms = np.empty(g ** (n - 1))
+        for fixed in range(n):
+            for sign in (-1.0, 1.0):
+                for coords in _face_blocks(axis, n, fixed, sign):
+                    raw = _pinned_terms(t, coords, kind, fixed, sign, terms)
+                    pinned = sign * _map_batch(t, _block_points(coords), kind)[:, fixed]
+                    bests = [*rng.choice(pinned, min(8, pinned.size), replace=False), *EDGE_BESTS]
+                    for best in map(float, bests):
+                        pruned = raw > _prune_level(kind, order, best)
+                        assert np.all(pinned[pruned] > best), (n, fixed, sign, best)
 
 
 @pytest.mark.parametrize("n, g", [(7, 2), (7, 3), (8, 2), (8, 3)])
@@ -518,6 +526,15 @@ def test_face_sweep_keeps_the_reference_bits_at_seven_and_eight_coordinates(n, g
         spec = GridSpec(points_per_axis=g, refinement_steps=3)
         assert estimate_alpha(t, kind, spec).value.hex() == _reference_alpha(t, kind, spec).hex()
 
+
+def _scaled(tensor, factor):
+    return DenseTensor(tensor.order, tensor.dim, {k: v * factor for k, v in tensor.entries.items()})
+
+
+# A row-power P-tensor, and its copy scaled so that ||A||_inf sits just below
+# the largest float.
+ROW_POWER = manufactured_unique(np.random.default_rng(5), "row_power", 4, 3)[0].tensor
+HUGE_ROW_POWER = _scaled(ROW_POWER, np.finfo(float).max / tensor_inf_norm(ROW_POWER) / (1 + 1e-12))
 
 # A zero alpha: the objective is +-0.0 at several points of a chunk.
 ZERO_ALPHA = DenseTensor(
@@ -555,6 +572,20 @@ ZERO_ALPHA = DenseTensor(
         # signs of the zeros.
         (ZERO_ALPHA, ALPHA_T, GridSpec(11, 51)),
         (ZERO_ALPHA, ALPHA_F, GridSpec(11, 51)),
+        # alpha(F) ~ 5e-104, whose cube underflows, and alpha(T), subnormal:
+        # no level can be formed, so nothing is pruned.
+        (_scaled(ROW_POWER, 1e-310), ALPHA_F, GridSpec(9, 20)),
+        (_scaled(ROW_POWER, 1e-310), ALPHA_T, GridSpec(9, 20)),
+        # The first best value, the cube root of the largest float, has a
+        # widened cube that overflows; then alpha(F) = 1e308^(1/3).
+        (
+            DenseTensor.from_diagonal([np.finfo(float).max, 1e308, 1.7e308], order=4),
+            ALPHA_F,
+            GridSpec(9, 20),
+        ),
+        # Levels near 4e307.
+        (HUGE_ROW_POWER, ALPHA_F, GridSpec(9, 20)),
+        (HUGE_ROW_POWER, ALPHA_T, GridSpec(9, 20)),
     ],
 )
 def test_face_sweep_pruning_keeps_the_reference_bits(tensor, kind, spec):
