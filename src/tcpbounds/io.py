@@ -146,14 +146,15 @@ def parse_problem(path) -> ProblemFile:
         raise ProblemFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ProblemFormatError("the document must be a mapping of fields")
-    unknown = sorted(set(data) - _TOP_KEYS)
+    # YAML keys need not be strings, nor of one type.
+    unknown = sorted(set(data) - _TOP_KEYS, key=str)
     if unknown:
         raise ProblemFormatError(f"unknown fields: {', '.join(map(str, unknown))}")
     for required in ("order", "dim", "q"):
         if required not in data:
             raise ProblemFormatError(f"field '{required}' is required")
 
-    raw_entries = data.get("entries") or []
+    raw_entries = [] if data.get("entries") is None else data["entries"]
     if not isinstance(raw_entries, list):
         raise ProblemFormatError("entries must be a list")
     entries = []

@@ -30,12 +30,7 @@ Row maxima are taken column by column.  Each polish batch evaluates, from
 the current point, the rest of the current sweep and the next few whole
 sweeps, each at the step it takes if the sweeps before it stall; the first
 improving trial is the one a one-trial-at-a-time first-improvement search
-accepts, so the accepted steps, and so the value, are that search's.  Each
-estimate allocates one scratch buffer, sized for ``_CHUNK`` rows or a
-polish batch, in which every full contraction of the sweep and the polish
-runs, and one for a block's pinned terms; ``T`` or ``F``, the product with
-the points and the row maxima then work on the contraction's output in
-place, so no temporary outgrows a block's terms.
+accepts, so the accepted steps, and so the value, are that search's.
 Grid estimates never undershoot the true minimum, so a positive estimate is
 evidence, not proof.  One formula is certified: the dominance bound of an
 even-order tensor whose every diagonal entry exceeds the absolute sum of its
@@ -58,7 +53,6 @@ from .tensor import (
     _require_int,
     _require_positive_diagonal,
     _row_max,
-    _work_rows,
     contract_m1_batch,
     signed_root,
 )
@@ -164,39 +158,30 @@ def apply_F(tensor: DenseTensor, x) -> np.ndarray:
     return _map_batch(tensor, _as_vector(x, tensor.dim, "x")[None, :], ALPHA_F)[0]
 
 
-def _map_batch(
-    tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
-) -> np.ndarray:
+def _map_batch(tensor: DenseTensor, points: np.ndarray, kind: str | None) -> np.ndarray:
     """``T``, ``F`` or, for ``kind=None``, the bare contraction of each row of ``points``.
 
-    The map is applied in place to the result of :func:`contract_m1_batch`,
-    a ``(k, n)`` view of ``work`` (or of the buffer the kernel allocates
-    without it) whose transpose is contiguous.
+    ``T``'s factor is applied in place to the result of
+    :func:`contract_m1_batch`, a ``(k, n)`` view whose transpose is contiguous.
     """
     if kind == ALPHA_T:
-        # The squares go through the buffer before the kernel takes it over.
-        squares = points * points if work is None else np.multiply(
-            points, points, out=work[: points.size].reshape(points.shape)
-        )
-        norms = np.sqrt(squares.sum(axis=1))
+        norms = np.sqrt((points * points).sum(axis=1))
         factors = np.zeros(norms.shape)
         nz = norms > 0.0
         factors[nz] = norms[nz] ** (2 - tensor.order)
-    mapped = contract_m1_batch(tensor, points, work)
+    mapped = contract_m1_batch(tensor, points)
     if kind == ALPHA_T:
         # Transposed, a row's factor meets every entry of it.
         np.multiply(mapped.T, factors, out=mapped.T)
     elif kind == ALPHA_F:
-        signed_root(mapped, tensor.order - 1, out=mapped)
+        mapped = signed_root(mapped, tensor.order - 1)
     return mapped
 
 
-def _objective(
-    tensor: DenseTensor, points: np.ndarray, kind: str | None, work: np.ndarray | None = None
-) -> np.ndarray:
+def _objective(tensor: DenseTensor, points: np.ndarray, kind: str | None) -> np.ndarray:
     """``max_i x_i * (op x)_i`` for each row of ``points``, ``op`` as in :func:`_map_batch`."""
-    mapped = _map_batch(tensor, points, kind, work)
-    # Column i of ``mapped`` is a contiguous row of the kernel's output.
+    mapped = _map_batch(tensor, points, kind)
+    # Column i of ``mapped`` is contiguous, laid out as the kernel's output.
     return _row_max(np.multiply(points, mapped, out=mapped))
 
 
@@ -256,9 +241,9 @@ def _grid_points(coords: list, rows: np.ndarray) -> np.ndarray:
 
 
 def _pinned_terms(
-    tensor: DenseTensor, coords: list, kind: str, face: int, sign: float, out: np.ndarray
+    tensor: DenseTensor, coords: list, kind: str, face: int, sign: float
 ) -> np.ndarray:
-    """The raw pinned terms of the face block ``coords``, flat in C order, in ``out``.
+    """The raw pinned terms of the face block ``coords``, flat in C order.
 
     Each is ``u = sign * (A x^{m-1})[face]``, the contraction's own column as
     :func:`contract_m1_batch` forms it on the open grid, so it equals the
@@ -267,7 +252,7 @@ def _pinned_terms(
     ``rho >= 1``, so the quotient cannot overflow.  :func:`_prune_level`
     turns a best value into these units.
     """
-    term = contract_m1_batch(tensor, coords, out, component=face)
+    term = contract_m1_batch(tensor, coords, component=face)
     term *= sign
     if kind == ALPHA_T and tensor.order > 2:
         squares = sum(x * x for x in coords)
@@ -388,25 +373,17 @@ def estimate_alpha(
     grid = grid or GridSpec()
     n = tensor.dim
     axis = np.linspace(-1.0, 1.0, grid.points_per_axis)
-    # One buffer for every full kernel call: the rows a face block keeps,
-    # _CHUNK at a time (no face has more than face 0), or a polish batch of
-    # the current sweep and _SPECULATE more, 2 (n - 1) trials each.
-    rows = max(min(_CHUNK, axis.size ** (n - 1)), (_SPECULATE + 1) * 2 * (n - 1))
-    work = np.empty(rows * _work_rows(tensor))
-    # The pinned terms of a face block; no block has more points than face 0.
-    terms = np.empty(min(_GRID_BLOCK, axis.size ** (n - 1)))
-
     best = (np.inf, None, 0)
     for fixed in range(n):
         for sign in (-1.0, 1.0):
             for coords in _face_blocks(axis, n, fixed, sign):
-                term = _pinned_terms(tensor, coords, kind, fixed, sign, terms)
+                term = _pinned_terms(tensor, coords, kind, fixed, sign)
                 if best[1] is None:
                     # A best value to bound the first block against: its
                     # rows with the smallest raw terms, NaN left out.
                     rows = np.argpartition(term, min(_SEED_ROWS, term.size) - 1)[:_SEED_ROWS]
                     pts = _grid_points(coords, rows[~np.isnan(term[rows])])
-                    vals = _objective(tensor, pts, kind, work)
+                    vals = _objective(tensor, pts, kind)
                     seeded = ~np.isnan(vals)
                     if seeded.any():
                         best = _lower(best, pts[seeded], vals[seeded], fixed)
@@ -416,7 +393,7 @@ def estimate_alpha(
                     if keep.size == 0:
                         continue
                     pts = _grid_points(coords, start + keep)
-                    best = _lower(best, pts, _objective(tensor, pts, kind, work), fixed)
+                    best = _lower(best, pts, _objective(tensor, pts, kind), fixed)
 
     value, best_point, best_face = best
     point = np.array(best_point)
@@ -443,7 +420,7 @@ def estimate_alpha(
         deltas = np.multiply.outer(steps[:-1], signs).ravel()[start:]
         trials = point[None, :].repeat(js.size, axis=0)
         trials[np.arange(js.size), js] = np.minimum(np.maximum(point[js] + deltas, -1.0), 1.0)
-        vals = _objective(tensor, trials, kind, work)
+        vals = _objective(tensor, trials, kind)
         better = (vals < value).nonzero()[0]
         if better.size == 0:
             sweeps_left -= segments
@@ -538,9 +515,9 @@ def check_p_tensor_sampled(
 ) -> PTensorCheck:
     """Sample ``max_i x_i (A x^{m-1})_i`` on the unit sphere, unit vectors first.
 
-    Every point is evaluated once, ``_CHUNK`` points at a time through one
-    buffer, so memory does not grow with ``sample_count``.  The first point
-    with a nonpositive value disproves the P-property and is returned as a
+    Every point is evaluated once, ``_CHUNK`` points at a time, so memory
+    does not grow with ``sample_count``.  The first point with a
+    nonpositive value disproves the P-property and is returned as a
     witness whose value reproduces exactly under ``max(x * contract_m1(A,
     x))``: the batch kernel equals ``contract_m1`` bit for bit.  A clean
     sweep only says LIKELY_P: sampling cannot certify the property.
@@ -548,10 +525,9 @@ def check_p_tensor_sampled(
     _require_int(sample_count, "sample_count", 1)
     _require_int(seed, "seed", 0)
     n = tensor.dim
-    work = np.empty(min(_CHUNK, max(2 * n, sample_count)) * _work_rows(tensor))
     witness = witness_value = None
     for points in _sample_chunks(n, sample_count, seed):
-        values = _objective(tensor, points, None, work)
+        values = _objective(tensor, points, None)
         hits = np.flatnonzero(values <= 0.0)
         if witness is None and hits.size:
             witness = points[hits[0]].copy()

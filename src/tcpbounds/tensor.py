@@ -7,14 +7,9 @@ number of nonzeros rather than ``n**m``.  All vector arguments may be anything
 ``np.asarray`` accepts; results are float64 arrays or floats.
 
 Every function here is a pure function of immutable inputs: ``DenseTensor``
-never mutates after construction and no operation writes to its arguments,
-save the buffers handed over for it.  :func:`contract_m1_batch` takes an
-optional flat ``work`` buffer that holds all its temporaries and its result,
-so a caller that makes many batch calls, such as the alpha sweep, reuses one
-block of memory instead of allocating per call.  It can also give a single
-output component over an open grid of points, formed by broadcasting and
-never gathered; :func:`signed_root` can write its roots to ``out``, the input
-itself included.
+never mutates after construction and no operation writes to its arguments.
+:func:`contract_m1_batch` can also give a single output component over an
+open grid of points, formed by broadcasting and never gathered.
 """
 
 from __future__ import annotations
@@ -293,38 +288,28 @@ def _as_points(tensor: DenseTensor, points) -> np.ndarray:
 
 
 def _work_rows(tensor: DenseTensor) -> int:
-    """Rows of ``k`` floats that :func:`contract_m1_batch` uses for ``k`` points.
-
-    A ``component`` call on an open grid of ``k`` points uses one of them.
-    """
+    """Rows of ``k`` floats that :func:`contract_m1_batch` uses for ``k`` points."""
     nnz, m1 = tensor._cols.shape
     # The points, the result, the products with their zero row and, past
     # order 2, the gathered factors.
     return 2 * tensor.dim + nnz + 1 + (nnz if m1 > 1 else 0)
 
 
-def contract_m1_batch(
-    tensor: DenseTensor, points, work=None, *, component: int | None = None
-) -> np.ndarray:
+def contract_m1_batch(tensor: DenseTensor, points, *, component: int | None = None) -> np.ndarray:
     """Row-wise :func:`contract_m1` for a ``(k, dim)`` array of vectors.
 
     Every result row equals :func:`contract_m1` of that point bit for bit: the
     products are formed in the same order and summed per output component in
     stored-entry order, whatever ``k`` is.
 
-    ``work``, a flat float64 array of at least ``k * _work_rows(tensor)``
-    entries, holds every temporary and the result, so a caller that passes
-    one buffer to many calls allocates nothing per call; without it the
-    kernel allocates one.  The result is a ``(k, dim)`` view of the buffer's
-    first ``k * dim`` entries whose transpose is contiguous; the next call on
-    the same buffer overwrites it.
+    Every temporary and the result share one block the kernel allocates; the
+    result is a ``(k, dim)`` view of it whose transpose is contiguous.
 
     With ``component=i`` (``0 <= i < dim``), ``points`` is an open grid
     instead: ``dim`` coordinates, each a scalar or an array, that broadcast
     together to the grid's shape, as ``np.ix_`` makes them.  Only output
     component ``i`` is computed, at every point of the grid, as a flat
-    C-order view of the first entries of ``work`` (of at least one entry per
-    point, or allocated).  Each of row ``i``'s stored entries is formed by
+    C-order array.  Each of row ``i``'s stored entries is formed by
     broadcasting, as the full kernel forms it: its factors multiplied left to
     right, then times the value; the entries are added in stored-entry order
     from ``+0.0``.  So the result equals ``contract_m1_batch(tensor,
@@ -335,16 +320,11 @@ def contract_m1_batch(
     blocks on this raw column, with neither ``F``'s root nor ``T``'s factor.
     """
     if component is not None:
-        return _grid_component(tensor, points, work, component)
+        return _grid_component(tensor, points, component)
     pts = _as_points(tensor, points)
     k, n = pts.shape
-    rows = _work_rows(tensor)
-    if work is None:
-        work = np.empty(rows * k)
-    elif work.size < rows * k:
-        raise ValueError(f"work holds {work.size} entries, {rows * k} needed for {k} points")
     nnz = tensor.nnz
-    buf = work[: rows * k].reshape(rows, k)
+    buf = np.empty((_work_rows(tensor), k))
     xt = buf[n : 2 * n]
     xt[...] = pts.T
     # One row per stored entry, then the zero row the slot padding points at.
@@ -362,7 +342,7 @@ def contract_m1_batch(
     return _sum_by_slots(prods, tensor._row_slots, buf[:n], xt).T
 
 
-def _grid_component(tensor: DenseTensor, coords, work, component) -> np.ndarray:
+def _grid_component(tensor: DenseTensor, coords, component) -> np.ndarray:
     """Component ``component`` of :func:`contract_m1_batch` on the open grid ``coords``."""
     n = tensor.dim
     _require_int(component, "component", 0)
@@ -371,14 +351,7 @@ def _grid_component(tensor: DenseTensor, coords, work, component) -> np.ndarray:
     if len(coords) != n:
         raise DimensionMismatchError(f"an open grid needs {n} coordinates, got {len(coords)}")
     coords = [np.asarray(x, dtype=float) for x in coords]
-    shape = np.broadcast_shapes(*(x.shape for x in coords))
-    k = math.prod(shape)
-    if work is None:
-        work = np.empty(k)
-    elif work.size < k:
-        raise ValueError(f"work holds {work.size} entries, {k} needed for {k} points")
-    out = work[:k].reshape(shape)
-    out[...] = 0.0
+    out = np.zeros(np.broadcast_shapes(*(x.shape for x in coords)))
     lo, hi = (int(tensor._rows.searchsorted(i)) for i in (component, component + 1))
     for cols, val in zip(tensor._cols[lo:hi].tolist(), tensor._vals[lo:hi]):
         first, *rest = cols
@@ -461,13 +434,11 @@ def tensor_inf_norm(tensor: DenseTensor) -> float:
     return tensor._inf_norm
 
 
-def signed_root(x, r: int, out=None) -> np.ndarray:
+def signed_root(x, r: int) -> np.ndarray:
     """Componentwise signed ``r``-th root, ``sign(t) * |t|**(1/r)``.
 
     ``r`` must be an odd positive integer so the map is a bijection on the
-    reals; even roots are rejected rather than silently losing signs.  With
-    ``out``, a float64 array of ``x``'s shape that may be ``x`` itself, the
-    roots are written there and ``out`` is returned.
+    reals; even roots are rejected rather than silently losing signs.
     """
     _require_int(r, "root order", 1)
     if r % 2 == 0:
@@ -475,6 +446,6 @@ def signed_root(x, r: int, out=None) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     root = np.abs(arr)
     root **= 1.0 / r
-    signed = np.sign(arr, out=out)
+    signed = np.sign(arr)
     signed *= root
     return signed

@@ -179,10 +179,12 @@ def test_files_of_one_tensor_emit_the_same_bytes():
 
 
 def test_zero_tensor_when_entries_omitted(tmp_path):
-    pf = parse_problem(write(tmp_path, "order: 2\ndim: 1\nq: [1.0]\n"))
-    assert pf.entries == ()
-    assert pf.tensor().nnz == 0
-    assert pf.z is None and pf.u is None
+    # Only an absent or null entries is empty; entries: 0 is refused.
+    for entries in ("", "entries:\n", "entries: null\n", "entries: []\n"):
+        pf = parse_problem(write(tmp_path, "order: 2\ndim: 1\nq: [1.0]\n" + entries))
+        assert pf.entries == ()
+        assert pf.tensor().nnz == 0
+        assert pf.z is None and pf.u is None
 
 
 def test_numeric_strings_are_accepted(tmp_path):
@@ -206,7 +208,11 @@ def test_numeric_strings_are_accepted(tmp_path):
         ("order: 2\ndim: 2\nq: [0.0, true]\n", "got a boolean"),
         ("order: 2\ndim: 2\nq: [0.0, .inf]\n", "must be finite"),
         ("order: 2\ndim: 2\nq: [0.0, hello]\n", "must be a number"),
-        ("order: 2\ndim: 2\nq: [0.0, 0.0]\nentries: 5\n", "entries must be a list"),
+        *[
+            (f"order: 2\ndim: 2\nq: [0.0, 0.0]\nentries: {value}\n", "entries must be a list")
+            for value in ("5", "0", "false", "{}", "''")
+        ],
+        ("order: 2\ndim: 2\nq: [0.0, 0.0]\n1: 2\nfoo: 3\n", "unknown fields: 1, foo"),
         (
             "order: 2\ndim: 2\nq: [0.0, 0.0]\nentries:\n  - idx: [1, 1]\n",
             "keys idx, val",
@@ -725,6 +731,11 @@ def test_cli_validation_errors_exit_two(tmp_path, capsys):
     )
     code, out, err = run_cli(capsys, "bounds", "--file", tiny, "--u=-1e160,-1e160")
     assert code == 2 and out == "" and "overflows" in err
+    # Sorting an int key with a str key raised TypeError: exit 1, the
+    # failed-hypothesis code, with a traceback.
+    mixed = write(tmp_path, "order: 2\ndim: 2\nq: [0.0, 0.0]\n1: 2\nfoo: 3\n", "mixed.yaml")
+    code, out, err = run_cli(capsys, "check-p", "--file", mixed)
+    assert code == 2 and out == "" and "unknown fields: 1, foo" in err
 
 
 # Every entry is finite, but row 1 of the tensor sums to 1 + 1e308 + 1e308.

@@ -395,7 +395,7 @@ def test_estimate_alpha_bit_identical_to_one_trial_polish():
             (stalls, ALPHA_F, GridSpec(5, steps)),
             (DenseTensor(4, 1, {(1, 1, 1, 1): 2.0}), ALPHA_T, GridSpec(3, steps)),
         ]
-    # Face chunks smaller than a polish batch, which the work buffer must hold.
+    # Faces with fewer points than a polish batch has rows.
     for n, grids in ((2, range(2, 10)), (3, (2, 3))):
         t = random_sparse_tensor(rng, 4, n, 2 * n + 1)
         cases += [(t, kind, GridSpec(g)) for g in grids for kind in (ALPHA_T, ALPHA_F)]
@@ -409,9 +409,9 @@ def test_polish_batches_the_sweeps_after_the_current_one(monkeypatch):
     sizes = []
     objective = operators_module._objective
 
-    def recording(tensor, points, kind, work=None):
+    def recording(tensor, points, kind):
         sizes.append(len(points))
-        return objective(tensor, points, kind, work)
+        return objective(tensor, points, kind)
 
     monkeypatch.setattr(operators_module, "_objective", recording)
 
@@ -449,8 +449,8 @@ def test_face_sweep_bounds_each_boundary_point_and_evaluates_few(monkeypatch):
     calls = []
     batch = operators_module.contract_m1_batch
 
-    def recording(tensor, points, work=None, **kwargs):
-        result = batch(tensor, points, work, **kwargs)
+    def recording(tensor, points, **kwargs):
+        result = batch(tensor, points, **kwargs)
         # An open grid's len() is its dimension, so count the result's rows.
         calls.append((result.shape[0], kwargs.get("component")))
         return result
@@ -507,11 +507,10 @@ def test_raw_terms_above_the_level_have_pinned_terms_above_the_best_value(order,
         t = random_sparse_tensor(rng, order, n, int(rng.integers(1, 3 * n + 2)), -scale, scale)
         # Interior axis values need not be a linspace.
         axis = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 1.0, g - 2)), [1.0]])
-        terms = np.empty(g ** (n - 1))
         for fixed in range(n):
             for sign in (-1.0, 1.0):
                 for coords in _face_blocks(axis, n, fixed, sign):
-                    raw = _pinned_terms(t, coords, kind, fixed, sign, terms)
+                    raw = _pinned_terms(t, coords, kind, fixed, sign)
                     pinned = sign * _map_batch(t, _block_points(coords), kind)[:, fixed]
                     bests = [*rng.choice(pinned, min(8, pinned.size), replace=False), *EDGE_BESTS]
                     for best in map(float, bests):
@@ -747,9 +746,9 @@ def test_alpha_estimate_is_frozen():
 
 def test_apply_maps_are_rows_of_the_objective_map():
     # apply_T and apply_F are one-row views of the map the alpha sweep uses.
-    # One NaN-filled buffer serves batches of several sizes, as in the sweep
-    # and the polish; each row is max(x * op(x)) of the public map, bit for
-    # bit, and kind None is the bare contraction of the sampled check.
+    # Batches of several sizes, as in the sweep and the polish; each row is
+    # max(x * op(x)) of the public map, bit for bit, and kind None is the
+    # bare contraction of the sampled check.
     rng = np.random.default_rng(17)
     tensors = [HAND3] + [
         random_sparse_tensor(rng, order, dim, nnz)
@@ -759,12 +758,11 @@ def test_apply_maps_are_rows_of_the_objective_map():
         maps = {ALPHA_T: apply_T, None: contract_m1}
         if t.order % 2 == 0:
             maps[ALPHA_F] = apply_F
-        work = np.full(300 * _work_rows(t), np.nan)
         for kind, apply in maps.items():
             for k in (300, 5, 1):
                 pts = rng.uniform(-1.0, 1.0, (k, t.dim))
                 pts[0] = 0.0
-                vals = _objective(t, pts, kind, work)
+                vals = _objective(t, pts, kind)
                 want = [np.max(x * apply(t, x)) for x in pts]
                 assert np.array_equal(vals.view(np.uint64), np.array(want).view(np.uint64))
 
@@ -780,9 +778,9 @@ def test_check_p_evaluates_each_point_once(monkeypatch):
     rows = []
     batch = operators_module.contract_m1_batch
 
-    def counting(tensor, points, work=None, **kwargs):
+    def counting(tensor, points, **kwargs):
         rows.append(len(points))
-        return batch(tensor, points, work, **kwargs)
+        return batch(tensor, points, **kwargs)
 
     def single(tensor, x):
         rows.append(1)
@@ -823,9 +821,9 @@ def test_check_p_in_chunks_equals_one_batch():
 
 
 def test_check_p_memory_does_not_grow_with_sample_count():
-    # Points are drawn and evaluated _CHUNK at a time through one buffer, so
-    # the peak is a chunk's worth whatever sample_count is; one batch over
-    # all 200 006 points needs about 91 MB.
+    # Points are drawn and evaluated _CHUNK at a time, so the peak is a
+    # chunk's worth whatever sample_count is; one batch over all 200 006
+    # points needs about 91 MB.
     t = random_sparse_tensor(np.random.default_rng(5), 4, 3, 20)
     tracemalloc.start()
     try:
