@@ -18,14 +18,24 @@ zero tensor.  :class:`ProblemFile` builds its :class:`DenseTensor` once and
 reports the tensor's own order, dim, index and value checks as
 :class:`ProblemFormatError`; it checks only what the tensor never sees,
 duplicate indices (each key first passes the tensor's index check) and the
-vectors ``q``, ``z`` and ``u``.  Emission is deterministic and floats
+vectors ``q``, ``z`` and ``u``, whose lengths it checks against ``dim``
+before the tensor is built.  Emission is deterministic and floats
 round-trip exactly, so ``parse(emit(pf))`` reproduces every field bit for
 bit.
 
 Files are read with PyYAML's libyaml-based ``yaml.CSafeLoader`` when PyYAML
 was built with libyaml, else with the pure-Python ``yaml.SafeLoader``.
-Both feed the same resolver and constructor, so a document both accept gives
-the same Python objects.  The one known difference: libyaml accepts a tab as
+The loader scans, parses and composes the document into a node tree and
+resolves each node's tag.  :func:`_load` then builds the Python objects in
+one recursive pass over that tree: mappings with scalar keys, sequences, and
+scalars tagged ``null``, ``bool``, ``int``, ``float`` or ``str``, each scalar
+through the loader's own constructor for its tag, so ``012`` is octal and
+``1e5`` a string as YAML 1.1 has it.  Any other document (an alias, a merge
+key, a non-scalar key, any other tag), or one whose pass fails, is built
+again whole by PyYAML's own ``construct_document``.  So every document gives
+what ``yaml.load`` gives, or raises the same error.  Both loaders feed the
+same resolver and constructors, so a document both accept gives the same
+Python objects.  The one known difference: libyaml accepts a tab as
 separating white space, after ``order:`` or after a comma in ``[1.0, 2.0]``,
 where the pure-Python scanner refuses it.  The detail after
 ``not valid YAML:`` also differs between the two.
@@ -42,13 +52,63 @@ import yaml
 
 from .errors import ProblemFormatError
 from .solve import TcpInstance
-from .tensor import DenseTensor, _as_index
+from .tensor import DenseTensor, _as_index, _require_int
 
 __all__ = ["ProblemFile", "parse_problem", "emit_problem"]
 
 _TOP_KEYS = {"order", "dim", "entries", "q", "z", "u"}
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_SCALAR_TAGS = frozenset(
+    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "str")
+)
+_SEQ_TAG = "tag:yaml.org,2002:seq"
+_MAP_TAG = "tag:yaml.org,2002:map"
+
+
+class _Fallback(Exception):
+    """The document needs PyYAML's own construction."""
+
+
+def _load(text: str):
+    """``yaml.load(text, Loader=_LOADER)``, with plain documents built in one pass."""
+    loader = _LOADER(text)
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        try:
+            return _build(loader, node, set())
+        except Exception:
+            # Whatever the pass met (a node it leaves to PyYAML, a scalar its
+            # constructor refuses, a nesting deeper than the recursion
+            # limit), PyYAML's driver then gives the result or error, in its
+            # own order.
+            return loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+def _build(loader, node, seen: set):
+    # A node met twice is an alias, perhaps of a node that contains it.
+    if node in seen:
+        raise _Fallback
+    seen.add(node)
+    tag = node.tag
+    if tag in _SCALAR_TAGS and type(node) is yaml.ScalarNode:
+        return loader.yaml_constructors[tag](loader, node)
+    if tag == _SEQ_TAG and type(node) is yaml.SequenceNode:
+        return [_build(loader, item, seen) for item in node.value]
+    if tag == _MAP_TAG and type(node) is yaml.MappingNode:
+        data = {}
+        for key_node, value_node in node.value:
+            # A merge key (<<) is tagged merge, so it falls back too.
+            if key_node.tag not in _SCALAR_TAGS:
+                raise _Fallback
+            data[_build(loader, key_node, seen)] = _build(loader, value_node, seen)
+        return data
+    raise _Fallback
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +133,13 @@ class ProblemFile:
     def __post_init__(self):
         clean = {}
         try:
+            # q, z and u are checked against dim before the tensor is built,
+            # so a dim that no q matches never reaches its dim-sized tables;
+            # dim's own check comes first, so a non-integer dim is named.
+            _require_int(self.dim, "dim", 1)
+            for name in ("q", "z", "u"):
+                value = self._vector_field(name, getattr(self, name), required=name == "q")
+                object.__setattr__(self, name, value)
             for raw_idx, val in self.entries:
                 idx = _as_index(raw_idx)
                 if idx in clean:
@@ -85,9 +152,6 @@ class ProblemFile:
         object.__setattr__(self, "order", tensor.order)
         object.__setattr__(self, "dim", tensor.dim)
         object.__setattr__(self, "entries", tuple(sorted(tensor.entries.items())))
-        object.__setattr__(self, "q", self._vector_field("q", self.q, required=True))
-        object.__setattr__(self, "z", self._vector_field("z", self.z, required=False))
-        object.__setattr__(self, "u", self._vector_field("u", self.u, required=False))
 
     def _vector_field(self, name: str, value, required: bool) -> np.ndarray | None:
         if value is None:
@@ -141,7 +205,7 @@ def parse_problem(path) -> ProblemFile:
     """Parse and validate a problem file; every complaint names its field."""
     text = Path(path).read_text()
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        data = _load(text)
     except yaml.YAMLError as exc:
         raise ProblemFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):

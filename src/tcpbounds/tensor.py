@@ -15,6 +15,7 @@ open grid of points, formed by broadcasting and never gathered.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Mapping
 
 import numpy as np
@@ -52,6 +53,8 @@ def _as_index(raw_idx) -> tuple[int, ...]:
         idx = tuple(raw_idx)
     except TypeError:
         raise ValueError(f"index {raw_idx!r} must be a sequence of integers") from None
+    if all(type(i) is int for i in idx):  # a file's index, checked as it is
+        return idx
     if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
         raise ValueError(f"index {idx} must have integer components")
     return tuple(int(i) for i in idx)
@@ -100,6 +103,10 @@ class DenseTensor:
         _require_int(order, "order", 2)
         _require_int(dim, "dim", 1)
         order, dim = int(order), int(dim)
+        # numpy's shapes and counts stop at sys.maxsize.
+        for name, value in (("order", order), ("dim", dim)):
+            if value > sys.maxsize:
+                raise ValueError(f"{name} must be at most {sys.maxsize}, got {value}")
         clean: dict[tuple, float] = {}
         for raw_idx, raw_val in entries.items():
             idx = _as_index(raw_idx)

@@ -1,6 +1,7 @@
 """Problem-file parsing, deterministic emission, and the command-line front end."""
 
 import argparse
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -87,16 +88,52 @@ def parsed_fields(loader, path):
     return pf.order, pf.dim, entries, vectors
 
 
+def exact(data, stack=()):
+    """``data`` as nested tuples that compare each value with its type, each
+    float by its bits, and a container that holds itself by its depth."""
+    if id(data) in stack:
+        return "cycle", stack.index(id(data))
+    if isinstance(data, dict):
+        inner = stack + (id(data),)
+        return "dict", [(exact(k, inner), exact(v, inner)) for k, v in data.items()]
+    if isinstance(data, list):
+        return "list", [exact(item, stack + (id(data),)) for item in data]
+    if isinstance(data, float):
+        return "float", struct.pack("<d", data)
+    return type(data).__name__, data
+
+
+def constructions(loader, text):
+    """What ``io._load`` and ``yaml.load`` each make of ``text`` under
+    ``loader``: the document, or the error's type and message."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcpbounds.io, "_LOADER", loader)
+        for load in (tcpbounds.io._load, lambda text: yaml.load(text, Loader=loader)):
+            try:
+                outcomes.append(exact(load(text)))
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
 @pytest.fixture(autouse=True)
 def loaders_agree_on_every_written_file(request, tmp_path):
     """Every file a test here writes must give the same fields, bit for bit,
     under the pure-Python loader as under the module's loader, or be refused
     by both with the same message.  So every refusal table below runs under
-    both loaders.  A test marked ``loaders_differ`` is left out."""
+    both loaders.  A test marked ``loaders_differ`` is left out.  Under each
+    loader, the module's construction must also give what ``yaml.load``
+    gives, or raise the same error."""
     yield
+    paths = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    for path in paths:
+        for loader in (yaml.SafeLoader, MODULE_LOADER):
+            first, second = constructions(loader, path.read_text())
+            assert first == second, (path.name, loader.__name__)
     if request.node.get_closest_marker("loaders_differ"):
         return
-    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+    for path in paths:
         assert parsed_fields(yaml.SafeLoader, path) == parsed_fields(MODULE_LOADER, path), (
             path.name
         )
@@ -247,6 +284,18 @@ def test_numeric_strings_are_accepted(tmp_path):
         ("order: 2\ndim: 2\nq: [0.0, 0.0]\nu: {a: 1}\n", "u must be a list of reals"),
         ("- just\n- a\n- list\n", "must be a mapping"),
         ("q: [1.0\n", "not valid YAML"),
+        # A dim that no q matches used to reach np.bincount (an
+        # OverflowError, or 22.4 GiB for 3e9), and a huge order numpy's
+        # unnamed "Maximum allowed dimension exceeded".
+        (
+            "order: 2\ndim: 99999999999999999999\nq: [0.0]\n",
+            "field 'q' must be a list of 99999999999999999999 reals",
+        ),
+        ("order: 2\ndim: 3000000000\nq: [0.0]\n", "field 'q' must be a list of 3000000000 reals"),
+        (
+            "order: 99999999999999999999\ndim: 1\nq: [0.0]\n",
+            f"order must be at most {sys.maxsize}, got 99999999999999999999",
+        ),
     ],
 )
 def test_parse_rejects_malformed_files(tmp_path, text, fragment):
@@ -1187,6 +1236,75 @@ LOADER_PROBES = {
 def test_loaders_agree_on_probes(tmp_path, text):
     path = write(tmp_path, text)
     assert parsed_fields(yaml.SafeLoader, path) == parsed_fields(MODULE_LOADER, path)
+
+
+# Documents that ``io._load`` leaves whole to PyYAML's construct_document,
+# and scalars whose YAML 1.1 meaning its own pass keeps, each with whether
+# it falls back.  No benchmark file falls back, so only these cover it.
+CONSTRUCTION_PROBES = {
+    "alias": ("a: &x [1, 2]\nb: *x\n", True),
+    "scalar-alias": ("a: &x 1.5\nb: *x\n", True),
+    "recursive-alias": ("&a [*a]\n", True),
+    "merge-key": ("<<: {a: 1}\nb: 2\n", True),
+    "non-scalar-key": ("? [1, 2]\n: 3\n", True),
+    "set": ("!!set {a, b}\n", True),
+    "omap": ("!!omap [a: 1, b: 2]\n", True),
+    "timestamp": ("t: !!timestamp 2001-12-14\nu: 2001-12-14 21:59:43.10 -5\n", True),
+    "binary": ("b: !!binary aGVsbG8=\n", True),
+    "str-tag-on-a-sequence": ("s: !!str [1]\n", True),
+    "python-object": ("o: !!python/object:os.getcwd {}\n", True),
+    "bool-tag-on-a-word": ("b: !!bool maybe\n", True),
+    "float-tag-on-a-word": ("f: !!float abc\n", True),
+    "octal": ("n: 012\n", False),
+    "sexagesimal": ("n: 1:30\n", False),
+    "unsigned-exponent": ("n: 1e5\n", False),
+    "nan": ("x: .nan\n", False),
+    "inf": ("x: [.inf, -.inf]\n", False),
+    "null-and-bools": ("~: [null, yes, Off]\n", False),
+    "duplicate-key": ("a: 1\na: 2\n", False),
+    "empty-document": ("", False),
+}
+
+
+def falls_back(loader, text):
+    """Whether ``io._load`` hands ``text`` to ``construct_document``."""
+    calls = []
+
+    class Counting(loader):
+        def construct_document(self, node):
+            calls.append(node)
+            return super().construct_document(node)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcpbounds.io, "_LOADER", Counting)
+        try:
+            tcpbounds.io._load(text)
+        except Exception:
+            pass
+    return bool(calls)
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, MODULE_LOADER], ids=["python", "module"])
+@pytest.mark.parametrize(
+    "text, fallback", CONSTRUCTION_PROBES.values(), ids=list(CONSTRUCTION_PROBES)
+)
+def test_construction_matches_yaml_load_on_probes(loader, text, fallback):
+    first, second = constructions(loader, text)
+    assert first == second
+    assert falls_back(loader, text) == fallback
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="the pure-Python composer recurses too")
+def test_construction_falls_back_past_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    text = "[" * depth + "]" * depth
+    # Walked in a loop: exact() would recurse as deep as the document.
+    built = [tcpbounds.io._load(text), yaml.load(text, Loader=MODULE_LOADER)]
+    for _ in range(depth - 1):
+        assert [len(data) for data in built] == [1, 1]
+        built = [data[0] for data in built]
+    assert built == [[], []]
+    assert falls_back(MODULE_LOADER, text)
 
 
 @pytest.mark.parametrize(

@@ -75,6 +75,16 @@ def test_construction_rejects_bad_shapes(order, dim, entries):
         DenseTensor(order, dim, entries)
 
 
+@pytest.mark.parametrize("name", ["order", "dim"])
+@pytest.mark.parametrize("huge", [sys.maxsize + 1, 10**20, np.uint64(2**63)])
+def test_construction_refuses_an_order_or_dim_numpy_cannot_hold(name, huge):
+    # numpy used to refuse these with "Maximum allowed dimension exceeded"
+    # or an OverflowError, naming neither
+    shape = {"order": 2, "dim": 2, name: huge}
+    with pytest.raises(ValueError, match=f"^{name} must be at most {sys.maxsize}, got {huge}$"):
+        DenseTensor(shape["order"], shape["dim"], {})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_construction_rejects_non_finite_entries(bad):
     with pytest.raises(ValueError, match=r"\(1, 1, 1, 1\)"):
