@@ -33,12 +33,13 @@ through the loader's own constructor for its tag, so ``012`` is octal and
 ``1e5`` a string as YAML 1.1 has it.  Any other document (an alias, a merge
 key, a non-scalar key, any other tag), or one whose pass fails, is built
 again whole by PyYAML's own ``construct_document``.  So every document gives
-what ``yaml.load`` gives, or raises the same error.  Both loaders feed the
-same resolver and constructors, so a document both accept gives the same
-Python objects.  The one known difference: libyaml accepts a tab as
-separating white space, after ``order:`` or after a comma in ``[1.0, 2.0]``,
-where the pure-Python scanner refuses it.  The detail after
-``not valid YAML:`` also differs between the two.
+what ``yaml.load`` gives, or raises the same error, which :func:`parse_problem`
+reports as not valid YAML whatever its type.  Both loaders feed the same
+resolver and constructors, so a document both accept gives the same Python
+objects.  Two known differences: libyaml accepts a tab as separating white
+space, after ``order:`` or after a comma in ``[1.0, 2.0]``, and composes a
+list nested 500 deep, where the pure-Python loader refuses either.  The detail
+after ``not valid YAML:`` also differs between the two.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def parse_problem(path) -> ProblemFile:
     text = Path(path).read_text()
     try:
         data = _load(text)
-    except yaml.YAMLError as exc:
+    except Exception as exc:
         raise ProblemFormatError(f"not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ProblemFormatError("the document must be a mapping of fields")

@@ -136,7 +136,11 @@ class AlphaEstimate:
 
 @dataclass(frozen=True, eq=False)
 class PTensorCheck:
-    """Outcome of sampling the P-defining objective on the unit sphere."""
+    """Outcome of sampling the P-defining objective on the unit sphere.
+
+    A nonpositive value ends the check; ``points_checked`` is still the
+    sample's size, ``2 n + sample_count``.
+    """
 
     verdict: str
     witness: np.ndarray | None
@@ -265,7 +269,7 @@ def _prune_level(kind: str, order: int, best: float) -> float:
 
     A raw term above the level has a pinned term ``s * (op x)_f``, the
     objective's own column, strictly above ``best``, so every row that
-    could tie ``best`` is kept.  A NaN term is above no level.
+    could tie ``best`` is kept.
 
     - Order 2: the raw term is the pinned term (``F``'s root is of order 1,
       ``T``'s factor is ``1.0``), so the level is ``best``, exactly.
@@ -309,7 +313,7 @@ def _lower(best: tuple, points: np.ndarray, values: np.ndarray, face: int) -> tu
     if local_min > best[0]:
         return best
     local_point = min(tuple(points[i]) for i in np.flatnonzero(values == local_min))
-    if local_min < best[0] or (best[1] is not None and local_point < best[1]):
+    if local_min < best[0] or local_point < best[1]:
         return local_min, local_point, face
     return best
 
@@ -380,16 +384,13 @@ def estimate_alpha(
                 term = _pinned_terms(tensor, coords, kind, fixed, sign)
                 if best[1] is None:
                     # A best value to bound the first block against: its
-                    # rows with the smallest raw terms, NaN left out.
+                    # rows with the smallest raw terms.
                     rows = np.argpartition(term, min(_SEED_ROWS, term.size) - 1)[:_SEED_ROWS]
-                    pts = _grid_points(coords, rows[~np.isnan(term[rows])])
-                    vals = _objective(tensor, pts, kind)
-                    seeded = ~np.isnan(vals)
-                    if seeded.any():
-                        best = _lower(best, pts[seeded], vals[seeded], fixed)
+                    pts = _grid_points(coords, rows)
+                    best = _lower(best, pts, _objective(tensor, pts, kind), fixed)
                 for start in range(0, term.size, _CHUNK):
                     level = _prune_level(kind, tensor.order, best[0])
-                    keep = np.flatnonzero(~(term[start : start + _CHUNK] > level))
+                    keep = np.flatnonzero(term[start : start + _CHUNK] <= level)
                     if keep.size == 0:
                         continue
                     pts = _grid_points(coords, start + keep)
@@ -515,22 +516,19 @@ def check_p_tensor_sampled(
 ) -> PTensorCheck:
     """Sample ``max_i x_i (A x^{m-1})_i`` on the unit sphere, unit vectors first.
 
-    Every point is evaluated once, ``_CHUNK`` points at a time, so memory
-    does not grow with ``sample_count``.  The first point with a
-    nonpositive value disproves the P-property and is returned as a
-    witness whose value reproduces exactly under ``max(x * contract_m1(A,
-    x))``: the batch kernel equals ``contract_m1`` bit for bit.  A clean
-    sweep only says LIKELY_P: sampling cannot certify the property.
+    Points are evaluated once each, ``_CHUNK`` at a time, so memory does
+    not grow with ``sample_count``.  A nonpositive value disproves the
+    P-property and ends the check; the first such point is the witness,
+    whose value reproduces exactly under ``max(x * contract_m1(A, x))``:
+    the batch kernel equals ``contract_m1`` bit for bit.  Only a clean
+    sweep of every point says LIKELY_P: sampling cannot certify it.
     """
     _require_int(sample_count, "sample_count", 1)
     _require_int(seed, "seed", 0)
-    n = tensor.dim
-    witness = witness_value = None
-    for points in _sample_chunks(n, sample_count, seed):
+    size = 2 * tensor.dim + sample_count
+    for points in _sample_chunks(tensor.dim, sample_count, seed):
         values = _objective(tensor, points, None)
         hits = np.flatnonzero(values <= 0.0)
-        if witness is None and hits.size:
-            witness = points[hits[0]].copy()
-            witness_value = float(values[hits[0]])
-    verdict = LIKELY_P if witness is None else NOT_P
-    return PTensorCheck(verdict, witness, witness_value, 2 * n + sample_count)
+        if hits.size:
+            return PTensorCheck(NOT_P, points[hits[0]].copy(), float(values[hits[0]]), size)
+    return PTensorCheck(LIKELY_P, None, None, size)

@@ -1307,6 +1307,55 @@ def test_construction_falls_back_past_the_recursion_limit():
     assert falls_back(MODULE_LOADER, text)
 
 
+# Explicitly tagged scalars that the tag's own PyYAML constructor refuses,
+# each with its error's message.  The constructors raise a KeyError, an
+# AttributeError and ValueErrors, none a yaml.YAMLError: the first two once
+# escaped the CLI as tracebacks (exit 1), the others exited 2 with a
+# message that named nothing.
+REFUSED_SCALARS = {
+    "bool-maybe": ("order: 2\ndim: 1\nq: [!!bool maybe]\n", "'maybe'"),
+    "timestamp-abc": (
+        "order: 2\ndim: 1\nq: [!!timestamp abc]\n",
+        "'NoneType' object has no attribute 'groupdict'",
+    ),
+    "float-abc": (
+        "order: 2\ndim: 1\nq: [!!float abc]\n",
+        "could not convert string to float: 'abc'",
+    ),
+    "int-0x": (
+        "order: 2\ndim: 1\nentries:\n  - idx: [1, 1]\n    val: !!int 0x\nq: [1.0]\n",
+        "invalid literal for int() with base 16: ''",
+    ),
+}
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, MODULE_LOADER], ids=["python", "module"])
+@pytest.mark.parametrize("text, detail", REFUSED_SCALARS.values(), ids=list(REFUSED_SCALARS))
+def test_a_scalar_its_constructor_refuses_is_not_valid_yaml(
+    tmp_path, capsys, monkeypatch, loader, text, detail
+):
+    monkeypatch.setattr(tcpbounds.io, "_LOADER", loader)
+    code, out, err = run_cli(capsys, "check-p", "--file", write(tmp_path, text))
+    assert (code, out, err) == (2, "", f"error: not valid YAML: {detail}\n")
+
+
+@pytest.mark.loaders_differ
+def test_nesting_past_the_python_composers_recursion_is_not_valid_yaml(
+    tmp_path, capsys, monkeypatch
+):
+    # PyYAML's pure-Python composer recurses at least twice per level, so a
+    # 500-deep q raises RecursionError, not a yaml.YAMLError.  libyaml
+    # composes it, and the file is refused by its q.
+    path = write(tmp_path, "order: 2\ndim: 1\nq: " + "[" * 500 + "]" * 500 + "\n")
+    if yaml.__with_libyaml__:
+        refused = "error: q[1] must be a number, got list\n"
+        assert run_cli(capsys, "check-p", "--file", path) == (2, "", refused)
+    monkeypatch.setattr(tcpbounds.io, "_LOADER", yaml.SafeLoader)
+    code, out, err = run_cli(capsys, "check-p", "--file", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not valid YAML: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize(
     "text",
     ["order:\t2\ndim: 1\nq: [1.0]\n", "order: 2\ndim: 2\nq: [1.0,\t2.0]\n"],

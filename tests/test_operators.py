@@ -530,10 +530,16 @@ def _scaled(tensor, factor):
     return DenseTensor(tensor.order, tensor.dim, {k: v * factor for k, v in tensor.entries.items()})
 
 
-# A row-power P-tensor, and its copy scaled so that ||A||_inf sits just below
-# the largest float.
+def _huge(tensor):
+    """``tensor`` scaled so that ``||A||_inf`` sits just below the largest float."""
+    return _scaled(tensor, np.finfo(float).max / tensor_inf_norm(tensor) / (1 + 1e-12))
+
+
+# Row-power P-tensors of orders 4 and 2, and their copies at the ends of the
+# float range.
 ROW_POWER = manufactured_unique(np.random.default_rng(5), "row_power", 4, 3)[0].tensor
-HUGE_ROW_POWER = _scaled(ROW_POWER, np.finfo(float).max / tensor_inf_norm(ROW_POWER) / (1 + 1e-12))
+HUGE_ROW_POWER = _huge(ROW_POWER)
+ROW_POWER_2 = manufactured_unique(np.random.default_rng(6), "row_power", 2, 3)[0].tensor
 
 # A zero alpha: the objective is +-0.0 at several points of a chunk.
 ZERO_ALPHA = DenseTensor(
@@ -585,10 +591,40 @@ ZERO_ALPHA = DenseTensor(
         # Levels near 4e307.
         (HUGE_ROW_POWER, ALPHA_F, GridSpec(9, 20)),
         (HUGE_ROW_POWER, ALPHA_T, GridSpec(9, 20)),
+        # Both ends of the float range at orders 2 and 4, where the sweep's
+        # finite terms and values are what let it seed and compare without
+        # a NaN or infinity guard.
+        *[
+            (tensor, kind, GridSpec(9, 20))
+            for tensor in (
+                _huge(ROW_POWER_2),
+                _scaled(ROW_POWER_2, 1e-300),
+                _scaled(ROW_POWER, 1e-300),
+            )
+            for kind in (ALPHA_F, ALPHA_T)
+        ],
     ],
 )
-def test_face_sweep_pruning_keeps_the_reference_bits(tensor, kind, spec):
+def test_face_sweep_pruning_keeps_the_reference_bits(monkeypatch, tensor, kind, spec):
+    import tcpbounds.operators as operators_module
+
+    # Every raw term block and objective value the sweep and polish form is
+    # finite: entries are finite, ||A||_inf does not overflow and every point
+    # lies in [-1, 1]^n with ||x||_2 >= 1.
+    formed = []
+
+    def recorded(name, inner):
+        def wrapper(*args):
+            formed.append((name, inner(*args)))
+            return formed[-1][1]
+
+        return wrapper
+
+    for name in ("_pinned_terms", "_objective"):
+        monkeypatch.setattr(operators_module, name, recorded(name, getattr(operators_module, name)))
     got = estimate_alpha(tensor, kind, spec).value
+    assert {name for name, _ in formed} == {"_pinned_terms", "_objective"}
+    assert all(np.isfinite(values).all() for _, values in formed)
     assert got.hex() == _reference_alpha(tensor, kind, spec).hex()
 
 
@@ -794,6 +830,27 @@ def test_check_p_evaluates_each_point_once(monkeypatch):
         rows.clear()
         check = check_p_tensor_sampled(tensor, sample_count=128, seed=4)
         assert sum(rows) == check.points_checked
+
+
+def test_a_refuted_check_stops_at_its_witness(monkeypatch):
+    import tcpbounds.operators as operators_module
+
+    rows = []
+    batch = operators_module.contract_m1_batch
+
+    def counting(tensor, points, **kwargs):
+        rows.append(len(points))
+        return batch(tensor, points, **kwargs)
+
+    monkeypatch.setattr(operators_module, "contract_m1_batch", counting)
+    # e_1 scores 0.0, so the unit vectors refute the tensor and no sample is
+    # drawn; the fields are those of a pass over all 200 006 points.
+    t = random_sparse_tensor(np.random.default_rng(5), 4, 3, 20)
+    check = check_p_tensor_sampled(t, sample_count=200_000, seed=1)
+    assert rows == [6]
+    assert check.verdict == NOT_P and check.points_checked == 200_006
+    assert check.witness.tolist() == [1.0, 0.0, 0.0]
+    assert check.witness_value.hex() == "0x0.0p+0"
 
 
 @pytest.mark.parametrize("n, sample_count", [(1, 1), (3, 64), (2, 2 * _CHUNK + 5)])
