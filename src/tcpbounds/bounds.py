@@ -278,7 +278,7 @@ def residual(tensor: DenseTensor, q, z, u, tol: float = 1e-8) -> ResidualData:
     # s below is at most ||A||^{1/(m-1)} ||d|| + ||w||^{1/(m-1)} in modulus;
     # a sum of Python floats overflows to inf without a warning.
     w_inf = max(map(abs, cert.w.tolist()))
-    if norm ** (1.0 / r) * d_inf + w_inf ** (1.0 / r) == math.inf:
+    if _norm_root(tensor) * d_inf + w_inf ** (1.0 / r) == math.inf:
         raise ValueError(
             f"root(A (u - z)^{{m-1}}) + root(A z^{{m-1}} + q) overflows (||w||_inf = "
             f"{w_inf}, ||A||_inf = {norm}); rescale the problem"

@@ -105,7 +105,8 @@ class GridSpec:
     ``points_per_axis`` grid points per free coordinate on each cube face
     (odd counts include 0, which is what lets diagonal minimizers be hit
     exactly), then ``refinement_steps`` sweeps of coordinate descent with the
-    step halving from ``0.1`` whenever a sweep stalls.
+    step halving from ``0.1`` whenever a sweep stalls.  ``points_per_axis``
+    runs from 2 to ``_GRID_BLOCK`` (16 384), so one face axis fits a block.
     """
 
     points_per_axis: int = 41
@@ -114,6 +115,10 @@ class GridSpec:
     def __post_init__(self):
         _require_int(self.points_per_axis, "points_per_axis", 2)
         _require_int(self.refinement_steps, "refinement_steps", 0)
+        if self.points_per_axis > _GRID_BLOCK:
+            raise ValueError(
+                f"points_per_axis must be at most {_GRID_BLOCK}, got {self.points_per_axis}"
+            )
 
 
 @dataclass(frozen=True)
@@ -196,37 +201,29 @@ def _face_blocks(axis: np.ndarray, n: int, fixed: int, sign: float):
     point with an earlier ``|x_j| = 1`` lies on face ``j``), the later ones
     every value, so over ``fixed = 0 .. n-1`` each boundary grid point comes
     once.  A block holds the trailing free coordinates, as many as fit in
-    ``_GRID_BLOCK`` points (at least the last one), as ``np.ix_`` axes; a
-    last coordinate with more values is sliced.  The leading coordinates are
-    scalars, taking their values in ``itertools.product`` order, so the
-    blocks' points, each block in C order, come in product order of the free
-    coordinates, and no block has more than ``_GRID_BLOCK`` points whatever
-    the size of the face.  Each grid is a list of ``n`` coordinates.
+    ``_GRID_BLOCK`` points, as ``np.ix_`` axes; :class:`GridSpec` caps an
+    axis at ``_GRID_BLOCK`` values, so it holds at least the last one.  The
+    leading coordinates are scalars, taking their values in
+    ``itertools.product`` order, so the blocks' points, each block in C
+    order, come in product order of the free coordinates, and no block has
+    more than ``_GRID_BLOCK`` points whatever the size of the face.  Each
+    grid is a list of ``n`` coordinates.
     """
     values = [axis[1:-1]] * fixed + [axis] * (n - 1 - fixed)
-    sizes = [v.size for v in values]
-    if 0 in sizes:
+    if 0 in (v.size for v in values):
         return
     # Free coordinate i sits in column i of a point, or i + 1 past ``fixed``.
     cols = [i + (i >= fixed) for i in range(n - 1)]
-    k = min(1, n - 1)
-    while k < n - 1 and math.prod(sizes[-k - 1 :]) <= _GRID_BLOCK:
-        k += 1
-    lead = n - 1 - k
-    block = values[lead:]
-    # The face's blocks share their axes, the last one's slices in turn.
-    tails = [()]
-    if block:
-        tails = [
-            np.ix_(*block[:-1], block[-1][s : s + _GRID_BLOCK])
-            for s in range(0, sizes[-1], _GRID_BLOCK)
-        ]
+    lead = n - 1
+    while lead and math.prod(v.size for v in values[lead - 1 :]) <= _GRID_BLOCK:
+        lead -= 1
+    # Every block of the face shares these axes.
+    tail = np.ix_(*values[lead:])
     for lead_values in itertools.product(*values[:lead]):
-        for tail in tails:
-            coords = [sign] * n
-            for col, x in zip(cols, lead_values + tail):
-                coords[col] = x
-            yield coords
+        coords = [sign] * n
+        for col, x in zip(cols, lead_values + tail):
+            coords[col] = x
+        yield coords
 
 
 def _grid_points(coords: list, rows: np.ndarray) -> np.ndarray:

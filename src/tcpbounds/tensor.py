@@ -6,8 +6,8 @@ Contractions iterate over stored entries only, so the cost scales with the
 number of nonzeros rather than ``n**m``.  All vector arguments may be anything
 ``np.asarray`` accepts; results are float64 arrays or floats.
 
-Every function here is a pure function of immutable inputs: ``DenseTensor``
-never mutates after construction and no operation writes to its arguments.
+No function here writes to its arguments, and a built ``DenseTensor`` writes
+only its two caches, ``_jac_slots`` and ``_verified``, which change no result.
 :func:`contract_m1_batch` can also give a single output component over an
 open grid of points, formed by broadcasting and never gathered.
 """

@@ -237,13 +237,18 @@ def _block_points(coords):
     return _grid_points(coords, np.arange(size))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-@pytest.mark.parametrize("g", [2, 3, 7, 11])
+@pytest.mark.parametrize(
+    "g, n",
+    [*itertools.product([2, 3, 7, 11], [1, 2, 3, 4, 5, 6]), (_GRID_BLOCK, 2), (129, 3)],
+)
 def test_face_chunks_follow_product_order(n, g):
     # Face (fixed, sign) holds the grid points with x[fixed] = sign and no
     # earlier |x_j| = 1, in product order, block after block, so over all
     # faces each boundary point of the g^n grid comes once.  n=6, g=11 has
-    # 161,051 points on face 0, in blocks of 11^4.
+    # 161,051 points on face 0, in blocks of 11^4.  At the cap's edge, face
+    # 0 of n=2, g=16384 is one block of exactly _GRID_BLOCK points, and face
+    # 0 of n=3, g=129 (129^2 > _GRID_BLOCK) has 129 lead values, each over
+    # one 129-point block.
     axis = np.linspace(-1.0, 1.0, g)
     place = g ** np.arange(n - 1, -1, -1)
     seen = []
@@ -251,6 +256,8 @@ def test_face_chunks_follow_product_order(n, g):
         for sign in (-1.0, 1.0):
             blocks = [_block_points(coords) for coords in _face_blocks(axis, n, fixed, sign)]
             assert all(0 < b.shape[0] <= _GRID_BLOCK for b in blocks)
+            if (fixed, sign) == (0, -1.0):
+                first_face = [b.shape[0] for b in blocks]
             face = np.concatenate(blocks) if blocks else np.empty((0, n))
             assert np.all(face[:, fixed] == sign)
             assert np.all(np.abs(face[:, :fixed]) < 1.0)
@@ -262,21 +269,11 @@ def test_face_chunks_follow_product_order(n, g):
             seen.append(flat)
     seen = np.concatenate(seen)
     assert seen.size == g**n - (g - 2) ** n
-    assert np.bincount(seen).max() == 1
-
-
-def test_face_chunks_cut_a_long_last_axis():
-    # More than _GRID_BLOCK values per axis: the last coordinate alone
-    # overflows a block, so it is sliced, still in product order.
-    axis = np.linspace(-1.0, 1.0, _GRID_BLOCK + 3)
-    product = itertools.product(axis, repeat=2)
-    sizes = []
-    for coords in itertools.islice(_face_blocks(axis, 3, 0, -1.0), 5):
-        block = _block_points(coords)
-        sizes.append(block.shape[0])
-        want = np.asarray(list(itertools.islice(product, block.shape[0])))
-        assert np.array_equal(block, np.insert(want, 0, -1.0, axis=1))
-    assert sizes == [_GRID_BLOCK, 3, _GRID_BLOCK, 3, _GRID_BLOCK]
+    # np.unique, not np.bincount, whose g^n bins reach 2 GiB at g=16384.
+    assert np.unique(seen).size == seen.size
+    edge_blocks = {_GRID_BLOCK: [_GRID_BLOCK], 129: [129] * 129}
+    if g in edge_blocks:
+        assert first_face == edge_blocks[g]
 
 
 def test_face_chunks_stay_small_on_a_huge_face():
@@ -719,11 +716,16 @@ def test_alpha_F_rejects_odd_order():
     [
         {"points_per_axis": 1},
         {"refinement_steps": -1},
+        # One past the cap, and a count whose axis alone would take 745 GiB.
+        {"points_per_axis": _GRID_BLOCK + 1},
+        {"points_per_axis": 100_000_000_000},
     ],
 )
 def test_grid_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    (field,) = kwargs
+    with pytest.raises(ValueError, match=field):
         GridSpec(**kwargs)
+    assert GridSpec(points_per_axis=_GRID_BLOCK).points_per_axis == _GRID_BLOCK
 
 
 @pytest.mark.parametrize(

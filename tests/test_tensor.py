@@ -295,6 +295,8 @@ def test_batch_contraction_reads_nothing_it_did_not_write(monkeypatch):
     assert nan_numpy.empties >= len(cases)
     for want, got in zip(wants, gots):
         assert got.shape == want.shape and got.T.flags.c_contiguous
+        # A uint64 view cannot tell int64 zeros from float ones.
+        assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -357,6 +359,7 @@ def test_batch_contraction_component_is_its_column_bit_for_bit():
                 for i in range(t.dim):
                     got = contract_m1_batch(t, coords, component=i)
                     assert got.shape == (pts.shape[0],) and got.flags.c_contiguous
+                    assert got.dtype == full.dtype == np.float64
                     assert np.array_equal(got.view(np.uint64), full[:, i].view(np.uint64))
         if t.nnz:
             # The cancelling row at x = 1, and the empty row's +0.0.
@@ -419,6 +422,7 @@ def test_jacobian_repeated_columns_and_zeros():
     for order in (2, 3, 4):
         jac = jacobian_m1_batch(DenseTensor(order, 2, {}), [[-1.0, 2.0], [0.0, -0.0]])
         assert jac.shape == (2, 2, 2) and jac.tobytes() == np.zeros((2, 2, 2)).tobytes()
+        assert jac.dtype == np.float64
 
 
 def _jacobian_cumprod(tensor, points):
