@@ -22,10 +22,10 @@ all.
 :func:`build_report` is the one place that turns a residual into bounds.
 ``diagonal_bounds`` is that report with the closed-form alpha, and
 ``error_bounds_new``, ``error_bounds_zheng`` and ``relative_error_bounds``
-are views that return its fields, raising a named error where the report
-leaves them undefined.  The views take no ``tol``: they verify ``z`` at the
-report's default, 1e-8.  ``solution_norm_bounds`` shares the report's
-``||(-q)+||_inf`` helper and needs no residual.
+are views that return its fields; only the relative pair can be undefined,
+and its view then raises the named error.  The views take no ``tol``: they
+verify ``z`` at the report's default, 1e-8.  ``solution_norm_bounds``
+shares the report's ``||(-q)+||_inf`` helper and needs no residual.
 
 ``z`` is verified once per ``(tensor, q, z, tol)``, not once per report: the
 tensor keeps the certificate of the last ``(q, z, tol)`` it was verified
@@ -88,7 +88,6 @@ from .tensor import (
 
 __all__ = [
     "FLAG_EXACT_SOLUTION",
-    "FLAG_EXACT_SOLUTION_INCONSISTENT",
     "FLAG_NEGATIVE_ARGMAX",
     "FLAG_UNCERTIFIED_ALPHA",
     "FLAG_DEGENERATE_Q",
@@ -107,7 +106,6 @@ __all__ = [
 ]
 
 FLAG_EXACT_SOLUTION = "EXACT_SOLUTION"
-FLAG_EXACT_SOLUTION_INCONSISTENT = "EXACT_SOLUTION_INCONSISTENT"
 FLAG_NEGATIVE_ARGMAX = "NEGATIVE_ARGMAX"
 FLAG_UNCERTIFIED_ALPHA = "UNCERTIFIED_ALPHA"
 FLAG_DEGENERATE_Q = "DEGENERATE_Q"
@@ -119,7 +117,7 @@ _RATIO_SLACK = 1e-12
 # A positive magnitude overflows exactly when its log exceeds this.
 _LOG_MAX = math.log(sys.float_info.max)
 
-# The real-valued fields of a BoundReport; each is a float or None.
+# The real-valued fields of a BoundReport; only rel_lb and rel_ub may be None.
 _REAL_FIELDS = (
     "lb_new", "ub_new", "lb_base", "ub_base", "D",
     "a_norm_root", "sol_lb", "sol_ub", "rel_lb", "rel_ub",
@@ -149,18 +147,18 @@ class ResidualData:
 class BoundReport:
     """Every bound the library can certify for one ``(A, q, z, u)`` quadruple.
 
-    ``lb_new``/``ub_new`` carry the sharpened sandwich and are ``None`` only
-    in the EXACT_SOLUTION_INCONSISTENT fallback, where just the baseline pair
-    is defined.  ``sol_lb``/``sol_ub`` bound ``||z||_inf`` from ``q`` alone;
+    ``lb_new``/``ub_new`` carry the sharpened sandwich and ``lb_base``/
+    ``ub_base`` the baseline one; both pairs and ``D`` are always set.
+    ``sol_lb``/``sol_ub`` bound ``||z||_inf`` from ``q`` alone;
     ``rel_lb``/``rel_ub`` are ``None`` when their hypotheses fail (see
     ``flags``).
     """
 
-    lb_new: float | None
-    ub_new: float | None
+    lb_new: float
+    ub_new: float
     lb_base: float
     ub_base: float
-    D: float | None
+    D: float
     residual: ResidualData
     alpha: AlphaEstimate
     a_norm_root: float
@@ -189,15 +187,13 @@ class BoundReport:
                 raise InvariantViolationError(
                     f"{name} lower bound {lb} exceeds upper bound {ub}"
                 )
-        if self.D is not None and self.D < 0.0:
+        if self.D < 0.0:
             raise InvariantViolationError(f"discriminant {self.D} negative after clamp")
         # The only check of ub_new <= ub_base.
-        if self.ub_new is not None:
-            if self.ub_new > self.ub_base * (1.0 + _RATIO_SLACK):
-                raise InvariantViolationError(
-                    f"sharpened upper bound {self.ub_new} exceeds baseline "
-                    f"{self.ub_base}"
-                )
+        if self.ub_new > self.ub_base * (1.0 + _RATIO_SLACK):
+            raise InvariantViolationError(
+                f"sharpened upper bound {self.ub_new} exceeds baseline {self.ub_base}"
+            )
 
     def relative_bounds(self) -> tuple[float, float]:
         """``(rel_lb, rel_ub)``, or the named error when they are undefined."""
@@ -208,11 +204,6 @@ class BoundReport:
         if FLAG_DEGENERATE_Z in self.flags:
             raise DegenerateZError(
                 "DEGENERATE_Z: the solution is zero, relative bounds are undefined"
-            )
-        if FLAG_EXACT_SOLUTION_INCONSISTENT in self.flags:
-            raise ExactSolutionInconsistentError(
-                f"residual component at the argmax index t={self.residual.t} is "
-                "zero while u != z; relative bounds are undefined"
             )
         return self.rel_lb, self.rel_ub
 
@@ -388,6 +379,8 @@ def build_report(
     report.  A ``u`` whose contraction (see :func:`residual`) or
     discriminant ``D`` overflows is refused with ``ValueError``; an
     overflowing ``||A||_inf`` is refused earlier, by :class:`DenseTensor`.
+    A negative argmax value and ``v_t = 0`` at ``u != z``, which no P-tensor
+    with ``z`` its solution allows, are refused before any bound is formed.
     """
     norm_root = _norm_root(tensor)
     _require_alpha_f(alpha, norm_root)
@@ -397,6 +390,14 @@ def build_report(
         raise InvariantViolationError(
             f"(u-z)_t (A(u-z)^(m-1))_t = {data.argmax_value} < 0 at t={data.t}; "
             "the tensor cannot be P"
+        )
+    # A P-tensor with z its solution has d_t (A d^{m-1})_t > 0 at u != z, so
+    # v_t != 0; at u == z, v = 0 and every bound below comes out +0.0.
+    if data.v_t == 0.0 and FLAG_EXACT_SOLUTION not in data.flags:
+        raise ExactSolutionInconsistentError(
+            f"EXACT_SOLUTION_INCONSISTENT: v_t = 0 at the argmax index t={data.t} "
+            "while u != z, which no P-tensor with z its solution allows (or "
+            "A (u - z)^(m-1) underflowed); no bound is formed"
         )
     flags = list(data.flags)
     if not alpha.certified:
@@ -413,17 +414,12 @@ def build_report(
         b = v_inf * (1.0 + norm_root)
     lb_base = v_inf / (1.0 + norm_root)
     ub_base = (1.0 + norm_root) * v_inf / alpha.value
-    lb_new = ub_new = d_value = sq = None
-    # At u == z, v = 0 and every bound below comes out +0.0.
-    if v_t == 0.0 and FLAG_EXACT_SOLUTION not in data.flags:
-        flags.append(FLAG_EXACT_SOLUTION_INCONSISTENT)
-    else:
-        d_value, clamped = _discriminant(b, v_t, alpha.value)
-        if clamped:
-            flags.append(FLAG_CLAMPED_DISCRIMINANT)
-        sq = math.sqrt(d_value)
-        lb_new = (b - sq) / (2.0 * alpha.value)
-        ub_new = (b + sq) / (2.0 * alpha.value)
+    d_value, clamped = _discriminant(b, v_t, alpha.value)
+    if clamped:
+        flags.append(FLAG_CLAMPED_DISCRIMINANT)
+    sq = math.sqrt(d_value)
+    lb_new = (b - sq) / (2.0 * alpha.value)
+    ub_new = (b + sq) / (2.0 * alpha.value)
 
     q_root = _q_root(tensor, q)
     sol_lb, sol_ub = _solution_norm_pair(q_root, norm_root, alpha.value)
@@ -436,8 +432,6 @@ def build_report(
     elif not any(_as_vector(z, tensor.dim, "z").tolist()):
         flags.append(FLAG_DEGENERATE_Z)
         rel_lb = rel_ub = None
-    elif sq is None:
-        rel_lb = rel_ub = None
     else:
         rel_lb = (b - sq) / (2.0 * q_root)
         rel_ub = norm_root * (b + sq) / (2.0 * alpha.value * q_root)
@@ -446,7 +440,7 @@ def build_report(
             None if x is None else math.ldexp(x, k)
             for x in (lb_new, ub_new, lb_base, ub_base, rel_lb, rel_ub)
         )
-        d_value = None if d_value is None else math.ldexp(d_value, 2 * k)
+        d_value = math.ldexp(d_value, 2 * k)
 
     return BoundReport(
         lb_new=lb_new,
@@ -479,11 +473,6 @@ def error_bounds_new(
 ) -> tuple[float, float, float]:
     """Sharpened two-sided bounds ``(lb, ub, D)`` on ``||z - u||_inf``."""
     report = build_report(tensor, q, z, u, alpha)
-    if FLAG_EXACT_SOLUTION_INCONSISTENT in report.flags:
-        raise ExactSolutionInconsistentError(
-            f"residual component at the argmax index t={report.residual.t} is "
-            "zero while u != z; only the baseline bound applies"
-        )
     return report.lb_new, report.ub_new, report.D
 
 
@@ -524,12 +513,6 @@ def compare_upper_bounds(report: BoundReport) -> float:
     """Ratio ``ub_new / ub_base``, and 0 for a zero baseline (``u == z``).
 
     The report has already checked ``ub_new <= ub_base`` up to a relative
-    round-off, so the ratio is at most 1 up to round-off; a report without
-    the sharpened pair raises ``ValueError``.
+    round-off, so the ratio is at most 1 up to round-off.
     """
-    if report.ub_new is None:
-        raise ValueError(
-            "the sharpened upper bound is unavailable on this report; "
-            "nothing to compare"
-        )
     return float(report.ub_new / report.ub_base) if report.ub_base else 0.0

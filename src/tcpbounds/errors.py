@@ -54,9 +54,9 @@ class SolutionVerificationError(TcpBoundsError):
 class ExactSolutionInconsistentError(TcpBoundsError):
     """The residual vanishes at the argmax index although u != z.
 
-    For a genuine P-tensor with a verified solution this cannot happen; when it
-    does, the sharpened bounds are undefined and only the baseline bound is
-    reported.
+    For a genuine P-tensor with a verified solution this cannot happen; it
+    does under an alpha supplied for a tensor that is not P, or where ``A (u -
+    z)^{m-1}`` underflows, and ``build_report`` refuses it before any bound.
     """
 
 

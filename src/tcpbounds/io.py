@@ -34,9 +34,10 @@ through the loader's own constructor for its tag, so ``012`` is octal and
 key, a non-scalar key, any other tag), or one whose pass fails, is built
 again whole by PyYAML's own ``construct_document``.  So every document gives
 what ``yaml.load`` gives, or raises the same error, which :func:`parse_problem`
-reports as not valid YAML whatever its type.  Both loaders feed the same
-resolver and constructors, so a document both accept gives the same Python
-objects.  Two known differences: libyaml accepts a tab as separating white
+reports as not valid YAML whatever its type, with the line and column of a
+scalar its tag's constructor refuses (``!!bool maybe``).  Both loaders feed
+the same resolver and constructors, so a document both accept gives the same
+Python objects.  Two known differences: libyaml accepts a tab as separating white
 space, after ``order:`` or after a comma in ``[1.0, 2.0]``, and composes a
 list nested 500 deep, where the pure-Python loader refuses either.  The detail
 after ``not valid YAML:`` also differs between the two.
@@ -86,7 +87,14 @@ def _load(text: str):
             # constructor refuses, a nesting deeper than the recursion
             # limit), PyYAML's driver then gives the result or error, in its
             # own order.
-            return loader.construct_document(node)
+            try:
+                return loader.construct_document(node)
+            except Exception as exc:
+                # A scalar's constructor error names no place: it gets the mark
+                # of the last node construct_object left unfinished, its own.
+                if not isinstance(exc, yaml.YAMLError) and loader.recursive_objects:
+                    exc.scalar_mark = next(reversed(loader.recursive_objects)).start_mark
+                raise
     finally:
         loader.dispose()
 
@@ -208,7 +216,12 @@ def parse_problem(path) -> ProblemFile:
     try:
         data = _load(text)
     except Exception as exc:
-        raise ProblemFormatError(f"not valid YAML: {exc}") from None
+        detail = str(exc)
+        # Printed as libyaml prints a mark; the pure-Python one adds a snippet.
+        mark = getattr(exc, "scalar_mark", None)
+        if mark is not None:
+            detail += f'\n  in "{mark.name}", line {mark.line + 1}, column {mark.column + 1}'
+        raise ProblemFormatError(f"not valid YAML: {detail}") from None
     if not isinstance(data, dict):
         raise ProblemFormatError("the document must be a mapping of fields")
     # YAML keys need not be strings, nor of one type.

@@ -15,7 +15,6 @@ from tcpbounds import (
     FLAG_DEGENERATE_Q,
     FLAG_DEGENERATE_Z,
     FLAG_EXACT_SOLUTION,
-    FLAG_EXACT_SOLUTION_INCONSISTENT,
     FLAG_NEGATIVE_ARGMAX,
     FLAG_UNCERTIFIED_ALPHA,
     GRID_REFINED,
@@ -436,25 +435,20 @@ def test_inconsistent_zero_component_raises():
     """v_t = 0 with u != z cannot happen for a real P-tensor; it must raise.
 
     The tensor here is singular in its first coordinate, so the situation is
-    reachable only with a supplied (unverifiable) alpha certificate.
+    reachable only with a supplied (unverifiable) alpha certificate.  The
+    report is refused before any bound is formed: it used to fall back to a
+    baseline pair of zeros with the sharpened pair undefined.
     """
     tensor = DenseTensor(2, 2, {(2, 2): 1.0})
     q = np.array([0.0, -1.0])
     z = np.array([0.0, 1.0])
     u = np.array([5.0, 1.0])
-    alpha = forged_alpha(1.0)
-    with pytest.raises(ExactSolutionInconsistentError):
-        error_bounds_new(tensor, q, z, u, alpha)
-    with pytest.raises(ExactSolutionInconsistentError):
-        relative_error_bounds(tensor, q, z, u, alpha)
-    rep = build_report(tensor, q, z, u, alpha)
-    assert rep.lb_new is None and rep.ub_new is None and rep.D is None
-    assert FLAG_EXACT_SOLUTION_INCONSISTENT in rep.flags
-    assert FLAG_UNCERTIFIED_ALPHA in rep.flags
-    assert (rep.rel_lb, rep.rel_ub) == (None, None)
-    assert rep.lb_base == rep.ub_base == 0.0
-    with pytest.raises(ValueError):
-        compare_upper_bounds(rep)
+    res = residual(tensor, q, z, u)
+    assert (res.t, res.v_t, res.v_inf) == (1, 0.0, 0.0)
+    with pytest.raises(
+        ExactSolutionInconsistentError, match="EXACT_SOLUTION_INCONSISTENT: v_t = 0 .* t=1"
+    ):
+        build_report(tensor, q, z, u, forged_alpha(1.0))
 
 
 def test_degenerate_q_paths():
@@ -552,18 +546,14 @@ def assert_views_match_report(tensor, q, z, u, alpha):
     rep = build_report(tensor, q, z, u, alpha)
     assert error_bounds_zheng(tensor, q, z, u, alpha) == (rep.lb_base, rep.ub_base)
     assert solution_norm_bounds(tensor, q, alpha) == (rep.sol_lb, rep.sol_ub)
-    if FLAG_EXACT_SOLUTION_INCONSISTENT in rep.flags:
-        with pytest.raises(ExactSolutionInconsistentError):
-            error_bounds_new(tensor, q, z, u, alpha)
-    else:
-        assert error_bounds_new(tensor, q, z, u, alpha) == (rep.lb_new, rep.ub_new, rep.D)
+    assert error_bounds_new(tensor, q, z, u, alpha) == (rep.lb_new, rep.ub_new, rep.D)
+    ratio = rep.ub_new / rep.ub_base if rep.ub_base else 0.0
+    assert compare_upper_bounds(rep) == ratio
     relative_error = None
     if FLAG_DEGENERATE_Q in rep.flags:
         relative_error = DegenerateQError
     elif FLAG_DEGENERATE_Z in rep.flags:
         relative_error = DegenerateZError
-    elif FLAG_EXACT_SOLUTION_INCONSISTENT in rep.flags:
-        relative_error = ExactSolutionInconsistentError
     if relative_error is None:
         assert relative_error_bounds(tensor, q, z, u, alpha) == (rep.rel_lb, rep.rel_ub)
     else:
@@ -615,19 +605,23 @@ def test_views_raise_on_undefined_report_fields():
             np.array([0.5]),
             forged_alpha(1.0),
         ),
-        # EXACT_SOLUTION_INCONSISTENT: v_t = 0 with u != z under a forged alpha
-        (
-            DenseTensor(2, 2, {(2, 2): 1.0}),
-            np.array([0.0, -1.0]),
-            np.array([0.0, 1.0]),
-            np.array([5.0, 1.0]),
-            forged_alpha(1.0),
-        ),
     ]
-    wanted = (FLAG_DEGENERATE_Q, FLAG_DEGENERATE_Z, FLAG_EXACT_SOLUTION_INCONSISTENT)
+    wanted = (FLAG_DEGENERATE_Q, FLAG_DEGENERATE_Z)
     for (tensor, q, z, u, alpha), flag in zip(cases, wanted):
         rep = assert_views_match_report(tensor, q, z, u, alpha)
         assert flag in rep.flags
+    # v_t = 0 with u != z under a forged alpha: no report is built, so every
+    # view raises the report's refusal
+    inconsistent = (
+        DenseTensor(2, 2, {(2, 2): 1.0}),
+        np.array([0.0, -1.0]),
+        np.array([0.0, 1.0]),
+        np.array([5.0, 1.0]),
+        forged_alpha(1.0),
+    )
+    for view in (build_report, error_bounds_new, error_bounds_zheng, relative_error_bounds):
+        with pytest.raises(ExactSolutionInconsistentError):
+            view(*inconsistent)
 
 
 def test_baseline_view_refuses_overestimated_alpha():
@@ -727,6 +721,26 @@ def test_underflowing_objective_picks_t_from_the_scaled_step():
     rep = build_report(tensor, q, z, u, alpha_for(tensor))
     assert rep.flags == (FLAG_DEGENERATE_Q,)
     assert rep.lb_new <= 1e-100 <= rep.ub_new <= rep.ub_base
+
+
+def test_contraction_underflowing_at_t_is_refused():
+    # z verifies exactly, but A (u - z)^3 = (2^-1095, 0) underflows to 0, so
+    # v_t = 0 at u != z: the report fell back to ub_base = 0 against an error
+    # of 2^-365, and compare_upper_bounds raised ValueError
+    tensor = DenseTensor.from_diagonal([1.0, 8.0], order=4)
+    q = np.array([-(2.0**-996), -8.0])
+    z = np.array([2.0**-332, 1.0])
+    u = z + np.array([2.0**-365, 0.0])
+    assert verify_solution(TcpInstance(tensor, q), z).max_violation == 0.0
+    res = residual(tensor, q, z, u)
+    assert (res.t, res.v_t, res.v_inf) == (1, 0.0, 0.0)
+    alpha = diagonal_alpha_estimate(tensor)
+    assert alpha.certified
+    with pytest.raises(ExactSolutionInconsistentError, match="t=1"):
+        diagonal_bounds(tensor, q, z, u)
+    for view in (build_report, error_bounds_new, error_bounds_zheng, relative_error_bounds):
+        with pytest.raises(ExactSolutionInconsistentError):
+            view(tensor, q, z, u, alpha)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@
 stdout, stderr and exit code on four files, in both formats, are pinned
 here: the worked file, a file with two solutions (AMBIGUOUS_SOLUTION), a
 non-dominant file whose alpha comes from the grid (UNCERTIFIED_ALPHA), and
-a file with ``(-q)+ = 0`` (DEGENERATE_Q), where ``rel-bounds`` exits 1.
+a file with ``(-q)+ = 0`` (DEGENERATE_Q), where ``rel-bounds`` exits 1.  A
+file whose contraction at the argmax index underflows is refused by all
+three with exit code 1 and nothing on stdout.
 
 The ``alpha`` subcommand's transcripts are pinned too, at grids 2, 3 and 7
 and for both kinds: a dominant file, which prints the grid estimate with the
@@ -730,6 +732,40 @@ def test_report_subcommand_transcript_is_pinned(key, tmp_path, capsys):
     code = main([command, "--file", str(path), "--format", fmt])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == TRANSCRIPTS[key]
+
+
+# z = (2^-332, 1) solves the file exactly, but at u = z + (2^-365, 0) the
+# contraction A (u - z)^3 = (2^-1095, 0) underflows to 0, so v_t = 0 while
+# u != z.  bounds printed ub_base=0 against an error of 2^-365 (exit 0) and
+# compare exited 2.
+UNDERFLOW = f"""\
+order: 4
+dim: 2
+entries:
+  - idx: [1, 1, 1, 1]
+    val: 1.0
+  - idx: [2, 2, 2, 2]
+    val: 8.0
+q: [{-(2.0**-996)!r}, -8.0]
+z: [{2.0**-332!r}, 1.0]
+u: [{2.0**-332 + 2.0**-365!r}, 1.0]
+"""
+
+UNDERFLOW_REFUSAL = (
+    "error: EXACT_SOLUTION_INCONSISTENT: v_t = 0 at the argmax index t=1 while "
+    "u != z, which no P-tensor with z its solution allows (or A (u - z)^(m-1) "
+    "underflowed); no bound is formed\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("command", ["bounds", "rel-bounds", "compare"])
+def test_underflow_at_the_argmax_is_refused(command, fmt, tmp_path, capsys):
+    path = tmp_path / "underflow.yaml"
+    path.write_text(UNDERFLOW)
+    code = main([command, "--file", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", UNDERFLOW_REFUSAL)
 
 
 # Every row is dominant, through entries that are not row-power; alpha prints

@@ -1134,7 +1134,7 @@ def test_package_exports_every_submodule_name_once():
         tcpbounds.tensor,
     )
     expected = {"__version__"}.union(*(m.__all__ for m in modules))
-    assert len(expected) == 61
+    assert len(expected) == 60
     assert len(tcpbounds.__all__) == len(set(tcpbounds.__all__))
     assert set(tcpbounds.__all__) == expected
     for name in tcpbounds.__all__:
@@ -1308,35 +1308,49 @@ def test_construction_falls_back_past_the_recursion_limit():
 
 
 # Explicitly tagged scalars that the tag's own PyYAML constructor refuses,
-# each with its error's message.  The constructors raise a KeyError, an
-# AttributeError and ValueErrors, none a yaml.YAMLError: the first two once
-# escaped the CLI as tracebacks (exit 1), the others exited 2 with a
-# message that named nothing.
+# each with its error's message and where the scalar starts.  The
+# constructors raise a KeyError, an AttributeError and ValueErrors, none a
+# yaml.YAMLError: the first two once escaped the CLI as tracebacks (exit 1),
+# the others exited 2 with a message that named nothing, and until the
+# place was added no message named a line.
 REFUSED_SCALARS = {
-    "bool-maybe": ("order: 2\ndim: 1\nq: [!!bool maybe]\n", "'maybe'"),
+    "bool-maybe": ("order: 2\ndim: 1\nq: [!!bool maybe]\n", "'maybe'", (3, 5)),
     "timestamp-abc": (
         "order: 2\ndim: 1\nq: [!!timestamp abc]\n",
         "'NoneType' object has no attribute 'groupdict'",
+        (3, 5),
     ),
     "float-abc": (
         "order: 2\ndim: 1\nq: [!!float abc]\n",
         "could not convert string to float: 'abc'",
+        (3, 5),
     ),
     "int-0x": (
         "order: 2\ndim: 1\nentries:\n  - idx: [1, 1]\n    val: !!int 0x\nq: [1.0]\n",
         "invalid literal for int() with base 16: ''",
+        (5, 10),
+    ),
+    # PyYAML builds a mapping's scalar values before a sequence's items, so
+    # the error and its place are order's, though q comes first
+    "two-refused": (
+        "q: [!!bool maybe]\norder: !!int 0x\ndim: 1\n",
+        "invalid literal for int() with base 16: ''",
+        (2, 8),
     ),
 }
 
 
 @pytest.mark.parametrize("loader", [yaml.SafeLoader, MODULE_LOADER], ids=["python", "module"])
-@pytest.mark.parametrize("text, detail", REFUSED_SCALARS.values(), ids=list(REFUSED_SCALARS))
+@pytest.mark.parametrize(
+    "text, detail, place", REFUSED_SCALARS.values(), ids=list(REFUSED_SCALARS)
+)
 def test_a_scalar_its_constructor_refuses_is_not_valid_yaml(
-    tmp_path, capsys, monkeypatch, loader, text, detail
+    tmp_path, capsys, monkeypatch, loader, text, detail, place
 ):
     monkeypatch.setattr(tcpbounds.io, "_LOADER", loader)
     code, out, err = run_cli(capsys, "check-p", "--file", write(tmp_path, text))
-    assert (code, out, err) == (2, "", f"error: not valid YAML: {detail}\n")
+    where = f'  in "<unicode string>", line {place[0]}, column {place[1]}'
+    assert (code, out, err) == (2, "", f"error: not valid YAML: {detail}\n{where}\n")
 
 
 @pytest.mark.loaders_differ

@@ -15,6 +15,7 @@ from tcpbounds import (
     GRID_REFINED,
     AlphaEstimate,
     DenseTensor,
+    ExactSolutionInconsistentError,
     build_report,
     diagonal_bounds,
 )
@@ -52,13 +53,10 @@ def _path_cases():
     yield "exact-signed-zero", lambda: diagonal_bounds(
         worked, q, z, np.array([-0.0, 0.5])
     )
-    # the first coordinate is singular: v_t = 0 while u != z
+    # the first coordinate is singular
     singular = DenseTensor(2, 2, {(2, 2): 1.0})
     q_s = np.array([0.0, -1.0])
     z_s = np.array([0.0, 1.0])
-    yield "exact-inconsistent", lambda: build_report(
-        singular, q_s, z_s, np.array([5.0, 1.0]), _forged_alpha(1.0)
-    )
     # the objective is (-0.0, 0.0): a tie between zeros of both signs
     yield "signed-zero-tie", lambda: build_report(
         singular, q_s, z_s, np.array([-5.0, 1.0]), _forged_alpha(1.0)
@@ -410,24 +408,6 @@ GOLDENS = {
         ('EXACT_SOLUTION',),
         ('0x0.0p+0', '0x0.0p+0'),
     ),
-    'exact-inconsistent': (
-        (
-            None,
-            None,
-            '0x0.0p+0',
-            '0x0.0p+0',
-            None,
-            '0x1.0000000000000p+0',
-            '0x1.0000000000000p+0',
-            '0x1.0000000000000p+0',
-            None,
-            None,
-        ),
-        ('UNCERTIFIED_ALPHA', 'EXACT_SOLUTION_INCONSISTENT'),
-        (1, '0x0.0p+0', '0x0.0p+0', '0x0.0p+0'),
-        (),
-        ('0x0.0p+0', '0x0.0p+0'),
-    ),
     'signed-zero-tie': (
         (
             '0x1.4000000000000p+2',
@@ -514,9 +494,23 @@ def test_goldens_cover_the_named_paths():
     # a u equal to z up to the sign of a zero is z; ties take the smallest t
     assert GOLDENS["exact-signed-zero"] == GOLDENS["exact"]
     assert GOLDENS["exact"][1] == ("EXACT_SOLUTION",)
-    assert "EXACT_SOLUTION_INCONSISTENT" in GOLDENS["exact-inconsistent"][1]
     assert GOLDENS["degenerate-q"][1] == ("DEGENERATE_Q",)
     assert GOLDENS["degenerate-z"][1] == ("DEGENERATE_Z",)
     assert GOLDENS["argmax-tie"][2][:2] == (2, float.hex(0.5))
     assert GOLDENS["signed-zero-tie"][2][0] == 1
     assert GOLDENS["signed-zero-tie"][2][3] == "-0x0.0p+0"
+
+
+def test_exact_inconsistent_is_refused():
+    # On the singular tensor, u = (5, 1) makes v_t = 0 at t = 1 while u != z.
+    # The report is refused before any bound is formed; it once carried the
+    # baseline pair 0 and 0 with the sharpened and relative pairs undefined.
+    singular = DenseTensor(2, 2, {(2, 2): 1.0})
+    with pytest.raises(ExactSolutionInconsistentError, match="t=1"):
+        build_report(
+            singular,
+            np.array([0.0, -1.0]),
+            np.array([0.0, 1.0]),
+            np.array([5.0, 1.0]),
+            _forged_alpha(1.0),
+        )
